@@ -1,8 +1,9 @@
 // SIMD element batching of the fused kernels: scalar FusedStokesChain
 // (streams the precomputed gradBF/wGradBF/wBF arrays, ~496 doubles/cell)
 // vs FusedStokesChainBatched<W> (recomputes geometry in pack registers
-// from nodal data, ~72 doubles/cell), plus the matrix-free tangent pair
-// StokesFOTangent vs StokesFOTangentBatched<W>.  Reports per-element time
+// from nodal data, ~72 doubles/cell), plus the matrix-free tangent
+// StokesFOTangentBatched<W> at W = 1 (the scalar reference the solver runs
+// at `--simd off`) vs the native width.  Reports per-element time
 // and the achieved bandwidth against the perf:: byte models, and GATES on
 // the fused-residual speedup: the native-width batched kernel must be
 // >= 1.5x the scalar chain (the tentpole claim of the SIMD PR).
@@ -27,7 +28,6 @@
 #include "physics/fused_chain_batched.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "physics/stokes_jacobian_apply.hpp"
-#include "physics/stokes_jacobian_apply_batched.hpp"
 #include "portability/simd.hpp"
 #include "portability/timer.hpp"
 #include "util/json_writer.hpp"
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   scalar_chain.gradBF = ws.gradBF;
   scalar_chain.wGradBF = ws.wGradBF;
   scalar_chain.wBF = ws.wBF;
-  scalar_chain.force_passive = problem.force_passive();
+  scalar_chain.force_passive = problem.element_arrays().force_passive;
   scalar_chain.Residual = f.Residual;
   scalar_chain.glen_A = cfg.constants.glen_A;
   scalar_chain.glen_n = cfg.constants.glen_n;
@@ -157,10 +157,10 @@ int main(int argc, char** argv) {
     physics::FusedStokesChainBatched<W> chain;
     chain.UNodal = f.UNodal;
     chain.coords = ws.coords;
-    chain.ref_grad = problem.ref_grad();
-    chain.ref_val = problem.ref_val();
-    chain.qp_weight = problem.qp_weights();
-    chain.force_passive = problem.force_passive();
+    chain.ref_grad = problem.element_arrays().ref_grad;
+    chain.ref_val = problem.element_arrays().ref_val;
+    chain.qp_weight = problem.element_arrays().qp_weights;
+    chain.force_passive = problem.element_arrays().force_passive;
     chain.Residual = f.Residual;
     chain.glen_A = cfg.constants.glen_A;
     chain.glen_n = cfg.constants.glen_n;
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   run_batched_resid.template operator()<8>();
   if (native_speedup == 0.0) native_speedup = arms.back().speedup;
 
-  // ---- matrix-free tangent: scalar vs native-width batched ----
+  // ---- matrix-free tangent: width 1 vs native-width batched ----
   const std::size_t n = problem.n_dofs();
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -201,32 +201,8 @@ int main(int argc, char** argv) {
   }
   pk::View<double, 3> tan_out("tan_out", ws.n_cells_padded,
                               static_cast<std::size_t>(N), 2);
-
-  physics::StokesFOTangent scalar_tan;
-  scalar_tan.cell_nodes = ws.cell_nodes;
-  scalar_tan.coords = ws.coords;
-  scalar_tan.U = Uview;
-  scalar_tan.X = Xview;
-  scalar_tan.ref_grad = problem.ref_grad();
-  scalar_tan.qp_weight = problem.qp_weights();
-  scalar_tan.Tangent = tan_out;
-  scalar_tan.glen_A = cfg.constants.glen_A;
-  scalar_tan.glen_n = cfg.constants.glen_n;
-  scalar_tan.eps_reg2 = cfg.constants.eps_reg2;
-  scalar_tan.numNodes = N;
-  scalar_tan.numQPs = Q;
-  const double t_tan_scalar = time_best([&] {
-    pk::parallel_for("StokesFOTangent", pk::RangePolicy<pk::Serial>(C),
-                     scalar_tan);
-  });
   pk::View<double, 3> tan_scalar("tan_scalar", ws.n_cells_padded,
                                  static_cast<std::size_t>(N), 2);
-  for (std::size_t c = 0; c < C; ++c) {
-    for (int k = 0; k < N; ++k) {
-      tan_scalar(c, k, 0) = tan_out(c, k, 0);
-      tan_scalar(c, k, 1) = tan_out(c, k, 1);
-    }
-  }
   // Both tangent arms read the same nodal data (the batched one changes the
   // flop schedule, not the traffic) — one shared byte model.
   perf::JacobianApplyModel jm;
@@ -234,10 +210,9 @@ int main(int argc, char** argv) {
   jm.num_nodes = static_cast<std::size_t>(N);
   jm.n_basal_faces = 0;
   const double tan_bytes = static_cast<double>(jm.matrix_free_stream_bytes());
-  arms.push_back({"mf tangent (scalar)", 1, t_tan_scalar / C * 1e9,
-                  tan_bytes / t_tan_scalar / 1e9, 1.0, 0.0});
+  double t_tan_scalar = 0.0;
 
-  auto run_batched_tan = [&]<int W>() {
+  auto run_tan = [&]<int W>() {
     const std::size_t cnt_pad =
         (C + static_cast<std::size_t>(W) - 1) / W * static_cast<std::size_t>(W);
     physics::StokesFOTangentBatched<W> tan;
@@ -245,8 +220,8 @@ int main(int argc, char** argv) {
     tan.coords = ws.coords;
     tan.U = Uview;
     tan.X = Xview;
-    tan.ref_grad = problem.ref_grad();
-    tan.qp_weight = problem.qp_weights();
+    tan.ref_grad = problem.element_arrays().ref_grad;
+    tan.qp_weight = problem.element_arrays().qp_weights;
     tan.Tangent = tan_out;
     tan.glen_A = cfg.constants.glen_A;
     tan.glen_n = cfg.constants.glen_n;
@@ -258,6 +233,13 @@ int main(int argc, char** argv) {
       pk::parallel_for("StokesFOTangentBatched",
                        pk::SimdRangePolicy<W, pk::Serial>(cnt_pad), tan);
     });
+    if constexpr (W == 1) {
+      tan_scalar.deep_copy_from(tan_out);
+      t_tan_scalar = t;
+      arms.push_back({"mf tangent (scalar)", 1, t / C * 1e9,
+                      tan_bytes / t / 1e9, 1.0, 0.0});
+      return;
+    }
     Arm a;
     a.kernel = "mf tangent (batched)";
     a.width = W;
@@ -267,10 +249,11 @@ int main(int argc, char** argv) {
     a.max_rel = max_rel_diff(tan_scalar, tan_out, C, N);
     arms.push_back(a);
   };
+  run_tan.template operator()<1>();
   if (pk::kSimdNativeWidth == 8) {
-    run_batched_tan.template operator()<8>();
+    run_tan.template operator()<8>();
   } else {
-    run_batched_tan.template operator()<4>();
+    run_tan.template operator()<4>();
   }
 
   std::printf("%-26s %5s %12s %10s %9s %10s\n", "kernel", "W", "ns/cell",

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "portability/common.hpp"
+#include "util/hash.hpp"
 
 namespace mali::dist {
 
@@ -22,13 +23,7 @@ using resilience::CommSite;
 /// detected; never interpreted arithmetically (the frame is bit-cast in and
 /// out of a double slot untouched).
 std::uint64_t fnv1a_bytes(const double* p, std::size_t n) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < 8 * n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  return util::fnv1a64(p, n * sizeof(double));
 }
 
 /// Fault-agreement severity: integrity and injected faults name the root

@@ -2,31 +2,25 @@
 
 #include <algorithm>
 
-#include "ad/scalar_traits.hpp"
-#include "physics/evaluators.hpp"
-#include "physics/stokes_fo_resid.hpp"
-#include "physics/stokes_jacobian_apply.hpp"
+#include "fem/cell_geometry.hpp"
 #include "portability/common.hpp"
-#include "portability/parallel.hpp"
-#include "portability/timer.hpp"
 
 namespace mali::dist {
 
-using physics::FieldSet;
 using physics::JacobianEval;
 using physics::ResidualEval;
 
 Subdomain::Subdomain(const physics::StokesFOProblem& problem,
                      const mesh::Partition& part, int rank)
-    : problem_(&problem), part_(&part), rank_(rank) {
+    : problem_(&problem), engine_(elems_, problem.config(), phase_timers_) {
   MALI_CHECK(rank >= 0 && rank < part.n_parts);
   const auto r = static_cast<std::size_t>(rank);
   const fem::GeometryWorkset& ws = problem.workset();
+  const physics::ElementArrays& src = problem.element_arrays();
   const mesh::ExtrudedMesh& mesh = problem.mesh();
   const auto L = static_cast<std::size_t>(mesh.n_layers());
   const int N = ws.num_nodes;
   const int Q = ws.num_qps;
-  const int Qf = ws.face_qps;
 
   // ---- local cell list: interior base cells first, then boundary ----
   // A base cell is interior iff all 4 of its columns are owned by this
@@ -56,31 +50,36 @@ Subdomain::Subdomain(const physics::StokesFOProblem& problem,
   const std::size_t C = n_cells_;
 
   // ---- stage compact element data (global node ids retained) ----
-  cell_nodes_ = pk::View<std::size_t, 2>("sd_cell_nodes", C, N);
-  coords_ = pk::View<double, 3>("sd_coords", C, N, 3);
-  gradBF_ = pk::View<double, 4>("sd_gradBF", C, N, Q, 3);
-  wGradBF_ = pk::View<double, 4>("sd_wGradBF", C, N, Q, 3);
-  wBF_ = pk::View<double, 3>("sd_wBF", C, N, Q);
-  force_passive_ = pk::View<double, 3>("sd_force_passive", C, Q, 2);
-  const bool thermal = problem.flow_factor().allocated();
-  if (thermal) flow_factor_ = pk::View<double, 2>("sd_flow_factor", C, Q);
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::size_t g = local_cells[c];
+  // Padded like the problem's arrays; the ghost rows replicate the last
+  // local cell so full-width pack loads past it read finite geometry.
+  const std::size_t Cp = fem::padded_cells(C);
+  elems_ = src;  // sizes and the shared reference element data
+  elems_.cell_nodes = pk::View<std::size_t, 2>("sd_cell_nodes", Cp, N);
+  elems_.coords = pk::View<double, 3>("sd_coords", Cp, N, 3);
+  elems_.gradBF = pk::View<double, 4>("sd_gradBF", Cp, N, Q, 3);
+  elems_.wGradBF = pk::View<double, 4>("sd_wGradBF", Cp, N, Q, 3);
+  elems_.wBF = pk::View<double, 3>("sd_wBF", Cp, N, Q);
+  elems_.force_passive = pk::View<double, 3>("sd_force_passive", Cp, Q, 2);
+  const bool thermal = src.flow_factor.allocated();
+  elems_.flow_factor = thermal ? pk::View<double, 2>("sd_flow_factor", Cp, Q)
+                               : pk::View<double, 2>{};
+  for (std::size_t c = 0; C > 0 && c < Cp; ++c) {
+    const std::size_t g = local_cells[std::min(c, C - 1)];
     for (int k = 0; k < N; ++k) {
-      cell_nodes_(c, k) = ws.cell_nodes(g, k);
-      for (int d = 0; d < 3; ++d) coords_(c, k, d) = ws.coords(g, k, d);
+      elems_.cell_nodes(c, k) = src.cell_nodes(g, k);
+      for (int d = 0; d < 3; ++d) elems_.coords(c, k, d) = src.coords(g, k, d);
       for (int q = 0; q < Q; ++q) {
-        wBF_(c, k, q) = ws.wBF(g, k, q);
+        elems_.wBF(c, k, q) = src.wBF(g, k, q);
         for (int d = 0; d < 3; ++d) {
-          gradBF_(c, k, q, d) = ws.gradBF(g, k, q, d);
-          wGradBF_(c, k, q, d) = ws.wGradBF(g, k, q, d);
+          elems_.gradBF(c, k, q, d) = src.gradBF(g, k, q, d);
+          elems_.wGradBF(c, k, q, d) = src.wGradBF(g, k, q, d);
         }
       }
     }
     for (int q = 0; q < Q; ++q) {
-      force_passive_(c, q, 0) = problem.force_passive()(g, q, 0);
-      force_passive_(c, q, 1) = problem.force_passive()(g, q, 1);
-      if (thermal) flow_factor_(c, q) = problem.flow_factor()(g, q);
+      elems_.force_passive(c, q, 0) = src.force_passive(g, q, 0);
+      elems_.force_passive(c, q, 1) = src.force_passive(g, q, 1);
+      if (thermal) elems_.flow_factor(c, q) = src.flow_factor(g, q);
     }
   }
 
@@ -90,42 +89,18 @@ Subdomain::Subdomain(const physics::StokesFOProblem& problem,
   segments_[kBoundary].offset = n_interior_;
   segments_[kBoundary].count = n_cells_ - n_interior_;
 
-  std::vector<std::ptrdiff_t> global_to_local_cell(mesh.n_cells(), -1);
-  for (std::size_t c = 0; c < C; ++c) {
-    global_to_local_cell[local_cells[c]] = static_cast<std::ptrdiff_t>(c);
-  }
-  std::vector<std::size_t> seg_faces[2];
-  for (std::size_t f = 0; f < ws.n_basal_faces; ++f) {
-    const std::ptrdiff_t l = global_to_local_cell[ws.basal_face_cell(f)];
-    if (l < 0) continue;
-    seg_faces[static_cast<std::size_t>(l) < n_interior_ ? 0 : 1].push_back(f);
-  }
-  for (int s = 0; s < 2; ++s) {
-    Segment& seg = segments_[s];
-    const std::size_t Fw = seg_faces[s].size();
-    seg.face_cell_local = pk::View<std::size_t, 1>("sd_face_cell", Fw);
-    seg.face_wBF = pk::View<double, 3>("sd_face_wBF", Fw, 4, Qf);
-    seg.face_beta = pk::View<double, 1>("sd_face_beta", Fw);
-    for (std::size_t i = 0; i < Fw; ++i) {
-      const std::size_t f = seg_faces[s][i];
-      seg.face_cell_local(i) = static_cast<std::size_t>(
-                                   global_to_local_cell[ws.basal_face_cell(f)]) -
-                               seg.offset;
-      seg.face_beta(i) = ws.basal_beta(f);
-      for (int k = 0; k < 4; ++k) {
-        for (int q = 0; q < Qf; ++q) {
-          seg.face_wBF(i, k, q) = ws.basal_wBF(f, k, q);
-        }
-      }
-    }
+  // Cells this rank does not hold map past every segment.
+  std::vector<std::size_t> global_to_local_cell(mesh.n_cells(), C);
+  for (std::size_t c = 0; c < C; ++c) global_to_local_cell[local_cells[c]] = c;
+  for (physics::CellBlock& seg : segments_) {
+    physics::attach_basal_faces(
+        seg, ws, [&](std::size_t g) { return global_to_local_cell[g]; });
     // Greedy coloring on the staged connectivity: the segment is an
     // arbitrary cell subset (not a contiguous lattice range), which is
     // exactly the case greedy_color_cells handles.
-    seg.coloring = mesh::greedy_color_cells(cell_nodes_, seg.offset, seg.count,
-                                            N);
+    seg.coloring = mesh::greedy_color_cells(elems_.cell_nodes, seg.offset,
+                                            seg.count, N);
   }
-
-  tangent_ = pk::View<double, 3>("sd_tangent", C, N, 2);
 
   // ---- ownership index sets ----
   const std::size_t levels = mesh.levels();
@@ -154,145 +129,27 @@ Subdomain::Subdomain(const physics::StokesFOProblem& problem,
   }
 }
 
-template <class ScalarT>
-FieldSet<ScalarT>& Subdomain::fields() {
-  if constexpr (ad::is_fad_v<ScalarT>) {
-    return jac_fields_;
-  } else {
-    return res_fields_;
-  }
-}
-
-template <class EvalT>
-void Subdomain::evaluate_segment(const Segment& seg,
-                                 const pk::View<double, 1>& Uview) {
-  using ScalarT = typename EvalT::ScalarT;
-  const std::size_t cnt = seg.count;
-  const fem::GeometryWorkset& ws = problem_->workset();
-  const physics::StokesFOConfig& cfg = problem_->config();
-  auto& f = fields<ScalarT>();
-  f.allocate(n_cells_, ws.num_nodes, ws.num_qps);
-
-  const auto cell_nodes = cell_nodes_.window(seg.offset, cnt);
-  const auto gradBF = gradBF_.window(seg.offset, cnt);
-  const auto wGradBF = wGradBF_.window(seg.offset, cnt);
-  const auto wBF = wBF_.window(seg.offset, cnt);
-  const auto force_passive = force_passive_.window(seg.offset, cnt);
-  pk::View<double, 2> flow_factor;
-  if (flow_factor_.allocated()) {
-    flow_factor = flow_factor_.window(seg.offset, cnt);
-  }
-
-  using pk::RangePolicy;
-  using Exec = pk::Serial;  // rank bodies must not re-enter the shared pool
-
-  physics::GatherSolution<ScalarT> gather{Uview, cell_nodes, f.UNodal,
-                                          static_cast<unsigned>(ws.num_nodes)};
-  pk::parallel_for("sd_gather", RangePolicy<Exec>(cnt), gather);
-
-  physics::VelocityGradient<ScalarT> vgrad{
-      f.UNodal, gradBF, f.Ugrad, static_cast<unsigned>(ws.num_nodes),
-      static_cast<unsigned>(ws.num_qps)};
-  pk::parallel_for("sd_velocity_gradient", RangePolicy<Exec>(cnt), vgrad);
-
-  physics::ViscosityFO<ScalarT> visc{f.Ugrad,
-                                     f.mu,
-                                     flow_factor,
-                                     cfg.constants.glen_A,
-                                     cfg.constants.glen_n,
-                                     cfg.constants.eps_reg2,
-                                     static_cast<unsigned>(ws.num_qps),
-                                     cfg.mms.enabled ? cfg.mms.mu0 : 0.0};
-  pk::parallel_for("sd_viscosity", RangePolicy<Exec>(cnt), visc);
-
-  physics::BodyForceFO<ScalarT> bf{force_passive, f.force,
-                                   static_cast<unsigned>(ws.num_qps)};
-  pk::parallel_for("sd_body_force", RangePolicy<Exec>(cnt), bf);
-
-  physics::StokesFOResid<ScalarT> kernel;
-  kernel.Ugrad = f.Ugrad;
-  kernel.muLandIce = f.mu;
-  kernel.force = f.force;
-  kernel.wGradBF = wGradBF;
-  kernel.wBF = wBF;
-  kernel.Residual = f.Residual;
-  kernel.numNodes = static_cast<unsigned>(ws.num_nodes);
-  kernel.numQPs = static_cast<unsigned>(ws.num_qps);
-  kernel.cond = false;
-  switch (cfg.variant) {
-    case physics::KernelVariant::kBaseline:
-      pk::parallel_for("sd_StokesFOResid",
-                       RangePolicy<Exec, physics::LandIce_3D_Tag>(cnt), kernel);
-      break;
-    case physics::KernelVariant::kOptimized:
-      pk::parallel_for("sd_StokesFOResid",
-                       RangePolicy<Exec, physics::LandIce_3D_Opt_Tag<8>>(cnt),
-                       kernel);
-      break;
-    case physics::KernelVariant::kLoopOptOnly:
-      pk::parallel_for(
-          "sd_StokesFOResid",
-          RangePolicy<Exec, physics::LandIce_3D_LoopOptOnly_Tag<8>>(cnt),
-          kernel);
-      break;
-    case physics::KernelVariant::kFusedOnly:
-      pk::parallel_for("sd_StokesFOResid",
-                       RangePolicy<Exec, physics::LandIce_3D_FusedOnly_Tag>(cnt),
-                       kernel);
-      break;
-    case physics::KernelVariant::kLocalAccumOnly:
-      pk::parallel_for(
-          "sd_StokesFOResid",
-          RangePolicy<Exec, physics::LandIce_3D_LocalAccumOnly_Tag>(cnt),
-          kernel);
-      break;
-  }
-
-  if (!cfg.mms.enabled) {
-    physics::BasalFrictionResid<ScalarT> friction{
-        seg.face_cell_local, seg.face_wBF,
-        seg.face_beta,       f.UNodal,
-        f.Residual,          problem_->face_basis(),
-        static_cast<unsigned>(ws.face_qps), cfg.sliding};
-    pk::parallel_for("sd_basal_friction",
-                     RangePolicy<Exec>(seg.face_cell_local.size()), friction);
-  }
-}
-
-template <class EvalT>
-void Subdomain::assemble_segment(const Segment& seg,
-                                 const std::vector<double>& x,
-                                 std::vector<double>& F,
-                                 linalg::CrsMatrix* J) {
-  using ScalarT = typename EvalT::ScalarT;
-  if (seg.count == 0) return;
-  MALI_CHECK(x.size() == problem_->n_dofs());
-  MALI_CHECK(F.size() == problem_->n_dofs());
-
-  pk::Timer timer;
-  pk::View<double, 1> Uview("sd_U", x.size());
-  std::copy(x.begin(), x.end(), Uview.data());
-  evaluate_segment<EvalT>(seg, Uview);
-
-  auto& f = fields<ScalarT>();
-  const auto cell_nodes = cell_nodes_.window(seg.offset, seg.count);
-  physics::scatter_add<pk::Serial>(problem_->config().scatter, seg.coloring,
-                                   cell_nodes, f.Residual, seg.count,
-                                   problem_->workset().num_nodes, F, J);
-  kernel_s_ += timer.seconds();
-}
-
 void Subdomain::assemble_residual_segment(int seg, const std::vector<double>& x,
                                           std::vector<double>& F) {
   MALI_CHECK(seg == kInterior || seg == kBoundary);
-  assemble_segment<ResidualEval>(segments_[seg], x, F, nullptr);
+  MALI_CHECK(x.size() == problem_->n_dofs());
+  MALI_CHECK(F.size() == problem_->n_dofs());
+  pk::Timer timer;
+  engine_.assemble<ResidualEval, pk::Serial>(segments_[seg],
+                                             physics::to_view(x), F, nullptr);
+  kernel_s_ += timer.seconds();
 }
 
 void Subdomain::assemble_jacobian_segment(int seg, const std::vector<double>& x,
                                           std::vector<double>& F,
                                           linalg::CrsMatrix& J) {
   MALI_CHECK(seg == kInterior || seg == kBoundary);
-  assemble_segment<JacobianEval>(segments_[seg], x, F, &J);
+  MALI_CHECK(x.size() == problem_->n_dofs());
+  MALI_CHECK(F.size() == problem_->n_dofs());
+  pk::Timer timer;
+  engine_.assemble<JacobianEval, pk::Serial>(segments_[seg],
+                                             physics::to_view(x), F, &J);
+  kernel_s_ += timer.seconds();
 }
 
 void Subdomain::apply_tangent(const std::vector<double>& U,
@@ -301,62 +158,11 @@ void Subdomain::apply_tangent(const std::vector<double>& U,
   MALI_CHECK(U.size() == problem_->n_dofs());
   MALI_CHECK(x.size() == problem_->n_dofs());
   MALI_CHECK(y.size() == problem_->n_dofs());
-
   pk::Timer timer;
-  const fem::GeometryWorkset& ws = problem_->workset();
-  const physics::StokesFOConfig& cfg = problem_->config();
-  pk::View<double, 1> Uview("sd_U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-  pk::View<double, 1> Xview("sd_X", x.size());
-  std::copy(x.begin(), x.end(), Xview.data());
-
-  for (const Segment& seg : segments_) {
-    if (seg.count == 0) continue;
-    const auto cell_nodes = cell_nodes_.window(seg.offset, seg.count);
-    const auto coords = coords_.window(seg.offset, seg.count);
-    pk::View<double, 2> flow_factor;
-    if (flow_factor_.allocated()) {
-      flow_factor = flow_factor_.window(seg.offset, seg.count);
-    }
-
-    physics::StokesFOTangent tangent;
-    tangent.cell_nodes = cell_nodes;
-    tangent.coords = coords;
-    tangent.flow_factor = flow_factor;
-    tangent.U = Uview;
-    tangent.X = Xview;
-    tangent.ref_grad = problem_->ref_grad();
-    tangent.qp_weight = problem_->qp_weights();
-    tangent.Tangent = tangent_;
-    tangent.glen_A = cfg.constants.glen_A;
-    tangent.glen_n = cfg.constants.glen_n;
-    tangent.eps_reg2 = cfg.constants.eps_reg2;
-    tangent.constant_mu = cfg.mms.enabled ? cfg.mms.mu0 : 0.0;
-    tangent.numNodes = ws.num_nodes;
-    tangent.numQPs = ws.num_qps;
-    pk::parallel_for("sd_tangent", pk::RangePolicy<pk::Serial>(seg.count),
-                     tangent);
-
-    if (!cfg.mms.enabled) {
-      physics::BasalFrictionTangent friction;
-      friction.face_cell_local = seg.face_cell_local;
-      friction.face_wBF = seg.face_wBF;
-      friction.face_beta = seg.face_beta;
-      friction.face_BF = problem_->face_basis();
-      friction.cell_nodes = cell_nodes;
-      friction.U = Uview;
-      friction.X = Xview;
-      friction.Tangent = tangent_;
-      friction.faceQPs = static_cast<unsigned>(ws.face_qps);
-      friction.sliding = cfg.sliding;
-      pk::parallel_for("sd_friction_tangent",
-                       pk::RangePolicy<pk::Serial>(seg.face_cell_local.size()),
-                       friction);
-    }
-
-    physics::scatter_add<pk::Serial>(cfg.scatter, seg.coloring, cell_nodes,
-                                     tangent_, seg.count, ws.num_nodes, y,
-                                     nullptr);
+  const auto Uview = physics::to_view(U);
+  const auto Xview = physics::to_view(x);
+  for (const physics::CellBlock& seg : segments_) {
+    engine_.apply_tangent<pk::Serial>(seg, Uview, Xview, y);
   }
   kernel_s_ += timer.seconds();
 }
@@ -364,30 +170,11 @@ void Subdomain::apply_tangent(const std::vector<double>& U,
 std::vector<double> Subdomain::partial_node_blocks(
     const std::vector<double>& U) {
   MALI_CHECK(U.size() == problem_->n_dofs());
-  const fem::GeometryWorkset& ws = problem_->workset();
-  const int N = ws.num_nodes;
-
   pk::Timer timer;
-  pk::View<double, 1> Uview("sd_U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-
+  const auto Uview = physics::to_view(U);
   std::vector<double> blocks(2 * problem_->n_dofs(), 0.0);
-  auto& f = fields<JacobianEval::ScalarT>();
-  for (const Segment& seg : segments_) {
-    if (seg.count == 0) continue;
-    evaluate_segment<JacobianEval>(seg, Uview);
-    for (std::size_t c = 0; c < seg.count; ++c) {
-      for (int node = 0; node < N; ++node) {
-        const std::size_t gnode = cell_nodes_(seg.offset + c, node);
-        for (int r = 0; r < 2; ++r) {
-          const auto& R = f.Residual(c, node, r);
-          for (int col = 0; col < 2; ++col) {
-            blocks[gnode * 4 + static_cast<std::size_t>(r * 2 + col)] +=
-                R.dx(2 * node + col);
-          }
-        }
-      }
-    }
+  for (const physics::CellBlock& seg : segments_) {
+    engine_.accumulate_node_blocks<pk::Serial>(seg, Uview, blocks);
   }
   kernel_s_ += timer.seconds();
   return blocks;

@@ -3,12 +3,15 @@
 //
 // A Subdomain stages compact copies of the element data (connectivity,
 // coordinates, basis arrays, body force, basal faces) for the 3D cells this
-// rank owns — every layer of every owned base cell — and re-runs the exact
-// evaluator chain of StokesFOProblem over them with the Serial execution
-// space (rank bodies are dedicated threads; they must never re-enter the
-// shared thread pool).  Global node ids are RETAINED, so the rank assembles
-// into GLOBAL-extent vectors: its own entries become partial sums that the
-// HaloExchange export completes at the owners.
+// rank owns — every layer of every owned base cell — and runs them through
+// the same physics::ElementEngine as StokesFOProblem, on the Serial
+// execution space (rank bodies are dedicated threads; they must never
+// re-enter the shared thread pool).  The staged arrays are padded to
+// fem::padded_cells rows with replicated ghost rows, so the configured SIMD
+// width applies here exactly as on the serial path.  Global node ids are
+// RETAINED, so the rank assembles into GLOBAL-extent vectors: its own
+// entries become partial sums that the HaloExchange export completes at the
+// owners.
 //
 // Cell ordering — interior first:
 //   [0, n_interior_cells)            cells whose 8 nodes all lie in OWNED
@@ -21,8 +24,11 @@
 // segment, cells are ordered base-cell-ascending, layer-fastest, so a
 // single-rank Subdomain visits cells in exactly the serial problem's order.
 //
-// Scatter reuses PR 1's machinery verbatim (scatter_add with per-segment
-// greedy colorings), instantiated on pk::Serial.
+// Each segment is one engine CellBlock with a greedy coloring of its cells.
+// Batched kernels round a segment up to whole packs, so the interior
+// segment's last pack may compute on boundary-cell rows; lanes are
+// independent and those lanes are never scattered, so the overlap stays
+// bit-identical at every SIMD width.
 
 #include <cstddef>
 #include <vector>
@@ -30,7 +36,9 @@
 #include "linalg/crs_matrix.hpp"
 #include "mesh/coloring.hpp"
 #include "mesh/partition.hpp"
+#include "physics/element_engine.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "portability/timer.hpp"
 #include "portability/view.hpp"
 
 namespace mali::dist {
@@ -41,6 +49,9 @@ class Subdomain {
   /// `problem` and `part` must outlive the Subdomain.
   Subdomain(const physics::StokesFOProblem& problem,
             const mesh::Partition& part, int rank);
+  // The element engine holds pointers to this object's arrays.
+  Subdomain(const Subdomain&) = delete;
+  Subdomain& operator=(const Subdomain&) = delete;
 
   // Segment ids for the overlap split.
   static constexpr int kInterior = 0;
@@ -49,10 +60,6 @@ class Subdomain {
   [[nodiscard]] std::size_t n_cells() const noexcept { return n_cells_; }
   [[nodiscard]] std::size_t n_interior_cells() const noexcept {
     return n_interior_;
-  }
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-  [[nodiscard]] const mesh::Partition& partition() const noexcept {
-    return *part_;
   }
   [[nodiscard]] const physics::StokesFOProblem& problem() const noexcept {
     return *problem_;
@@ -97,7 +104,7 @@ class Subdomain {
                                  std::vector<double>& F, linalg::CrsMatrix& J);
 
   /// Accumulates this rank's cells' tangent contribution y += J_local(U) x
-  /// (both segments, interior first) via the fused per-element SFad<1>
+  /// (both segments, interior first) via the fused per-element tangent
   /// kernel.  U and x must have valid ghost entries; y must be global
   /// extent and pre-zeroed by the caller.
   void apply_tangent(const std::vector<double>& U,
@@ -113,47 +120,18 @@ class Subdomain {
   /// Wall-clock spent in assembly/tangent kernels on this rank (the
   /// "measured kernel time" bench_weak_scaling reports next to the model).
   [[nodiscard]] double kernel_seconds() const noexcept { return kernel_s_; }
-  void reset_kernel_seconds() noexcept { kernel_s_ = 0.0; }
 
  private:
-  struct Segment {
-    std::size_t offset = 0;  ///< first local cell of the segment
-    std::size_t count = 0;
-    /// Basal faces whose cell lies in the segment; cell index relative to
-    /// `offset` (matching the windowed views the evaluators see).
-    pk::View<std::size_t, 1> face_cell_local;
-    pk::View<double, 3> face_wBF;  ///< (F, 4, Qf)
-    pk::View<double, 1> face_beta;
-    mesh::CellColoring coloring;  ///< greedy, over the segment's cells
-  };
-
-  template <class EvalT>
-  void evaluate_segment(const Segment& seg, const pk::View<double, 1>& Uview);
-  template <class EvalT>
-  void assemble_segment(const Segment& seg, const std::vector<double>& x,
-                        std::vector<double>& F, linalg::CrsMatrix* J);
-
   const physics::StokesFOProblem* problem_;
-  const mesh::Partition* part_;
-  int rank_;
   std::size_t n_cells_ = 0;
   std::size_t n_interior_ = 0;
-  Segment segments_[2];
+  /// kInterior / kBoundary cell ranges with their basal faces (cell index
+  /// relative to the segment offset) and greedy colorings.
+  physics::CellBlock segments_[2];
 
-  // Compact per-local-cell element data (global node ids retained).
-  pk::View<std::size_t, 2> cell_nodes_;  ///< (C, N)
-  pk::View<double, 3> coords_;           ///< (C, N, 3)
-  pk::View<double, 4> gradBF_;           ///< (C, N, Q, 3)
-  pk::View<double, 4> wGradBF_;          ///< (C, N, Q, 3)
-  pk::View<double, 3> wBF_;              ///< (C, N, Q)
-  pk::View<double, 3> force_passive_;    ///< (C, Q, 2)
-  pk::View<double, 2> flow_factor_;      ///< (C, Q) thermal mode only
-
-  pk::View<double, 3> tangent_;  ///< (C, N, 2) per-cell J_e x_e scratch
-
-  // Private field buffers (the shared problem's FieldSets would race).
-  physics::FieldSet<physics::ResidualEval::ScalarT> res_fields_;
-  physics::FieldSet<physics::JacobianEval::ScalarT> jac_fields_;
+  /// Compact per-local-cell element data (global node ids retained) plus
+  /// the problem's reference element data.
+  physics::ElementArrays elems_;
 
   std::vector<std::size_t> owned_dofs_;
   std::vector<std::size_t> owned_dirichlet_dofs_;
@@ -162,9 +140,9 @@ class Subdomain {
   std::vector<char> node_is_owned_;
 
   double kernel_s_ = 0.0;
-
-  template <class ScalarT>
-  physics::FieldSet<ScalarT>& fields();
+  pk::TimerRegistry phase_timers_;  ///< the engine's per-phase sink
+  /// Private scratch fields (the shared problem's engine would race).
+  physics::ElementEngine engine_;
 };
 
 }  // namespace mali::dist

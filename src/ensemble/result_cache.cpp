@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "portability/common.hpp"
+#include "util/hash.hpp"
 
 namespace mali::ensemble {
 
@@ -64,12 +65,7 @@ bool get_vector(std::ifstream& in, std::vector<double>& v) {
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::uint64_t ResultCache::fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return util::fnv1a64(s.data(), s.size());
 }
 
 std::string ResultCache::key_hex(std::uint64_t h) {

@@ -187,17 +187,18 @@ void SemicoarseningAmg::build_hierarchy(CrsMatrix A_fine) {
             static_cast<std::size_t>(c);
       }
     }
-    fine.n_coarse = n_coarse_nodes * static_cast<std::size_t>(dpn);
+    const std::size_t n_coarse =
+        n_coarse_nodes * static_cast<std::size_t>(dpn);
+    fine.n_coarse = n_coarse;
 
     Level coarse;
-    coarse.A = galerkin_coarse(fine.A, fine.agg, fine.n_coarse);
-    levels_.push_back(std::move(coarse));
+    coarse.A = galerkin_coarse(fine.A, fine.agg, n_coarse);
+    levels_.push_back(std::move(coarse));  // may reallocate: `fine` dangles
 
     cur_levels = next_levels;
     col_x = std::move(next_x);
     col_y = std::move(next_y);
-    if (levels_.back().A.n_rows() == fine.n_coarse &&
-        fine.n_coarse == n_dofs) {
+    if (levels_.back().A.n_rows() == n_coarse && n_coarse == n_dofs) {
       break;  // no coarsening progress — stop
     }
   }

@@ -10,17 +10,13 @@
 // bench_simd_batch gates on.
 //
 // Numerics: the recomputed geometry replicates fem/cell_geometry.cpp
-// operation for operation (same J accumulation order, same cofactor
-// expansion, wGradBF == gradBF * w with the same roundings), and every
-// downstream sum mirrors FusedStokesChain's association term by term, so a
-// lane's arithmetic is the scalar kernel's arithmetic.  The equivalence
-// contract vs the scalar chain is <= 1e-14 per dof (asserted in tests);
-// it is not pinned bitwise only because compiler FMA contraction may
-// differ between the scalar and pack instantiations.  On the thin,
-// wide cells of real ice sheets the per-dof accumulation cancels ~2
-// orders of magnitude, so a *reassociated* contraction (e.g. pulling the
-// stress back to reference space) would amplify ulp noise past 1e-13 —
-// mirroring the scalar association is what keeps the contract tight.
+// operation for operation, and every downstream sum mirrors
+// FusedStokesChain's association term by term, so a lane's arithmetic is
+// the scalar kernel's and the result does not depend on W.  Against the
+// staged StokesFOResid chain (the `--simd off` reference) the contract is
+// <= 1e-14 per dof: on thin, wide ice cells the per-dof accumulation
+// cancels ~2 orders of magnitude, so any reassociation would amplify ulp
+// noise past it.
 //
 // LayoutLeft puts the W cells of a batch contiguous in memory, so loads /
 // stores are plain full-width moves; ragged tails use load_n / store_n on
@@ -34,6 +30,58 @@
 #include "portability/view.hpp"
 
 namespace mali::physics {
+
+namespace detail {
+
+/// W contiguous lanes: a full-width load, or lanes [0, nv) with the dead
+/// lanes of a ragged tail zero-filled.
+template <bool Full, int W>
+MALI_INLINE pk::simd<double, W> load_lanes(const double& p, int nv) {
+  if constexpr (Full) {
+    (void)nv;
+    return pk::simd<double, W>::load(&p);
+  } else {
+    return pk::simd<double, W>::load_n(&p, nv);
+  }
+}
+
+/// Inverse Jacobian `inv` of the isoparametric map at quadrature point qp,
+/// from the nodal coordinate packs xn[k][i]; returns its determinant.
+/// Replicates fem/cell_geometry.cpp operation for operation (same J
+/// accumulation order, same cofactor expansion as its invert3), so every
+/// lane reproduces the stored geometry bitwise.
+template <int W>
+MALI_INLINE pk::simd<double, W> invert_map_jacobian(
+    const pk::simd<double, W> (&xn)[8][3], int N,
+    const pk::View<double, 3>& ref_grad, int qp,
+    pk::simd<double, W> (&inv)[3][3]) {
+  using Pack = pk::simd<double, W>;
+  Pack J[3][3];
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) J[i][j] = Pack::zero();
+  }
+  for (int k = 0; k < N; ++k) {
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) J[i][j] += xn[k][i] * ref_grad(qp, k, j);
+    }
+  }
+  const Pack det = J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
+                   J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
+                   J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
+  const Pack inv_det = 1.0 / det;
+  inv[0][0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) * inv_det;
+  inv[0][1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) * inv_det;
+  inv[0][2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) * inv_det;
+  inv[1][0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) * inv_det;
+  inv[1][1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) * inv_det;
+  inv[1][2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) * inv_det;
+  inv[2][0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) * inv_det;
+  inv[2][1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) * inv_det;
+  inv[2][2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) * inv_det;
+  return det;
+}
+
+}  // namespace detail
 
 template <int W>
 class FusedStokesChainBatched {
@@ -80,12 +128,7 @@ class FusedStokesChainBatched {
  private:
   template <bool Full>
   MALI_INLINE Pack load(const double& p, int nv) const {
-    if constexpr (Full) {
-      (void)nv;
-      return Pack::load(&p);
-    } else {
-      return Pack::load_n(&p, nv);
-    }
+    return detail::load_lanes<Full, W>(p, nv);
   }
 
   template <bool Full>
@@ -115,36 +158,8 @@ class FusedStokesChainBatched {
     }
 
     for (int qp = 0; qp < Q; ++qp) {
-      // ---- in-register geometry (replicates fem/cell_geometry.cpp) ----
-      Pack J[3][3];
-      for (int i = 0; i < 3; ++i) {
-        for (int j = 0; j < 3; ++j) J[i][j] = Pack::zero();
-      }
-      for (int k = 0; k < N; ++k) {
-        for (int i = 0; i < 3; ++i) {
-          for (int j = 0; j < 3; ++j) {
-            J[i][j] += xn[k][i] * ref_grad(qp, k, j);
-          }
-        }
-      }
-
-      // Cofactor inverse: the same expansion, in the same order, as
-      // fem/cell_geometry.cpp's invert3.
-      const Pack det =
-          J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
-          J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
-          J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
-      const Pack inv_det = 1.0 / det;
       Pack inv[3][3];
-      inv[0][0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) * inv_det;
-      inv[0][1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) * inv_det;
-      inv[0][2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) * inv_det;
-      inv[1][0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) * inv_det;
-      inv[1][1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) * inv_det;
-      inv[1][2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) * inv_det;
-      inv[2][0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) * inv_det;
-      inv[2][1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) * inv_det;
-      inv[2][2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) * inv_det;
+      const Pack det = detail::invert_map_jacobian<W>(xn, N, ref_grad, qp, inv);
       const Pack w = qp_weight(qp) * det;
 
       // Physical gradients + velocity gradient, in the scalar kernel's

@@ -9,13 +9,11 @@
 // y[d] = dirichlet_scale * x[d], identically to the assembled path's
 // scaled identity rows.
 //
-// The apply honors StokesFOConfig::simd_width: when the problem is
-// configured for element batching (--simd on the CLI) the delegated
-// apply_jacobian dispatches the SIMD-batched tangent
-// (physics/stokes_jacobian_apply_batched.hpp) over width-W cell packs;
-// width 1 runs the scalar kernel unchanged.  Batched and scalar applies
-// agree to <= 1e-14 per dof (asserted in tests/test_simd_batch.cpp), so
-// Krylov trajectories are preconditioner-equivalent across widths.
+// The apply honors StokesFOConfig::simd_width: the delegated
+// apply_jacobian runs the batched tangent over width-W cell packs (W = 1
+// at --simd off), and a lane's arithmetic does not depend on W
+// (asserted in tests/test_simd_batch.cpp), so Krylov trajectories are the
+// same at every width.
 
 #include <cstddef>
 #include <memory>

@@ -2,16 +2,10 @@
 
 #include <cmath>
 
-#include "ad/scalar_traits.hpp"
 #include "fem/cell_geometry.hpp"
 #include "fem/hex8.hpp"
 #include "fem/quadrature.hpp"
-#include "physics/evaluators.hpp"
-#include "physics/fused_chain_batched.hpp"
 #include "physics/matrix_free_operator.hpp"
-#include "physics/stokes_fo_resid.hpp"
-#include "physics/stokes_jacobian_apply.hpp"
-#include "physics/stokes_jacobian_apply_batched.hpp"
 #include "portability/parallel.hpp"
 #include "portability/simd.hpp"
 
@@ -44,28 +38,6 @@ int simd_width_from_string(const std::string& s) {
   return w;
 }
 
-int StokesFOProblem::resolved_simd_width() const noexcept {
-  return cfg_.simd_width == 0 ? pk::kSimdNativeWidth : cfg_.simd_width;
-}
-
-template <class ScalarT>
-void FieldSet<ScalarT>::allocate(std::size_t C, int N, int Q) {
-  // The cell axis is padded like the geometry arrays (fem::padded_cells) so
-  // the batched kernels may run every batch — including the ragged tail —
-  // at full pack width; ghost rows are compute scratch, never scattered.
-  const std::size_t Cp = fem::padded_cells(C);
-  if (allocated && Residual.extent(0) >= Cp) return;  // big enough: reuse
-  UNodal = pk::View<ScalarT, 3>("UNodal", Cp, N, 2);
-  Ugrad = pk::View<ScalarT, 4>("Ugrad", Cp, Q, 2, 3);
-  mu = pk::View<ScalarT, 2>("muLandIce", Cp, Q);
-  force = pk::View<ScalarT, 3>("force", Cp, Q, 2);
-  Residual = pk::View<ScalarT, 3>("Residual", Cp, N, 2);
-  allocated = true;
-}
-
-template struct FieldSet<double>;
-template struct FieldSet<JacobianEval::ScalarT>;
-
 StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
     : cfg_(cfg), geom_(cfg.geometry) {
   base_ = std::make_shared<mesh::QuadGrid>(geom_,
@@ -81,9 +53,18 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
   const std::size_t Cp = ws_.n_cells_padded;
   const int N = ws_.num_nodes;
   const int Q = ws_.num_qps;
+  elems_.num_nodes = N;
+  elems_.num_qps = Q;
+  elems_.face_qps = ws_.face_qps;
+  elems_.cell_nodes = ws_.cell_nodes;
+  elems_.coords = ws_.coords;
+  elems_.gradBF = ws_.gradBF;
+  elems_.wGradBF = ws_.wGradBF;
+  elems_.wBF = ws_.wBF;
   // Padded like the geometry arrays; the zero-initialized ghost rows are
   // loaded (and discarded) by full-width pack loads of the batched chain.
-  force_passive_ = pk::View<double, 3>("force_passive", Cp, Q, 2);
+  auto& force_passive = elems_.force_passive;
+  force_passive = pk::View<double, 3>("force_passive", Cp, Q, 2);
   const auto qps = fem::gauss_hex(2);
   const double rho_g = cfg_.constants.rho_g();
   if (cfg_.mms.enabled) {
@@ -92,8 +73,8 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
     pk::parallel_for("mms_force", C, [&](int ci) {
       const auto c = static_cast<std::size_t>(ci);
       for (int q = 0; q < Q; ++q) {
-        force_passive_(c, q, 0) = fu;
-        force_passive_(c, q, 1) = fv;
+        force_passive(c, q, 0) = fu;
+        force_passive(c, q, 1) = fv;
       }
     });
   } else {
@@ -111,8 +92,8 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
         }
         double dsdx = 0.0, dsdy = 0.0;
         geom_.surface_gradient(x, y, dsdx, dsdy);
-        force_passive_(c, q, 0) = rho_g * dsdx;
-        force_passive_(c, q, 1) = rho_g * dsdy;
+        force_passive(c, q, 0) = rho_g * dsdx;
+        force_passive(c, q, 1) = rho_g * dsdy;
       }
     });
   }
@@ -127,90 +108,55 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
     }
   }
 
-  // Temperature-dependent flow factor at quadrature points (thermal mode):
-  // A = paterson_budd_A(T(x, y, sigma)) with sigma from the qp elevation.
+  // Temperature-dependent flow factor at quadrature points (thermal mode),
+  // from the geometry's temperature field.
   if (cfg_.thermal_viscosity) {
-    flow_factor_ = pk::View<double, 2>("flow_factor", Cp, Q);
-    pk::parallel_for("flow_factor", C, [&](int ci) {
-      const auto c = static_cast<std::size_t>(ci);
-      for (int q = 0; q < Q; ++q) {
-        double x = 0.0, y = 0.0, z = 0.0;
-        for (int k = 0; k < N; ++k) {
-          const auto& qp = qps[static_cast<std::size_t>(q)];
-          const double bf = fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
-          x += bf * ws_.coords(c, k, 0);
-          y += bf * ws_.coords(c, k, 1);
-          z += bf * ws_.coords(c, k, 2);
-        }
-        const double h =
-            std::max(geom_.thickness(x, y), geom_.config().min_thickness_m);
-        const double sigma =
-            std::clamp((z - geom_.bed(x, y)) / h, 0.0, 1.0);
-        flow_factor_(c, q) = paterson_budd_A(geom_.temperature(x, y, sigma));
-      }
+    set_temperature_field([this](double x, double y, double sigma) {
+      return geom_.temperature(x, y, sigma);
     });
   }
 
   // Reference HEX8 values/gradients + quadrature weights for the kernels
   // that rebuild the cell geometry in registers (matrix-free tangent and
   // the batched fused chains).
-  ref_grad_ = pk::View<double, 3>("ref_grad", Q, N, 3);
-  ref_val_ = pk::View<double, 2>("ref_val", Q, N);
-  qp_weights_ = pk::View<double, 1>("qp_weights", Q);
+  elems_.ref_grad = pk::View<double, 3>("ref_grad", Q, N, 3);
+  elems_.ref_val = pk::View<double, 2>("ref_val", Q, N);
+  elems_.qp_weights = pk::View<double, 1>("qp_weights", Q);
   for (int q = 0; q < Q; ++q) {
     const auto& qp = qps[static_cast<std::size_t>(q)];
-    qp_weights_(q) = qp.weight;
+    elems_.qp_weights(q) = qp.weight;
     for (int k = 0; k < N; ++k) {
-      ref_val_(q, k) = fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
+      elems_.ref_val(q, k) = fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
       const auto grad = fem::Hex8Basis::gradient(k, qp.xi, qp.eta, qp.zeta);
-      for (int d = 0; d < 3; ++d) ref_grad_(q, k, d) = grad[d];
+      for (int d = 0; d < 3; ++d) elems_.ref_grad(q, k, d) = grad[d];
     }
   }
 
   // Reference QUAD4 basis values at the face quadrature points.
   const auto fqps = fem::gauss_quad(2);
-  face_BF_ = pk::View<double, 2>("face_BF", 4, fqps.size());
+  elems_.face_BF = pk::View<double, 2>("face_BF", 4, fqps.size());
   for (int k = 0; k < 4; ++k) {
     for (std::size_t q = 0; q < fqps.size(); ++q) {
-      face_BF_(k, q) = fem::Quad4Basis::value(k, fqps[q].xi, fqps[q].eta);
+      elems_.face_BF(k, q) = fem::Quad4Basis::value(k, fqps[q].xi, fqps[q].eta);
     }
   }
 
-  // Workset ranges: chunk the cells and attach each basal face to the
+  // Workset blocks: chunk the cells and attach each basal face to the
   // workset owning its cell, with cell ids localized to the chunk.
   const std::size_t ws_size =
       cfg_.workset_size == 0 ? C : std::min(cfg_.workset_size, C);
-  const int Qf = ws_.face_qps;
   for (std::size_t c0 = 0; c0 < C; c0 += ws_size) {
-    WorksetRange range;
-    range.c0 = c0;
+    CellBlock range;
+    range.offset = c0;
     range.count = std::min(ws_size, C - c0);
-    std::vector<std::size_t> faces;
-    for (std::size_t fidx = 0; fidx < ws_.n_basal_faces; ++fidx) {
-      const std::size_t cell = ws_.basal_face_cell(fidx);
-      if (cell >= c0 && cell < c0 + range.count) faces.push_back(fidx);
-    }
-    const std::size_t Fw = faces.size();
-    range.face_cell_local = pk::View<std::size_t, 1>("ws_face_cell", Fw);
-    range.face_wBF = pk::View<double, 3>("ws_face_wBF", Fw, 4, Qf);
-    range.face_beta = pk::View<double, 1>("ws_face_beta", Fw);
-    for (std::size_t i = 0; i < Fw; ++i) {
-      const std::size_t fidx = faces[i];
-      range.face_cell_local(i) = ws_.basal_face_cell(fidx) - c0;
-      range.face_beta(i) = ws_.basal_beta(fidx);
-      for (int k = 0; k < 4; ++k) {
-        for (int q = 0; q < Qf; ++q) {
-          range.face_wBF(i, k, q) = ws_.basal_wBF(fidx, k, q);
-        }
-      }
-    }
+    attach_basal_faces(range, ws_, [](std::size_t cell) { return cell; });
     // Node-sharing coloring of this chunk: cells of one color touch disjoint
     // global rows, so the colored scatter can add without atomics or locks.
     // The lattice parity coloring gives the optimal <= 8 colors on the
     // structured extrusion (greedy first-fit would exceed the node-degree
     // bound across ice-mask holes).
     range.coloring = mesh::lattice_color_cells(*mesh_, c0, range.count);
-    workset_ranges_.push_back(std::move(range));
+    blocks_.push_back(std::move(range));
   }
 
   // Pristine basal friction field, kept so set_basal_friction_scale is a
@@ -226,22 +172,13 @@ void StokesFOProblem::set_basal_friction_scale(double scale) {
   MALI_CHECK_MSG(std::isfinite(scale) && scale > 0.0,
                  "basal friction scale must be positive and finite");
   basal_friction_scale_ = scale;
-  // Rewrite both the workset source field (the dist subdomains stage from
-  // ws_) and the already-staged per-workset views from the pristine copy.
+  // Rewrite the workset source field (the dist subdomains stage from ws_)
+  // from the pristine copy, then restage every block's faces from it.
   for (std::size_t f = 0; f < beta0_global_.size(); ++f) {
     ws_.basal_beta(f) = beta0_global_[f] * scale;
   }
-  // The staged views were copied face-by-face at construction in global
-  // face order restricted to each range, so re-walk the same selection.
-  for (auto& range : workset_ranges_) {
-    std::size_t i = 0;
-    for (std::size_t fidx = 0; fidx < ws_.n_basal_faces; ++fidx) {
-      const std::size_t cell = ws_.basal_face_cell(fidx);
-      if (cell >= range.c0 && cell < range.c0 + range.count) {
-        range.face_beta(i++) = beta0_global_[fidx] * scale;
-      }
-    }
-    MALI_CHECK(i == range.face_beta.size());
+  for (auto& range : blocks_) {
+    attach_basal_faces(range, ws_, [](std::size_t cell) { return cell; });
   }
 }
 
@@ -265,49 +202,27 @@ linalg::ExtrusionInfo StokesFOProblem::extrusion_info() const {
   return info;
 }
 
-template <class ScalarT>
-FieldSet<ScalarT>& StokesFOProblem::fields() {
-  if constexpr (ad::is_fad_v<ScalarT>) {
-    return jac_fields_;
-  } else {
-    return res_fields_;
+template <class Diagonal>
+void StokesFOProblem::update_dirichlet_scale(const Diagonal& diagonal) {
+  double mean_diag = 0.0;
+  std::size_t count = 0;
+  for (std::size_t r = 0; r < n_dofs(); ++r) {
+    if (dof_map_->is_dirichlet_dof(r)) continue;
+    mean_diag += std::abs(diagonal(r));
+    ++count;
+  }
+  if (count > 0 && mean_diag > 0.0) {
+    dirichlet_scale_ = mean_diag / static_cast<double>(count);
   }
 }
 
 template <class EvalT>
 FieldSet<typename EvalT::ScalarT>& StokesFOProblem::evaluate_fields(
     const std::vector<double>& U) {
-  using ScalarT = typename EvalT::ScalarT;
   MALI_CHECK(U.size() == n_dofs());
-  auto& f = fields<ScalarT>();
-  f.allocate(ws_.n_cells, ws_.num_nodes, ws_.num_qps);
-
-  pk::View<double, 1> Uview("U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-
-  GatherSolution<ScalarT> gather{Uview, ws_.cell_nodes, f.UNodal,
-                                 static_cast<unsigned>(ws_.num_nodes)};
-  pk::parallel_for("gather", ws_.n_cells, gather);
-
-  VelocityGradient<ScalarT> vgrad{f.UNodal, ws_.gradBF, f.Ugrad,
-                                  static_cast<unsigned>(ws_.num_nodes),
-                                  static_cast<unsigned>(ws_.num_qps)};
-  pk::parallel_for("velocity_gradient", ws_.n_cells, vgrad);
-
-  ViscosityFO<ScalarT> visc{f.Ugrad,
-                            f.mu,
-                            flow_factor_,
-                            cfg_.constants.glen_A,
-                            cfg_.constants.glen_n,
-                            cfg_.constants.eps_reg2,
-                            static_cast<unsigned>(ws_.num_qps),
-                            cfg_.mms.enabled ? cfg_.mms.mu0 : 0.0};
-  pk::parallel_for("viscosity", ws_.n_cells, visc);
-
-  BodyForceFO<ScalarT> bf{force_passive_, f.force,
-                          static_cast<unsigned>(ws_.num_qps)};
-  pk::parallel_for("body_force_copy", ws_.n_cells, bf);
-  return f;
+  CellBlock all;  // the whole mesh; staging needs no faces or coloring
+  all.count = ws_.n_cells;
+  return engine_.stage<EvalT, pk::DefaultExec>(all, to_view(U));
 }
 
 template FieldSet<ResidualEval::ScalarT>&
@@ -317,277 +232,29 @@ StokesFOProblem::evaluate_fields<JacobianEval>(const std::vector<double>&);
 
 template <class EvalT>
 void StokesFOProblem::run_resid_kernel(KernelVariant v) {
-  using ScalarT = typename EvalT::ScalarT;
-  auto& f = fields<ScalarT>();
-  MALI_CHECK_MSG(f.allocated, "call evaluate_fields first");
-
-  StokesFOResid<ScalarT> kernel;
-  kernel.Ugrad = f.Ugrad;
-  kernel.muLandIce = f.mu;
-  kernel.force = f.force;
-  kernel.wGradBF = ws_.wGradBF;
-  kernel.wBF = ws_.wBF;
-  kernel.Residual = f.Residual;
-  kernel.numNodes = static_cast<unsigned>(ws_.num_nodes);
-  kernel.numQPs = static_cast<unsigned>(ws_.num_qps);
-  kernel.cond = false;
-
-  const std::size_t C = ws_.n_cells;
-  using pk::RangePolicy;
-  using Exec = pk::DefaultExec;
-  switch (v) {
-    case KernelVariant::kBaseline:
-      pk::parallel_for("StokesFOResid<baseline>",
-                       RangePolicy<Exec, LandIce_3D_Tag>(C), kernel);
-      break;
-    case KernelVariant::kOptimized:
-      pk::parallel_for("StokesFOResid<optimized>",
-                       RangePolicy<Exec, LandIce_3D_Opt_Tag<8>>(C), kernel);
-      break;
-    case KernelVariant::kLoopOptOnly:
-      pk::parallel_for("StokesFOResid<loop-opt>",
-                       RangePolicy<Exec, LandIce_3D_LoopOptOnly_Tag<8>>(C),
-                       kernel);
-      break;
-    case KernelVariant::kFusedOnly:
-      pk::parallel_for("StokesFOResid<fused>",
-                       RangePolicy<Exec, LandIce_3D_FusedOnly_Tag>(C), kernel);
-      break;
-    case KernelVariant::kLocalAccumOnly:
-      pk::parallel_for("StokesFOResid<local-accum>",
-                       RangePolicy<Exec, LandIce_3D_LocalAccumOnly_Tag>(C),
-                       kernel);
-      break;
-  }
+  CellBlock all;
+  all.count = ws_.n_cells;
+  engine_.run_resid_kernel<EvalT, pk::DefaultExec>(v, all);
 }
 
 template void StokesFOProblem::run_resid_kernel<ResidualEval>(KernelVariant);
 template void StokesFOProblem::run_resid_kernel<JacobianEval>(KernelVariant);
 
 template <class EvalT>
-void StokesFOProblem::evaluate_workset(std::size_t w,
-                                       const pk::View<double, 1>& Uview) {
-  using ScalarT = typename EvalT::ScalarT;
-  const WorksetRange& range = workset_ranges_[w];
-  const std::size_t cnt = range.count;
-  auto& f = fields<ScalarT>();
-
-  // Workset windows over the global geometry arrays (no copies).
-  const auto cell_nodes = ws_.cell_nodes.window(range.c0, cnt);
-  const auto gradBF = ws_.gradBF.window(range.c0, cnt);
-  const auto wGradBF = ws_.wGradBF.window(range.c0, cnt);
-  const auto wBF = ws_.wBF.window(range.c0, cnt);
-  const auto force_passive = force_passive_.window(range.c0, cnt);
-  pk::View<double, 2> flow_factor;
-  if (flow_factor_.allocated()) {
-    flow_factor = flow_factor_.window(range.c0, cnt);
-  }
-
-  pk::Timer phase_timer;
-  GatherSolution<ScalarT> gather{Uview, cell_nodes, f.UNodal,
-                                 static_cast<unsigned>(ws_.num_nodes)};
-  pk::parallel_for("gather", cnt, gather);
-
-  // SIMD element-batched fused chain (double path only; the SFad assembled
-  // Jacobian always runs the staged scalar chain).  Replaces the staged
-  // VelocityGradient → ViscosityFO → BodyForceFO → StokesFOResid sequence
-  // with one batched kernel that recomputes the cell geometry in pack
-  // registers; the gathered f.UNodal is reused (BasalFrictionResid also
-  // reads it).  The dispatch range is rounded up to a full batch multiple —
-  // the padded ghost rows make every load/store in-bounds, and the ghost
-  // residual rows are never scattered.
-  if constexpr (std::is_same_v<ScalarT, double>) {
-    const int simd_w = resolved_simd_width();
-    if (simd_w > 1) {
-      phase_timers_.add("evaluate", phase_timer.seconds());
-      phase_timer.reset();
-      using Exec = pk::DefaultExec;
-      auto run_batched = [&]<int W>() {
-        const auto wW = static_cast<std::size_t>(W);
-        const std::size_t cnt_pad = (cnt + wW - 1) / wW * wW;
-        FusedStokesChainBatched<W> chain;
-        chain.UNodal = f.UNodal;
-        chain.coords = ws_.coords.window(range.c0, cnt_pad);
-        chain.ref_grad = ref_grad_;
-        chain.ref_val = ref_val_;
-        chain.qp_weight = qp_weights_;
-        chain.force_passive = force_passive_.window(range.c0, cnt_pad);
-        if (flow_factor_.allocated()) {
-          chain.flow_factor = flow_factor_.window(range.c0, cnt_pad);
-        }
-        chain.Residual = f.Residual;
-        chain.glen_A = cfg_.constants.glen_A;
-        chain.glen_n = cfg_.constants.glen_n;
-        chain.eps_reg2 = cfg_.constants.eps_reg2;
-        chain.constant_mu = cfg_.mms.enabled ? cfg_.mms.mu0 : 0.0;
-        chain.numNodes = static_cast<unsigned>(ws_.num_nodes);
-        chain.numQPs = static_cast<unsigned>(ws_.num_qps);
-        chain.prepare();
-        pk::parallel_for("FusedStokesChainBatched",
-                         pk::SimdRangePolicy<W, Exec>(cnt_pad), chain);
-      };
-      switch (simd_w) {
-        case 2:
-          run_batched.template operator()<2>();
-          break;
-        case 8:
-          run_batched.template operator()<8>();
-          break;
-        default:
-          run_batched.template operator()<4>();
-          break;
-      }
-      if (!cfg_.mms.enabled) {
-        BasalFrictionResid<ScalarT> friction{
-            range.face_cell_local, range.face_wBF, range.face_beta,
-            f.UNodal,              f.Residual,     face_BF_,
-            static_cast<unsigned>(ws_.face_qps), cfg_.sliding};
-        pk::parallel_for(
-            "basal_friction",
-            pk::RangePolicy<pk::Serial>(range.face_cell_local.size()),
-            friction);
-      }
-      phase_timers_.add("kernel", phase_timer.seconds());
-      return;
-    }
-  }
-
-  VelocityGradient<ScalarT> vgrad{f.UNodal, gradBF, f.Ugrad,
-                                  static_cast<unsigned>(ws_.num_nodes),
-                                  static_cast<unsigned>(ws_.num_qps)};
-  pk::parallel_for("velocity_gradient", cnt, vgrad);
-
-  ViscosityFO<ScalarT> visc{f.Ugrad,
-                            f.mu,
-                            flow_factor,
-                            cfg_.constants.glen_A,
-                            cfg_.constants.glen_n,
-                            cfg_.constants.eps_reg2,
-                            static_cast<unsigned>(ws_.num_qps),
-                            cfg_.mms.enabled ? cfg_.mms.mu0 : 0.0};
-  pk::parallel_for("viscosity", cnt, visc);
-
-  BodyForceFO<ScalarT> bf{force_passive, f.force,
-                          static_cast<unsigned>(ws_.num_qps)};
-  pk::parallel_for("body_force_copy", cnt, bf);
-  phase_timers_.add("evaluate", phase_timer.seconds());
-  phase_timer.reset();
-
-  // The paper's kernel, on this workset.
-  StokesFOResid<ScalarT> kernel;
-  kernel.Ugrad = f.Ugrad;
-  kernel.muLandIce = f.mu;
-  kernel.force = f.force;
-  kernel.wGradBF = wGradBF;
-  kernel.wBF = wBF;
-  kernel.Residual = f.Residual;
-  kernel.numNodes = static_cast<unsigned>(ws_.num_nodes);
-  kernel.numQPs = static_cast<unsigned>(ws_.num_qps);
-  kernel.cond = false;
-  using pk::RangePolicy;
-  using Exec = pk::DefaultExec;
-  switch (cfg_.variant) {
-    case KernelVariant::kBaseline:
-      pk::parallel_for("StokesFOResid", RangePolicy<Exec, LandIce_3D_Tag>(cnt),
-                       kernel);
-      break;
-    case KernelVariant::kOptimized:
-      pk::parallel_for("StokesFOResid",
-                       RangePolicy<Exec, LandIce_3D_Opt_Tag<8>>(cnt), kernel);
-      break;
-    case KernelVariant::kLoopOptOnly:
-      pk::parallel_for("StokesFOResid",
-                       RangePolicy<Exec, LandIce_3D_LoopOptOnly_Tag<8>>(cnt),
-                       kernel);
-      break;
-    case KernelVariant::kFusedOnly:
-      pk::parallel_for("StokesFOResid",
-                       RangePolicy<Exec, LandIce_3D_FusedOnly_Tag>(cnt),
-                       kernel);
-      break;
-    case KernelVariant::kLocalAccumOnly:
-      pk::parallel_for("StokesFOResid",
-                       RangePolicy<Exec, LandIce_3D_LocalAccumOnly_Tag>(cnt),
-                       kernel);
-      break;
-  }
-
-  // Basal friction contribution (adds to Residual); the manufactured
-  // verification imposes Dirichlet values at the bed instead.
-  if (!cfg_.mms.enabled) {
-    BasalFrictionResid<ScalarT> friction{
-        range.face_cell_local, range.face_wBF, range.face_beta,
-        f.UNodal,              f.Residual,     face_BF_,
-        static_cast<unsigned>(ws_.face_qps), cfg_.sliding};
-    pk::parallel_for("basal_friction",
-                     pk::RangePolicy<pk::Serial>(range.face_cell_local.size()),
-                     friction);
-  }
-  phase_timers_.add("kernel", phase_timer.seconds());
-}
-
-template void StokesFOProblem::evaluate_workset<ResidualEval>(
-    std::size_t, const pk::View<double, 1>&);
-template void StokesFOProblem::evaluate_workset<JacobianEval>(
-    std::size_t, const pk::View<double, 1>&);
-
-template <class EvalT>
-void StokesFOProblem::assemble_workset(std::size_t w,
-                                       const pk::View<double, 1>& Uview,
-                                       std::vector<double>& F,
-                                       linalg::CrsMatrix* J) {
-  using ScalarT = typename EvalT::ScalarT;
-  evaluate_workset<EvalT>(w, Uview);
-
-  const WorksetRange& range = workset_ranges_[w];
-  const std::size_t cnt = range.count;
-  auto& f = fields<ScalarT>();
-  const auto cell_nodes = ws_.cell_nodes.window(range.c0, cnt);
-
-  pk::Timer phase_timer;
-  // Scatter: element residuals/Jacobians into the global F / CRS matrix,
-  // parallelized per the configured ScatterMode (rows are shared between
-  // cells, so the parallel modes rely on the coloring or on atomics).
-  scatter_add(cfg_.scatter, range.coloring, cell_nodes, f.Residual, cnt,
-              ws_.num_nodes, F, J);
-  phase_timers_.add("scatter", phase_timer.seconds());
-}
-
-template <class EvalT>
 void StokesFOProblem::assemble(const std::vector<double>& U,
                                std::vector<double>& F, linalg::CrsMatrix* J) {
-  using ScalarT = typename EvalT::ScalarT;
   MALI_CHECK(U.size() == n_dofs());
-
-  // Field buffers at the workset size (allocated once, reused per chunk;
-  // the first range is the largest — the tail chunk can only be smaller).
-  const std::size_t ws_size =
-      workset_ranges_.empty() ? ws_.n_cells : workset_ranges_.front().count;
-  auto& f = fields<ScalarT>();
-  f.allocate(ws_size, ws_.num_nodes, ws_.num_qps);
-
-  pk::View<double, 1> Uview("U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-
+  const auto Uview = to_view(U);
   F.assign(n_dofs(), 0.0);
-  for (std::size_t w = 0; w < workset_ranges_.size(); ++w) {
-    assemble_workset<EvalT>(w, Uview, F, J);
+  for (const CellBlock& b : blocks_) {
+    engine_.assemble<EvalT, pk::DefaultExec>(b, Uview, F, J);
   }
 
   // Dirichlet rows: u = 0 on the lateral margin.  The rows are scaled to
   // the interior stiffness magnitude so the preconditioners (in particular
   // the AMG's Galerkin coarse operators) do not see a 1e13:1 scale split.
   if (J != nullptr) {
-    double mean_diag = 0.0;
-    std::size_t count = 0;
-    for (std::size_t r = 0; r < n_dofs(); ++r) {
-      if (dof_map_->is_dirichlet_dof(r)) continue;
-      mean_diag += std::abs(J->diagonal(r));
-      ++count;
-    }
-    if (count > 0 && mean_diag > 0.0) {
-      dirichlet_scale_ = mean_diag / static_cast<double>(count);
-    }
+    update_dirichlet_scale([J](std::size_t r) { return J->diagonal(r); });
   }
   for (std::size_t d : dof_map_->dirichlet_dofs()) {
     F[d] = dirichlet_scale_ * (U[d] - dirichlet_values_[d]);
@@ -617,113 +284,11 @@ void StokesFOProblem::apply_jacobian(const std::vector<double>& U,
   MALI_CHECK(U.size() == n_dofs());
   MALI_CHECK(x.size() == n_dofs());
   MALI_CHECK_MSG(&x != &y, "apply_jacobian: aliased in/out");
-
-  const std::size_t ws_size =
-      workset_ranges_.empty() ? ws_.n_cells : workset_ranges_.front().count;
-  const std::size_t ws_pad = fem::padded_cells(ws_size);
-  if (!tangent_.allocated() || tangent_.extent(0) < ws_pad) {
-    tangent_ = pk::View<double, 3>("tangent", ws_pad, ws_.num_nodes, 2);
-  }
-
-  pk::View<double, 1> Uview("U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-  pk::View<double, 1> Xview("X", x.size());
-  std::copy(x.begin(), x.end(), Xview.data());
-
+  const auto Uview = to_view(U);
+  const auto Xview = to_view(x);
   y.assign(n_dofs(), 0.0);
-  for (const WorksetRange& range : workset_ranges_) {
-    const std::size_t cnt = range.count;
-    const auto cell_nodes = ws_.cell_nodes.window(range.c0, cnt);
-    const auto coords = ws_.coords.window(range.c0, cnt);
-    pk::View<double, 2> flow_factor;
-    if (flow_factor_.allocated()) {
-      flow_factor = flow_factor_.window(range.c0, cnt);
-    }
-
-    // Fused tangent: gather + in-register geometry + Ugrad + viscosity +
-    // stress, accumulating only the directional derivative.  With a SIMD
-    // width > 1 the batched FadPack kernel processes W cells per dispatch
-    // over a range padded to a full batch multiple (ghost rows hold valid
-    // replicated geometry; their tangent rows are never scattered).
-    const int simd_w = resolved_simd_width();
-    if (simd_w > 1) {
-      auto run_batched = [&]<int W>() {
-        const auto wW = static_cast<std::size_t>(W);
-        const std::size_t cnt_pad = (cnt + wW - 1) / wW * wW;
-        StokesFOTangentBatched<W> tangent;
-        tangent.cell_nodes = ws_.cell_nodes.window(range.c0, cnt_pad);
-        tangent.coords = ws_.coords.window(range.c0, cnt_pad);
-        if (flow_factor_.allocated()) {
-          tangent.flow_factor = flow_factor_.window(range.c0, cnt_pad);
-        }
-        tangent.U = Uview;
-        tangent.X = Xview;
-        tangent.ref_grad = ref_grad_;
-        tangent.qp_weight = qp_weights_;
-        tangent.Tangent = tangent_;
-        tangent.glen_A = cfg_.constants.glen_A;
-        tangent.glen_n = cfg_.constants.glen_n;
-        tangent.eps_reg2 = cfg_.constants.eps_reg2;
-        tangent.constant_mu = cfg_.mms.enabled ? cfg_.mms.mu0 : 0.0;
-        tangent.numNodes = ws_.num_nodes;
-        tangent.numQPs = ws_.num_qps;
-        tangent.prepare();
-        pk::parallel_for("jacobian_tangent_batched",
-                         pk::SimdRangePolicy<W, Exec>(cnt_pad), tangent);
-      };
-      switch (simd_w) {
-        case 2:
-          run_batched.template operator()<2>();
-          break;
-        case 8:
-          run_batched.template operator()<8>();
-          break;
-        default:
-          run_batched.template operator()<4>();
-          break;
-      }
-    } else {
-      StokesFOTangent tangent;
-      tangent.cell_nodes = cell_nodes;
-      tangent.coords = coords;
-      tangent.flow_factor = flow_factor;
-      tangent.U = Uview;
-      tangent.X = Xview;
-      tangent.ref_grad = ref_grad_;
-      tangent.qp_weight = qp_weights_;
-      tangent.Tangent = tangent_;
-      tangent.glen_A = cfg_.constants.glen_A;
-      tangent.glen_n = cfg_.constants.glen_n;
-      tangent.eps_reg2 = cfg_.constants.eps_reg2;
-      tangent.constant_mu = cfg_.mms.enabled ? cfg_.mms.mu0 : 0.0;
-      tangent.numNodes = ws_.num_nodes;
-      tangent.numQPs = ws_.num_qps;
-      pk::parallel_for("jacobian_tangent", pk::RangePolicy<Exec>(cnt), tangent);
-    }
-
-    // Basal sliding tangent (adds into Tangent); serial over faces, as in
-    // the assembled chain.
-    if (!cfg_.mms.enabled) {
-      BasalFrictionTangent friction;
-      friction.face_cell_local = range.face_cell_local;
-      friction.face_wBF = range.face_wBF;
-      friction.face_beta = range.face_beta;
-      friction.face_BF = face_BF_;
-      friction.cell_nodes = cell_nodes;
-      friction.U = Uview;
-      friction.X = Xview;
-      friction.Tangent = tangent_;
-      friction.faceQPs = static_cast<unsigned>(ws_.face_qps);
-      friction.sliding = cfg_.sliding;
-      pk::parallel_for(
-          "basal_friction_tangent",
-          pk::RangePolicy<pk::Serial>(range.face_cell_local.size()), friction);
-    }
-
-    // Scatter the per-cell tangent into y, reusing the colored/atomic
-    // machinery (double path: no matrix).
-    scatter_add<Exec>(cfg_.scatter, range.coloring, cell_nodes, tangent_, cnt,
-                      ws_.num_nodes, y, nullptr);
+  for (const CellBlock& b : blocks_) {
+    engine_.apply_tangent<Exec>(b, Uview, Xview, y);
   }
 
   // Dirichlet rows act exactly like the assembled scaled identity rows.
@@ -742,49 +307,19 @@ template void StokesFOProblem::apply_jacobian<pk::Threads>(
 std::vector<double> StokesFOProblem::jacobian_block_diagonal(
     const std::vector<double>& U) {
   MALI_CHECK(U.size() == n_dofs());
-  const std::size_t ws_size =
-      workset_ranges_.empty() ? ws_.n_cells : workset_ranges_.front().count;
-  auto& f = fields<JacobianEval::ScalarT>();
-  f.allocate(ws_size, ws_.num_nodes, ws_.num_qps);
-
-  pk::View<double, 1> Uview("U", U.size());
-  std::copy(U.begin(), U.end(), Uview.data());
-
+  const auto Uview = to_view(U);
   // One 2x2 block per node (dof = 2*node + comp): 2 * n_dofs doubles.
   std::vector<double> blocks(2 * n_dofs(), 0.0);
-  const int N = ws_.num_nodes;
-  for (std::size_t w = 0; w < workset_ranges_.size(); ++w) {
-    evaluate_workset<JacobianEval>(w, Uview);
-    const WorksetRange& range = workset_ranges_[w];
-    for (std::size_t c = 0; c < range.count; ++c) {
-      for (int node = 0; node < N; ++node) {
-        const std::size_t gnode = ws_.cell_nodes(range.c0 + c, node);
-        for (int r = 0; r < 2; ++r) {
-          const auto& R = f.Residual(c, node, r);
-          for (int col = 0; col < 2; ++col) {
-            blocks[gnode * 4 + static_cast<std::size_t>(r * 2 + col)] +=
-                R.dx(2 * node + col);
-          }
-        }
-      }
-    }
+  for (const CellBlock& b : blocks_) {
+    engine_.accumulate_node_blocks<pk::DefaultExec>(b, Uview, blocks);
   }
 
   // Dirichlet scale from the mean interior |diagonal|, as in the assembled
   // path; then Dirichlet-node blocks become scale * I (their rows are
-  // scaled identity rows in the assembled matrix).
-  double mean_diag = 0.0;
-  std::size_t count = 0;
-  for (std::size_t r = 0; r < n_dofs(); ++r) {
-    if (dof_map_->is_dirichlet_dof(r)) continue;
-    const std::size_t node = r / 2;
-    const std::size_t comp = r % 2;
-    mean_diag += std::abs(blocks[node * 4 + comp * 2 + comp]);
-    ++count;
-  }
-  if (count > 0 && mean_diag > 0.0) {
-    dirichlet_scale_ = mean_diag / static_cast<double>(count);
-  }
+  // scaled identity rows in the assembled matrix).  dof r = 2 node + comp
+  // sits at block entry (comp, comp).
+  update_dirichlet_scale(
+      [&blocks](std::size_t r) { return blocks[r / 2 * 4 + r % 2 * 3]; });
   for (std::size_t d : dof_map_->dirichlet_dofs()) {
     const std::size_t node = d / 2;
     const std::size_t comp = d % 2;
@@ -821,8 +356,9 @@ void StokesFOProblem::set_temperature_field(
   const std::size_t C = ws_.n_cells;
   const int N = ws_.num_nodes;
   const int Q = ws_.num_qps;
-  if (!flow_factor_.allocated()) {
-    flow_factor_ = pk::View<double, 2>("flow_factor", ws_.n_cells_padded, Q);
+  auto& flow_factor = elems_.flow_factor;
+  if (!flow_factor.allocated()) {
+    flow_factor = pk::View<double, 2>("flow_factor", ws_.n_cells_padded, Q);
   }
   const auto qps = fem::gauss_hex(2);
   pk::parallel_for("set_temperature", C, [&](int ci) {
@@ -839,7 +375,7 @@ void StokesFOProblem::set_temperature_field(
       const double h =
           std::max(geom_.thickness(x, y), geom_.config().min_thickness_m);
       const double sigma = std::clamp((z - geom_.bed(x, y)) / h, 0.0, 1.0);
-      flow_factor_(c, q) = paterson_budd_A(temperature(x, y, sigma));
+      flow_factor(c, q) = paterson_budd_A(temperature(x, y, sigma));
     }
   });
 }

@@ -1,9 +1,10 @@
 #pragma once
 // StokesFOProblem — the full first-order Stokes velocity solve: builds the
-// synthetic Antarctica mesh and FE arrays, runs the evaluator chain
-// (gather → Ugrad → viscosity → StokesFOResid variant → basal friction →
-// scatter), and implements the NonlinearProblem interface for the damped
-// Newton solver.  This is the MiniMALI analog of Albany's LandIce problem.
+// synthetic Antarctica mesh and FE arrays, runs the element chain (gather →
+// Ugrad → viscosity → StokesFOResid variant → basal friction → scatter)
+// through the ElementEngine one workset at a time, and implements the
+// NonlinearProblem interface for the damped Newton solver.  This is the
+// MiniMALI analog of Albany's LandIce problem.
 
 #include <cstddef>
 #include <functional>
@@ -21,6 +22,7 @@
 #include "mesh/ice_geometry.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/constants.hpp"
+#include "physics/element_engine.hpp"
 #include "physics/eval_types.hpp"
 #include "physics/flow_law.hpp"
 #include "physics/manufactured.hpp"
@@ -67,10 +69,11 @@ struct StokesFOConfig {
   /// or the matrix-free per-element tangent apply (no global matrix).
   linalg::JacobianMode jacobian = linalg::JacobianMode::kAssembled;
   /// SIMD element-batch width for the double-valued fused kernels (residual
-  /// chain and matrix-free tangent): 1 = scalar reference path (default, so
-  /// stored references and bit-pinned tests are undisturbed), 2/4/8 = batch
-  /// that many cells per pack, 0 = auto (pk::kSimdNativeWidth).  The SFad
-  /// assembled-Jacobian chain always runs scalar.
+  /// chain and matrix-free tangent), on the serial and the distributed
+  /// paths alike: 1 = scalar reference path (default, so stored references
+  /// and bit-pinned tests are undisturbed), 2/4/8 = batch that many cells
+  /// per pack, 0 = auto (pk::kSimdNativeWidth).  The SFad assembled-Jacobian
+  /// chain always runs scalar.
   int simd_width = 1;
 };
 
@@ -78,23 +81,12 @@ struct StokesFOConfig {
 /// {1, 2, 4, 8}.  Throws mali::Error on anything else.
 [[nodiscard]] int simd_width_from_string(const std::string& s);
 
-/// Per-evaluation-type field storage (double for Residual, SFad<double,16>
-/// for Jacobian), allocated lazily — the Jacobian set is ~17x larger.
-template <class ScalarT>
-struct FieldSet {
-  pk::View<ScalarT, 3> UNodal;    ///< (C, N, 2)
-  pk::View<ScalarT, 4> Ugrad;     ///< (C, Q, 2, 3)
-  pk::View<ScalarT, 2> mu;        ///< (C, Q)
-  pk::View<ScalarT, 3> force;     ///< (C, Q, 2)
-  pk::View<ScalarT, 3> Residual;  ///< (C, N, 2)
-  bool allocated = false;
-
-  void allocate(std::size_t C, int N, int Q);
-};
-
 class StokesFOProblem final : public nonlinear::NonlinearProblem {
  public:
   explicit StokesFOProblem(StokesFOConfig cfg);
+  // The element engine holds pointers to this object's arrays and config.
+  StokesFOProblem(const StokesFOProblem&) = delete;
+  StokesFOProblem& operator=(const StokesFOProblem&) = delete;
 
   // ---- NonlinearProblem ----
   [[nodiscard]] std::size_t n_dofs() const override {
@@ -112,10 +104,9 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
 
   // ---- matrix-free Jacobian ----
 
-  /// y = J(U) x via the fused per-element SFad<1> tangent kernel — no
-  /// global matrix is formed.  Exec selects the pk execution space for the
-  /// tangent evaluation and the scatter (the configured ScatterMode's
-  /// colored/atomic machinery is reused verbatim).  Dirichlet rows act as
+  /// y = J(U) x via the fused per-element tangent kernel at the configured
+  /// SIMD width — no global matrix is formed.  Exec selects the pk
+  /// execution space for the tangent and the scatter.  Dirichlet rows act as
   /// y[d] = dirichlet_scale() * x[d], matching the assembled scaled
   /// identity rows.  x and y must be distinct.
   template <class Exec = pk::DefaultExec>
@@ -149,8 +140,6 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   [[nodiscard]] const fem::DofMap& dof_map() const noexcept {
     return *dof_map_;
   }
-  [[nodiscard]] KernelVariant variant() const noexcept { return cfg_.variant; }
-  void set_variant(KernelVariant v) noexcept { cfg_.variant = v; }
   [[nodiscard]] ScatterMode scatter_mode() const noexcept {
     return cfg_.scatter;
   }
@@ -160,10 +149,10 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// used by the colored scatter and exposed for tests/benches).
   [[nodiscard]] const mesh::CellColoring& workset_coloring(
       std::size_t w) const {
-    return workset_ranges_.at(w).coloring;
+    return blocks_.at(w).coloring;
   }
   [[nodiscard]] std::size_t n_worksets() const noexcept {
-    return workset_ranges_.size();
+    return blocks_.size();
   }
 
   /// Accumulated per-phase assembly timings ("evaluate", "kernel",
@@ -231,33 +220,18 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// used to stage realistic kernel inputs without a full solve.
   [[nodiscard]] std::vector<double> analytic_initial_guess() const;
 
-  // ---- element-data accessors for the distributed subdomain staging ----
-  // (dist::Subdomain copies per-cell slices of these into compact per-rank
-  // arrays; see src/dist/subdomain.hpp.)
-  [[nodiscard]] const pk::View<double, 3>& force_passive() const noexcept {
-    return force_passive_;
+  /// The element data the engine reads (dist::Subdomain stages per-rank
+  /// copies of it).
+  [[nodiscard]] const ElementArrays& element_arrays() const noexcept {
+    return elems_;
   }
-  [[nodiscard]] const pk::View<double, 2>& flow_factor() const noexcept {
-    return flow_factor_;  // unallocated unless thermal_viscosity
-  }
-  [[nodiscard]] const pk::View<double, 2>& face_basis() const noexcept {
-    return face_BF_;
-  }
-  [[nodiscard]] const pk::View<double, 3>& ref_grad() const noexcept {
-    return ref_grad_;
-  }
-  [[nodiscard]] const pk::View<double, 2>& ref_val() const noexcept {
-    return ref_val_;
-  }
-  [[nodiscard]] const pk::View<double, 1>& qp_weights() const noexcept {
-    return qp_weights_;
-  }
-
-  /// The SIMD batch width the double-valued fused kernels actually run at:
-  /// cfg_.simd_width with 0 ("auto") resolved to pk::kSimdNativeWidth.
-  [[nodiscard]] int resolved_simd_width() const noexcept;
   [[nodiscard]] const std::vector<double>& dirichlet_values() const noexcept {
     return dirichlet_values_;
+  }
+
+  /// The element engine every assembly of this problem runs through.
+  [[nodiscard]] const ElementEngine& engine() const noexcept {
+    return engine_;
   }
 
  private:
@@ -265,29 +239,13 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   void assemble(const std::vector<double>& U, std::vector<double>& F,
                 linalg::CrsMatrix* J);
 
-  /// One chunk of the assembly: cells [c0, c0 + count).
-  template <class EvalT>
-  void assemble_workset(std::size_t w, const pk::View<double, 1>& Uview,
-                        std::vector<double>& F, linalg::CrsMatrix* J);
+  /// Sets dirichlet_scale_ to the mean |diagonal(r)| over non-Dirichlet
+  /// rows (unchanged when that is zero).
+  template <class Diagonal>
+  void update_dirichlet_scale(const Diagonal& diagonal);
 
-  /// Runs the element chain (gather → Ugrad → viscosity → force →
-  /// StokesFOResid → basal friction) for workset w, leaving the element
-  /// residuals staged in fields<ScalarT>().Residual — the pre-scatter part
-  /// of assemble_workset, shared with the block-diagonal extraction.
-  template <class EvalT>
-  void evaluate_workset(std::size_t w, const pk::View<double, 1>& Uview);
-
-  /// Per-workset cell range plus the basal faces owned by the range.
-  struct WorksetRange {
-    std::size_t c0 = 0;
-    std::size_t count = 0;
-    pk::View<std::size_t, 1> face_cell_local;  ///< (F_w) cell - c0
-    pk::View<double, 3> face_wBF;              ///< (F_w, 4, Qf)
-    pk::View<double, 1> face_beta;             ///< (F_w)
-    /// Conflict-free cell coloring of [c0, c0 + count) for parallel scatter.
-    mesh::CellColoring coloring;
-  };
-  std::vector<WorksetRange> workset_ranges_;
+  /// One block per workset, with the basal faces it owns.
+  std::vector<CellBlock> blocks_;
 
   StokesFOConfig cfg_;
   mesh::IceGeometry geom_;
@@ -295,20 +253,9 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   std::unique_ptr<mesh::ExtrudedMesh> mesh_;
   std::unique_ptr<fem::DofMap> dof_map_;
   fem::GeometryWorkset ws_;
-  pk::View<double, 3> force_passive_;  ///< (C, Q, 2) rho*g*grad(s) at qps
-  pk::View<double, 2> face_BF_;        ///< (4, Qf) reference face basis
-  pk::View<double, 2> flow_factor_;    ///< (C, Q) A(T), thermal mode only
-
-  // Reference element data for the matrix-free tangent kernel and the
-  // batched fused chains, which recompute cell geometry in registers from
-  // nodal coords (built once).
-  pk::View<double, 3> ref_grad_;    ///< (Q, N, 3) dN_k/d(xi,eta,zeta)
-  pk::View<double, 2> ref_val_;     ///< (Q, N) N_k at the qps
-  pk::View<double, 1> qp_weights_;  ///< (Q)
-  pk::View<double, 3> tangent_;     ///< (ws, N, 2) per-cell J_e x_e scratch
-
-  FieldSet<ResidualEval::ScalarT> res_fields_;
-  FieldSet<JacobianEval::ScalarT> jac_fields_;
+  /// ws_'s per-cell arrays plus the body force, the thermal flow factor and
+  /// the reference element data the kernels read.
+  ElementArrays elems_;
 
   /// Scale applied to Dirichlet rows/residual entries, updated from the
   /// mean interior diagonal at each Jacobian assembly (keeps the system
@@ -323,9 +270,7 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   double basal_friction_scale_ = 1.0;
   /// Per-phase assembly wall-clock (evaluate / kernel / scatter).
   pk::TimerRegistry phase_timers_;
-
-  template <class ScalarT>
-  FieldSet<ScalarT>& fields();
+  ElementEngine engine_{elems_, cfg_, phase_timers_};
 };
 
 }  // namespace mali::physics

@@ -14,62 +14,103 @@
 // bytes/GMRES-iteration strictly smaller than the assembled SpMV (see
 // perf/data_movement.hpp).
 //
-// Differentiation: one-directional forward AD.  Each nodal value is seeded
-// as SFad<double,1>{ U_l, dx(0) = x_l }, so after running the *same*
+// Differentiation: one-directional forward AD, W cells per pack.  `FadPack`
+// is the batched SFad<1> — a {val, dot} pair of pk::simd packs whose
+// operators apply the scalar SFad derivative formulas lane-wise.  Each nodal
+// value is seeded as { U_l, dot = x_l }, so after running the *same*
 // residual arithmetic as the assembled chain (GatherSolution →
 // VelocityGradient → ViscosityFO → StokesFOResid stress terms →
-// BasalFrictionResid), the element residual's dx(0) IS the element tangent
-// (J_e · x_e).  The passive body force drops out (zero derivative), and the
-// geometry recomputation replicates fem/cell_geometry.cpp operation for
-// operation, so the physical gradients are bitwise identical to the stored
-// gradBF/wGradBF.  Agreement with the assembled SpMV is therefore limited
-// only by FP reassociation of the derivative accumulation — pinned by
-// tests/test_operator_equivalence.cpp (see the tolerance contract there).
+// BasalFrictionResid), the element residual's derivative IS the element
+// tangent (J_e · x_e).  The passive body force drops out (zero derivative),
+// and the geometry recomputation replicates fem/cell_geometry.cpp operation
+// for operation, so the physical gradients are bitwise identical to the
+// stored gradBF/wGradBF.  Every sum keeps one association regardless of W —
+// the per-dof accumulation cancels heavily on real ice cells and any
+// reassociation would amplify ulp noise — so W = 1 is the scalar reference
+// and wider packs match it to <= 1e-14 per dof (tests/test_simd_batch.cpp).
+// Agreement with the assembled SpMV is limited only by FP reassociation of
+// the derivative accumulation (tests/test_operator_equivalence.cpp).
 //
 // The per-cell tangent is written to a plain double Tangent(C, N, 2) view
-// and scattered into the global result with PR 1's scatter_add (serial /
-// colored / atomic — the double path, J == nullptr), reusing the coloring
-// machinery verbatim.
+// and scattered into the global result with scatter_add (serial / colored /
+// atomic — the double path, J == nullptr).
 
+#include <cmath>
 #include <cstddef>
 
 #include "ad/sfad.hpp"
 #include "physics/flow_law.hpp"
+#include "physics/fused_chain_batched.hpp"
 #include "portability/common.hpp"
+#include "portability/simd.hpp"
 #include "portability/view.hpp"
 
 namespace mali::physics {
 
-namespace detail {
+/// Batched SFad<double, 1>: W values and W directional derivatives.  The
+/// operator set is the subset the tangent kernel needs, each the lane-wise
+/// transcription of ad::SFad's scalar formula.
+template <int W>
+struct FadPack {
+  using Pack = pk::simd<double, W>;
 
-/// 3x3 inverse + determinant — the same cofactor expansion, in the same
-/// order, as fem/cell_geometry.cpp's invert3 (bitwise-identical results).
-MALI_INLINE double tangent_invert3(const double m[3][3], double inv[3][3]) {
-  const double det = m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) -
-                     m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) +
-                     m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]);
-  const double inv_det = 1.0 / det;
-  inv[0][0] = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_det;
-  inv[0][1] = (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_det;
-  inv[0][2] = (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_det;
-  inv[1][0] = (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_det;
-  inv[1][1] = (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_det;
-  inv[1][2] = (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_det;
-  inv[2][0] = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_det;
-  inv[2][1] = (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_det;
-  inv[2][2] = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_det;
-  return det;
-}
+  Pack val;
+  Pack dot;
 
-}  // namespace detail
+  [[nodiscard]] MALI_INLINE static FadPack zero() {
+    return {Pack::zero(), Pack::zero()};
+  }
+  [[nodiscard]] MALI_INLINE static FadPack constant(double c) {
+    return {Pack::broadcast(c), Pack::zero()};
+  }
 
-/// Fused per-cell tangent of the interior FO Stokes residual.  Writes (does
-/// not accumulate into) Tangent(cell, node, comp) = (J_e · x_e)(node, comp)
-/// for the stress part of the residual; the passive force term contributes
-/// nothing to the Jacobian.
-struct StokesFOTangent {
-  using Fad = ad::SFad<double, 1>;
+  MALI_INLINE FadPack& operator+=(const FadPack& o) {
+    val += o.val;
+    dot += o.dot;
+    return *this;
+  }
+
+  friend MALI_INLINE FadPack operator+(FadPack a, const FadPack& b) {
+    return a += b;
+  }
+  friend MALI_INLINE FadPack operator+(const FadPack& a, double b) {
+    return {a.val + b, a.dot};
+  }
+  friend MALI_INLINE FadPack operator*(const FadPack& a, const FadPack& b) {
+    return {a.val * b.val, a.dot * b.val + a.val * b.dot};
+  }
+  friend MALI_INLINE FadPack operator*(double a, const FadPack& b) {
+    return {a * b.val, a * b.dot};
+  }
+  friend MALI_INLINE FadPack operator*(const Pack& a, const FadPack& b) {
+    return {a * b.val, a * b.dot};
+  }
+  friend MALI_INLINE FadPack operator*(const FadPack& a, const Pack& b) {
+    return {a.val * b, a.dot * b};
+  }
+
+  /// d/dx pow(a, e) = e * a^(e-1) * a', as in ad::SFad's pow.
+  friend MALI_INLINE FadPack pow(const FadPack& a, double e) {
+    FadPack r;
+    r.val = pk::lane_pow(a.val, e);
+    const Pack scale = e * pk::lane_pow(a.val, e - 1.0);
+    r.dot = scale * a.dot;
+    return r;
+  }
+};
+
+/// Fused per-cell tangent: writes (does not accumulate into)
+/// Tangent(cell, node, comp) = (J_e · x_e)(node, comp) for W cells per
+/// dispatch; the passive force term contributes nothing to the Jacobian.
+/// Batches with dead lanes (ragged tail) compute on zero-filled lanes and
+/// mask the stores.
+template <int W>
+class StokesFOTangentBatched {
+ public:
+  using Pack = pk::simd<double, W>;
+  using Fad = FadPack<W>;
   static constexpr int kMaxNodes = 8;
+  static constexpr int width = W;
 
   // Cell-range inputs (windowed to the workset by the caller).
   pk::View<std::size_t, 2> cell_nodes;  ///< (C, N)
@@ -79,7 +120,7 @@ struct StokesFOTangent {
   pk::View<double, 1> U;  ///< linearization state (2 dofs/node)
   pk::View<double, 1> X;  ///< direction
   // Reference element data (shared across cells; stays in cache).
-  pk::View<double, 3> ref_grad;   ///< (Q, N, 3) dN_k/d(xi,eta,zeta)
+  pk::View<double, 3> ref_grad;   ///< (Q, N, 3)
   pk::View<double, 1> qp_weight;  ///< (Q)
   // Output.
   pk::View<double, 3> Tangent;  ///< (C, N, 2)
@@ -87,115 +128,140 @@ struct StokesFOTangent {
   double glen_A = 1.0e-16;
   double glen_n = 3.0;
   double eps_reg2 = 1.0e-10;
-  /// > 0: constant-viscosity bypass (the MMS linear operator).
-  double constant_mu = 0.0;
+  double constant_mu = 0.0;  ///< > 0: constant-viscosity bypass
   int numNodes = 8;
   int numQPs = 8;
 
-  MALI_KERNEL_FUNCTION void operator()(const int& cell) const {
+  /// Hoists the loop-invariant Glen's-law constants (see
+  /// FusedStokesChain::prepare for the bitwise contract).
+  void prepare() {
+    coeff_ = 0.5 * std::pow(glen_A, -1.0 / glen_n);
+    expo_ = (1.0 - glen_n) / (2.0 * glen_n);
+  }
+
+  void operator()(const pk::SimdBatch& b) const {
+    MALI_CHECK_MSG(numNodes <= kMaxNodes,
+                   "StokesFOTangentBatched supports at most 8 nodes");
+    if (b.full()) {
+      compute<true>(b.begin, W);
+    } else {
+      compute<false>(b.begin, b.n_valid);
+    }
+  }
+
+ private:
+  template <bool Full>
+  MALI_INLINE Pack load(const double& p, int nv) const {
+    return detail::load_lanes<Full, W>(p, nv);
+  }
+
+  template <bool Full>
+  void compute(std::size_t c0, int nv) const {
+    const auto c = static_cast<int>(c0);
+    const bool thermal = flow_factor.allocated();
     const int N = numNodes;
     const int Q = numQPs;
-    // Always-on: the fixed-size Ul/xn/g/res arrays below would otherwise be
-    // a silent stack overflow in Release for > 8-node elements.
-    MALI_CHECK_MSG(N <= kMaxNodes,
-                   "StokesFOTangent supports at most 8 nodes");
 
-    // Gather state + direction: one SFad<1> per nodal dof, value = U,
-    // derivative seed = x (tangent direction).
+    // Gather: the dof indirection is per-lane scalar (gather hardware is
+    // not assumed); coordinates are contiguous pack loads.
     Fad Ul[kMaxNodes][2];
-    double xn[kMaxNodes][3];
+    Pack xn[kMaxNodes][3];
     for (int k = 0; k < N; ++k) {
-      const std::size_t gnode = cell_nodes(cell, k);
       for (int comp = 0; comp < 2; ++comp) {
-        const std::size_t dof = 2 * gnode + static_cast<std::size_t>(comp);
-        Ul[k][comp] = Fad(U(dof));
-        Ul[k][comp].fastAccessDx(0) = X(dof);
-      }
-      for (int d = 0; d < 3; ++d) xn[k][d] = coords(cell, k, d);
-    }
-
-    const bool thermal = flow_factor.allocated();
-    const double coeff0 =
-        constant_mu > 0.0 ? 0.0 : 0.5 * std::pow(glen_A, -1.0 / glen_n);
-    const double expo = (1.0 - glen_n) / (2.0 * glen_n);
-
-    double res0[kMaxNodes] = {};
-    double res1[kMaxNodes] = {};
-
-    for (int qp = 0; qp < Q; ++qp) {
-      // ---- in-register geometry (replicates fem/cell_geometry.cpp) ----
-      double J[3][3] = {};
-      for (int k = 0; k < N; ++k) {
-        for (int i = 0; i < 3; ++i) {
-          for (int j = 0; j < 3; ++j) {
-            J[i][j] += xn[k][i] * ref_grad(qp, k, j);
-          }
+        Fad& f = Ul[k][comp];
+        f = Fad::zero();
+        for (int l = 0; l < nv; ++l) {
+          const std::size_t gnode = cell_nodes(c + l, k);
+          const std::size_t dof = 2 * gnode + static_cast<std::size_t>(comp);
+          f.val[l] = U(dof);
+          f.dot[l] = X(dof);
         }
       }
-      double Jinv[3][3];
-      const double det = detail::tangent_invert3(J, Jinv);
-      const double w = qp_weight(qp) * det;
-      // Physical basis gradients g[k][d] == gradBF(c, k, qp, d).
-      double g[kMaxNodes][3];
+      for (int d = 0; d < 3; ++d) xn[k][d] = load<Full>(coords(c, k, d), nv);
+    }
+
+    Pack res0[kMaxNodes];
+    Pack res1[kMaxNodes];
+    for (int k = 0; k < N; ++k) {
+      res0[k] = Pack::zero();
+      res1[k] = Pack::zero();
+    }
+
+    for (int qp = 0; qp < Q; ++qp) {
+      Pack inv[3][3];
+      const Pack det = detail::invert_map_jacobian<W>(xn, N, ref_grad, qp, inv);
+      const Pack w = qp_weight(qp) * det;
+
+      // Physical basis gradients g[k][d] == gradBF(c, k, qp, d), all nodes
+      // before the velocity gradient.
+      Pack g[kMaxNodes][3];
       for (int k = 0; k < N; ++k) {
         for (int d = 0; d < 3; ++d) {
-          double s = 0.0;
-          for (int j = 0; j < 3; ++j) s += Jinv[j][d] * ref_grad(qp, k, j);
+          Pack s = Pack::zero();
+          for (int j = 0; j < 3; ++j) s += inv[j][d] * ref_grad(qp, k, j);
           g[k][d] = s;
         }
       }
 
-      // ---- velocity gradient (same contraction as VelocityGradient) ----
+      // Velocity gradient (active), same contraction as VelocityGradient:
+      // comp-major, d, then the node sum innermost.
       Fad Ugrad[2][3];
       for (int comp = 0; comp < 2; ++comp) {
         for (int d = 0; d < 3; ++d) {
-          Fad acc(0.0);
+          Fad acc = Fad::zero();
           for (int k = 0; k < N; ++k) acc += Ul[k][comp] * g[k][d];
           Ugrad[comp][d] = acc;
         }
       }
 
-      // ---- Glen's-law viscosity (same formula as ViscosityFO) ----
       Fad mu;
       if (constant_mu > 0.0) {
-        mu = Fad(constant_mu);
+        mu = Fad::constant(constant_mu);
       } else {
-        const double coeff =
-            thermal ? 0.5 * std::pow(flow_factor(cell, qp), -1.0 / glen_n)
-                    : coeff0;
-        const Fad& ux = Ugrad[0][0];
-        const Fad& uy = Ugrad[0][1];
-        const Fad& uz = Ugrad[0][2];
-        const Fad& vx = Ugrad[1][0];
-        const Fad& vy = Ugrad[1][1];
-        const Fad& vz = Ugrad[1][2];
-        const Fad eps2 = ux * ux + vy * vy + ux * vy +
-                         0.25 * ((uy + vx) * (uy + vx) + uz * uz + vz * vz);
-        mu = coeff * pow(eps2 + eps_reg2, expo);
+        const Fad eps2 =
+            Ugrad[0][0] * Ugrad[0][0] + Ugrad[1][1] * Ugrad[1][1] +
+            Ugrad[0][0] * Ugrad[1][1] +
+            0.25 * ((Ugrad[0][1] + Ugrad[1][0]) * (Ugrad[0][1] + Ugrad[1][0]) +
+                    Ugrad[0][2] * Ugrad[0][2] + Ugrad[1][2] * Ugrad[1][2]);
+        const Fad powed = pow(eps2 + eps_reg2, expo_);
+        if (thermal) {
+          const Pack ff = load<Full>(flow_factor(c, qp), nv);
+          const Pack coeff = 0.5 * pk::lane_pow(ff, -1.0 / glen_n);
+          mu = coeff * powed;
+        } else {
+          mu = coeff_ * powed;
+        }
       }
 
-      // ---- stress terms (same formulas as StokesFOResid) ----
       const Fad strs00 = 2.0 * mu * (2.0 * Ugrad[0][0] + Ugrad[1][1]);
       const Fad strs11 = 2.0 * mu * (2.0 * Ugrad[1][1] + Ugrad[0][0]);
       const Fad strs01 = mu * (Ugrad[1][0] + Ugrad[0][1]);
       const Fad strs02 = mu * Ugrad[0][2];
       const Fad strs12 = mu * Ugrad[1][2];
 
-      // Accumulate only the directional derivative; wGradBF == g * w.
-      for (int k = 0; k < N; ++k) {
-        res0[k] += strs00.dx(0) * (g[k][0] * w) +
-                   strs01.dx(0) * (g[k][1] * w) + strs02.dx(0) * (g[k][2] * w);
-        res1[k] += strs01.dx(0) * (g[k][0] * w) +
-                   strs11.dx(0) * (g[k][1] * w) + strs12.dx(0) * (g[k][2] * w);
-      }
+      // Only the directional derivative reaches the output; wGradBF == g*w.
       // Body force: passive (independent of U) — zero tangent, skipped.
+      for (int k = 0; k < N; ++k) {
+        res0[k] += strs00.dot * (g[k][0] * w) + strs01.dot * (g[k][1] * w) +
+                   strs02.dot * (g[k][2] * w);
+        res1[k] += strs01.dot * (g[k][0] * w) + strs11.dot * (g[k][1] * w) +
+                   strs12.dot * (g[k][2] * w);
+      }
     }
 
     for (int k = 0; k < N; ++k) {
-      Tangent(cell, k, 0) = res0[k];
-      Tangent(cell, k, 1) = res1[k];
+      if constexpr (Full) {
+        res0[k].store(&Tangent(c, k, 0));
+        res1[k].store(&Tangent(c, k, 1));
+      } else {
+        res0[k].store_n(&Tangent(c, k, 0), nv);
+        res1[k].store_n(&Tangent(c, k, 1), nv);
+      }
     }
   }
+
+  double coeff_ = 0.5 * std::pow(1.0e-16, -1.0 / 3.0);
+  double expo_ = (1.0 - 3.0) / (2.0 * 3.0);
 };
 
 /// Tangent of the basal sliding residual: accumulates d/dx of

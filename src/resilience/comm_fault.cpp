@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace mali::resilience {
 
 namespace {
@@ -42,15 +44,6 @@ CommSite comm_site_from_string(const std::string& s) {
   if (s == "barrier") return CommSite::kBarrier;
   throw Error("unknown comm fault site: " + s +
               " (halo-send | halo-recv | allreduce | barrier)");
-}
-
-/// splitmix64 — the same mixing function the solver-level injector uses
-/// for its seeded dof choice.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -145,13 +138,13 @@ int CommFaultInjector::target_rank(int n_ranks) const {
   MALI_CHECK(n_ranks > 0);
   std::uint64_t x = spec_.seed;
   if (spec_.member != 0) {
-    x ^= splitmix64(static_cast<std::uint64_t>(spec_.member) *
+    x ^= util::splitmix64(static_cast<std::uint64_t>(spec_.member) *
                     0xD1B54A32D192ED03ull);
   }
   // Distinct stream from the solver-level target_dof hash (the extra mix
   // keeps "which rank misbehaves" decorrelated from "which dof is
   // poisoned" under a shared seed).
-  return static_cast<int>(splitmix64(x ^ 0xA24BAED4963EE407ull) %
+  return static_cast<int>(util::splitmix64(x ^ 0xA24BAED4963EE407ull) %
                           static_cast<std::uint64_t>(n_ranks));
 }
 

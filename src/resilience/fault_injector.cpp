@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace mali::resilience {
 
 namespace {
@@ -44,14 +46,6 @@ FaultSite site_from_string(const std::string& s) {
   throw Error("unknown fault site: " + s +
               " (residual | operator-apply | jacobian | linear-solve | "
               "precond-setup)");
-}
-
-/// splitmix64 — a strong, tiny mixing function for the seeded dof choice.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -114,10 +108,10 @@ std::size_t FaultInjector::target_dof(std::size_t n) const {
   // (test_resilience pins them), so the salt is mixed in only when set.
   std::uint64_t x = spec_.seed;
   if (spec_.member != 0) {
-    x ^= splitmix64(static_cast<std::uint64_t>(spec_.member) *
+    x ^= util::splitmix64(static_cast<std::uint64_t>(spec_.member) *
                     0xD1B54A32D192ED03ull);
   }
-  return static_cast<std::size_t>(splitmix64(x) % n);
+  return static_cast<std::size_t>(util::splitmix64(x) % n);
 }
 
 double FaultInjector::poison() const {

@@ -14,6 +14,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "mesh/partition.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "portability/simd.hpp"
 #include "portability/thread_pool.hpp"
 
 using namespace mali;
@@ -531,6 +535,185 @@ TEST(DistResidual, MatchesSerialAndOverlapIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// SIMD element batching on the distributed path: the Subdomain runs the same
+// engine as the serial problem, so `simd_width` applies per rank.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Distributed residual F(U) and matrix-free tangent J(U) x over a strips
+/// decomposition, each entry taken from its owning rank.
+struct DistEval {
+  std::vector<double> F;
+  std::vector<double> Jx;
+  /// True iff some rank's interior segment is not a whole number of packs,
+  /// so its last pack reads boundary-cell rows.
+  bool interior_pack_crosses = false;
+};
+
+DistEval dist_evaluate(const physics::StokesFOProblem& problem, int ranks,
+                       bool overlap, const std::vector<double>& U,
+                       const std::vector<double>& x) {
+  const auto part =
+      dist::make_partition(problem.mesh().base(), ranks, dist::Decomp::kStrips);
+  const std::size_t n = problem.n_dofs();
+  const auto w = static_cast<std::size_t>(problem.engine().simd_width());
+  DistEval out{std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
+  std::atomic<bool> crosses{false};
+  dist::CommWorld world(ranks);
+  pk::ThreadPool::parallel_tasks(
+      static_cast<std::size_t>(ranks), [&](std::size_t r) {
+        dist::Communicator comm(world, static_cast<int>(r));
+        dist::Subdomain sub(problem, part, static_cast<int>(r));
+        dist::HaloExchange halo_dof(comm, part, static_cast<int>(r),
+                                    problem.mesh().levels(), 2, 0);
+        dist::HaloExchange halo_blk(comm, part, static_cast<int>(r),
+                                    problem.mesh().levels(), 4, 8);
+        dist::RankContext ctx;
+        dist::RankStokesProblem rp(sub, halo_dof, halo_blk, comm,
+                                   linalg::JacobianMode::kMatrixFree, overlap,
+                                   ctx);
+        std::vector<double> F, y;
+        rp.residual(U, F);
+        rp.jacobian_operator(U)->apply(x, y);
+        comm.barrier();
+        for (const std::size_t d : sub.owned_dofs()) {
+          out.F[d] = F[d];
+          out.Jx[d] = y[d];
+        }
+        const std::size_t n_int = sub.n_interior_cells();
+        if (n_int % w != 0 && n_int < sub.n_cells()) crosses = true;
+      });
+  out.interior_pack_crosses = crosses;
+  return out;
+}
+
+/// max |got - ref| over non-Dirichlet rows (the Dirichlet row scale is
+/// agreed collectively on the distributed path and may differ).
+double worst_interior_diff(const physics::StokesFOProblem& problem,
+                           const std::vector<double>& ref,
+                           const std::vector<double>& got) {
+  double worst = 0.0;
+  for (std::size_t d = 0; d < ref.size(); ++d) {
+    if (problem.dof_map().is_dirichlet_dof(d)) continue;
+    worst = std::max(worst, std::abs(got[d] - ref[d]));
+  }
+  return worst;
+}
+
+double max_abs(const std::vector<double>& v) {
+  double m = 0.0;
+  for (const double e : v) m = std::max(m, std::abs(e));
+  return m;
+}
+
+}  // namespace
+
+TEST(DistSimd, ResidualAndTangentMatchSerialAtEveryWidth) {
+  // The linear MMS operator, and the thermal Glen's-law dome with basal
+  // friction (staged flow factor and faces on every rank).
+  for (const bool mms : {true, false}) {
+    for (const int width : {2, 4, 8}) {
+      physics::StokesFOConfig cfg = small_mms();
+      if (!mms) {
+        cfg = physics::StokesFOConfig{};
+        cfg.dx_m = 250.0e3;
+        cfg.n_layers = 3;
+        cfg.thermal_viscosity = true;
+      }
+      cfg.simd_width = width;
+      physics::StokesFOProblem problem(cfg);
+      const std::size_t n = problem.n_dofs();
+      std::vector<double> U =
+          mms ? problem.mms_exact() : problem.analytic_initial_guess();
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        U[i] += 0.01 * std::sin(0.1 * static_cast<double>(i));
+        x[i] = std::cos(0.3 * static_cast<double>(i));
+      }
+      std::vector<double> F_serial, Jx_serial;
+      problem.residual(U, F_serial);
+      problem.apply_jacobian(U, x, Jx_serial);
+
+      for (const int ranks : {1, 2, 4, 7}) {
+        const DistEval d = dist_evaluate(problem, ranks, false, U, x);
+        EXPECT_LE(worst_interior_diff(problem, F_serial, d.F),
+                  1e-10 * (1.0 + max_abs(F_serial)))
+            << "residual, mms " << mms << ", width " << width << ", ranks "
+            << ranks;
+        EXPECT_LE(worst_interior_diff(problem, Jx_serial, d.Jx),
+                  1e-10 * (1.0 + max_abs(Jx_serial)))
+            << "tangent, mms " << mms << ", width " << width << ", ranks "
+            << ranks;
+      }
+    }
+  }
+}
+
+TEST(DistSimd, OneRankRunsTheSerialEngineBitForBit) {
+  // One rank visits the cells in serial order, so with the serial scatter
+  // it must reproduce the serial problem at the same width exactly.  The
+  // baseline variant's staged sums associate differently from the batched
+  // chain, so the width-1 residual differs: the match shows the width
+  // reached the rank.
+  auto make = [](int width) {
+    auto cfg = small_mms();
+    cfg.scatter = physics::ScatterMode::kSerial;
+    cfg.variant = physics::KernelVariant::kBaseline;
+    cfg.simd_width = width;
+    return cfg;
+  };
+  physics::StokesFOProblem problem(make(4));
+  physics::StokesFOProblem scalar(make(1));
+  const std::size_t n = problem.n_dofs();
+  std::vector<double> U = problem.mms_exact();
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    U[i] += 0.01 * std::sin(0.1 * static_cast<double>(i));
+    x[i] = std::cos(0.3 * static_cast<double>(i));
+  }
+  std::vector<double> F, Jx, F_scalar;
+  problem.residual(U, F);
+  problem.apply_jacobian(U, x, Jx);
+  scalar.residual(U, F_scalar);
+  const DistEval d = dist_evaluate(problem, 1, false, U, x);
+  std::size_t width_changed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (problem.dof_map().is_dirichlet_dof(i)) continue;
+    ASSERT_EQ(d.F[i], F[i]) << "residual dof " << i;
+    ASSERT_EQ(d.Jx[i], Jx[i]) << "tangent dof " << i;
+    width_changed += F[i] != F_scalar[i] ? 1 : 0;
+  }
+  EXPECT_GT(width_changed, 0u);
+}
+
+TEST(DistSimd, OverlapIsBitIdenticalWhenInteriorPacksReadBoundaryRows) {
+  auto cfg = small_mms();
+  cfg.simd_width = 4;
+  physics::StokesFOProblem problem(cfg);
+  const std::size_t n = problem.n_dofs();
+  std::vector<double> U = problem.mms_exact();
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    U[i] += 0.01 * std::sin(0.1 * static_cast<double>(i));
+    x[i] = std::cos(0.3 * static_cast<double>(i));
+  }
+  bool crossed = false;
+  for (const int ranks : {2, 7}) {
+    const DistEval blocking = dist_evaluate(problem, ranks, false, U, x);
+    const DistEval overlap = dist_evaluate(problem, ranks, true, U, x);
+    crossed = crossed || overlap.interior_pack_crosses;
+    for (std::size_t d = 0; d < n; ++d) {
+      ASSERT_EQ(blocking.F[d], overlap.F[d]) << "ranks " << ranks << " dof " << d;
+      ASSERT_EQ(blocking.Jx[d], overlap.Jx[d])
+          << "ranks " << ranks << " dof " << d;
+    }
+  }
+  EXPECT_TRUE(crossed) << "no interior segment ends mid-pack: the case this "
+                          "test exists for is not exercised";
+}
+
+// ---------------------------------------------------------------------------
 // Full solve equivalence: the acceptance matrix
 //   N in {1, 2, 4, 7} x {strips, blocks} x {assembled, matrix-free}
 // ---------------------------------------------------------------------------
@@ -602,6 +785,17 @@ TEST(DistSolve, OverlapSolveMatchesToo) {
               linalg::JacobianMode::kAssembled, /*overlap=*/true);
 }
 
+TEST(DistSimd, MatrixFreeSolveMatchesSerialAtNativeWidth) {
+  auto cfg = small_mms(200.0);
+  cfg.simd_width = pk::kSimdNativeWidth;
+  physics::StokesFOProblem problem(cfg);
+  const auto ref = reference_solution(problem);
+  for (const int ranks : {2, 4, 7}) {
+    check_solve(problem, ref, ranks, dist::Decomp::kStrips,
+                linalg::JacobianMode::kMatrixFree);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined-Krylov equivalence: the same acceptance matrix with the fused
 // single-reduction GMRES inside Newton.  The contract is unchanged — the
@@ -671,6 +865,41 @@ TEST(DistSolve, PipelinedOverlapSolveIsBitIdenticalToNonOverlap) {
         << "overlap changed dof " << d << " — scheduling leaked into math";
   }
   expect_match(ref, U_over, "pipelined overlap, 4 strips");
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise Newton-history pin at `--simd off`: the first four steps of the
+// 200 km matrix-free solve on 2 strips (block-Jacobi), each ||F|| as the
+// IEEE bits recorded before the Subdomain ran through the element engine
+// (the serial twin is in test_jfnk).  Any reassociation of the width-1
+// kernels, the staged chain or the scatter order breaks it.
+// ---------------------------------------------------------------------------
+
+TEST(NewtonHistoryPin, TwoRankStripsMatrixFreeAtWidthOne) {
+  physics::StokesFOConfig cfg;
+  cfg.dx_m = 200.0e3;
+  cfg.n_layers = 4;
+  cfg.simd_width = 1;
+  cfg.jacobian = linalg::JacobianMode::kMatrixFree;
+  physics::StokesFOProblem problem(cfg);
+  dist::DistConfig d;
+  d.ranks = 2;
+  d.decomp = dist::Decomp::kStrips;
+  d.jacobian = linalg::JacobianMode::kMatrixFree;
+  d.newton.max_iters = 4;
+  const auto U0 = problem.analytic_initial_guess();
+  const auto res = dist::solve_distributed(problem, d, &U0);
+  const std::vector<double>& history = res.ranks.at(0).newton.history;
+  const std::uint64_t pinned[] = {0x43573e4593e896eaull, 0x4349f692f6ac38e6ull,
+                                  0x43423f647bcd5ca1ull, 0x43387792fd2fad49ull,
+                                  0x43313ab0f587d3c4ull};
+  ASSERT_EQ(history.size(), std::size(pinned));
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &history[i], sizeof bits);
+    EXPECT_EQ(bits, pinned[i]) << "Newton step " << i << ": ||F|| = "
+                               << history[i];
+  }
 }
 
 TEST(DistSolve, NonlinearDomeProblemMatchesSerial) {

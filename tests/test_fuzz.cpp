@@ -29,7 +29,7 @@
 #include "physics/fused_chain_batched.hpp"
 #include "physics/matrix_free_operator.hpp"
 #include "physics/stokes_fo_problem.hpp"
-#include "physics/stokes_jacobian_apply_batched.hpp"
+#include "physics/stokes_jacobian_apply.hpp"
 #include "portability/simd.hpp"
 #include "timestepping/forcing.hpp"
 #include "util/fp_format.hpp"

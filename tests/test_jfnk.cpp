@@ -12,13 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "linalg/block_jacobi.hpp"
 #include "linalg/gmres.hpp"
 #include "linalg/linear_operator.hpp"
 #include "linalg/preconditioner.hpp"
+#include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
 
@@ -333,5 +337,35 @@ TEST(GmresBreakdown, MatrixPathStillAgrees) {
   EXPECT_LE(r.iterations, 3u);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i], 2.0 / (i % 2 == 0 ? 3.0 : 5.0), 1e-12);
+  }
+}
+
+// Bitwise Newton-history pin at `--simd off`: the 200 km matrix-free solve
+// with the operator-probed AMG, each step's ||F|| as the IEEE bits recorded
+// before the width-1 tangent became StokesFOTangentBatched<1> and the
+// assembly moved into the element engine (the 2-rank twin is in test_dist).
+TEST(NewtonHistoryPin, SerialMatrixFreeAtWidthOne) {
+  StokesFOConfig cfg;
+  cfg.dx_m = 200.0e3;
+  cfg.n_layers = 4;
+  cfg.simd_width = 1;
+  cfg.jacobian = linalg::JacobianMode::kMatrixFree;
+  StokesFOProblem problem(cfg);
+  linalg::SemicoarseningAmg M(problem.extrusion_info(), linalg::AmgConfig{});
+  nonlinear::NewtonConfig ncfg;
+  ncfg.max_iters = 8;
+  ncfg.jacobian = linalg::JacobianMode::kMatrixFree;
+  auto U = problem.analytic_initial_guess();
+  const auto r = nonlinear::NewtonSolver(ncfg).solve(problem, M, U);
+  const std::uint64_t pinned[] = {
+      0x43573e4593e896ebull, 0x4349f6948a7ecec3ull, 0x43423f661daa9751ull,
+      0x4338779e62b9133eull, 0x43313ab3d0151304ull, 0x432602847bde3aeaull,
+      0x432502810e6cd679ull, 0x432415da6ab92994ull, 0x430fa2fc7a84acdcull};
+  ASSERT_EQ(r.history.size(), std::size(pinned));
+  for (std::size_t i = 0; i < r.history.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r.history[i], sizeof bits);
+    EXPECT_EQ(bits, pinned[i]) << "Newton step " << i << ": ||F|| = "
+                               << r.history[i];
   }
 }
