@@ -1,9 +1,11 @@
 // SIMD element batching of the fused kernels: scalar FusedStokesChain
 // (streams the precomputed gradBF/wGradBF/wBF arrays, ~496 doubles/cell)
 // vs FusedStokesChainBatched<W> (recomputes geometry in pack registers
-// from nodal data, ~72 doubles/cell), plus the matrix-free tangent
-// StokesFOTangentBatched<W> at W = 1 (the scalar reference the solver runs
-// at `--simd off`) vs the native width.  Reports per-element time
+// from nodal data, ~72 doubles/cell), plus the matrix-free tangent apply
+// StokesFOTangentApply<W> over its StokesFOTangentLinearize<W> cache (built
+// once per arm, outside the timed loop, as the solver builds it once per
+// linearization) at W = 1 (the scalar reference the solver runs at
+// `--simd off`) vs the native width.  Reports per-element time
 // and the achieved bandwidth against the perf:: byte models, and GATES on
 // the fused-residual speedup: the native-width batched kernel must be
 // >= 1.5x the scalar chain (the tentpole claim of the SIMD PR).
@@ -203,8 +205,8 @@ int main(int argc, char** argv) {
                               static_cast<std::size_t>(N), 2);
   pk::View<double, 3> tan_scalar("tan_scalar", ws.n_cells_padded,
                                  static_cast<std::size_t>(N), 2);
-  // Both tangent arms read the same nodal data (the batched one changes the
-  // flop schedule, not the traffic) — one shared byte model.
+  // Both tangent arms read the same cache and nodal data (the batched one
+  // changes the flop schedule, not the traffic) — one shared byte model.
   perf::JacobianApplyModel jm;
   jm.n_cells = C;
   jm.num_nodes = static_cast<std::size_t>(N);
@@ -215,22 +217,35 @@ int main(int argc, char** argv) {
   auto run_tan = [&]<int W>() {
     const std::size_t cnt_pad =
         (C + static_cast<std::size_t>(W) - 1) / W * static_cast<std::size_t>(W);
-    physics::StokesFOTangentBatched<W> tan;
+    physics::StokesFOTangentLinearize<W> lin;
+    lin.cell_nodes = ws.cell_nodes;
+    lin.coords = ws.coords;
+    lin.U = Uview;
+    lin.ref_grad = problem.element_arrays().ref_grad;
+    lin.qp_weight = problem.element_arrays().qp_weights;
+    lin.qp_data = pk::View<double, 1>(
+        "qp_data", cnt_pad * static_cast<std::size_t>(
+                                 Q * physics::kTangentFields));
+    lin.glen_A = cfg.constants.glen_A;
+    lin.glen_n = cfg.constants.glen_n;
+    lin.eps_reg2 = cfg.constants.eps_reg2;
+    lin.numNodes = N;
+    lin.numQPs = Q;
+    lin.prepare();
+    pk::parallel_for("StokesFOTangentLinearize",
+                     pk::SimdRangePolicy<W, pk::Serial>(cnt_pad), lin);
+
+    physics::StokesFOTangentApply<W> tan;
     tan.cell_nodes = ws.cell_nodes;
-    tan.coords = ws.coords;
-    tan.U = Uview;
     tan.X = Xview;
-    tan.ref_grad = problem.element_arrays().ref_grad;
-    tan.qp_weight = problem.element_arrays().qp_weights;
+    tan.ref_grad = lin.ref_grad;
+    tan.qp_data = lin.qp_data;
     tan.Tangent = tan_out;
-    tan.glen_A = cfg.constants.glen_A;
-    tan.glen_n = cfg.constants.glen_n;
-    tan.eps_reg2 = cfg.constants.eps_reg2;
+    tan.coeff = lin.coeff();
     tan.numNodes = N;
     tan.numQPs = Q;
-    tan.prepare();
     const double t = time_best([&] {
-      pk::parallel_for("StokesFOTangentBatched",
+      pk::parallel_for("StokesFOTangentApply",
                        pk::SimdRangePolicy<W, pk::Serial>(cnt_pad), tan);
     });
     if constexpr (W == 1) {

@@ -108,6 +108,7 @@ void DistStokesOperator::linearize(const std::vector<double>& U) {
       }
     }
   } else {
+    sub_->linearize_tangent(U_, lin_);
     blocks_ = sub_->partial_node_blocks(U_);
   }
 
@@ -150,6 +151,7 @@ void DistStokesOperator::linearize(const std::vector<double>& U) {
     }
   }
 
+  revision_ = prob.revision();
   linearized_ = true;
 }
 
@@ -159,6 +161,10 @@ void DistStokesOperator::apply(const std::vector<double>& x,
   MALI_CHECK(&x != &y);
   const std::size_t n = sub_->problem().n_dofs();
   MALI_CHECK(x.size() == n);
+  if (sub_->problem().revision() != revision_) {
+    throw physics::StaleLinearizationError(
+        "DistStokesOperator: the problem changed since linearize()");
+  }
 
   x_ = x;
   halo_dof_->import_ghosts(x_);
@@ -180,7 +186,7 @@ void DistStokesOperator::apply(const std::vector<double>& x,
       y[row] = acc;
     }
   } else {
-    sub_->apply_tangent(U_, x_, y);
+    sub_->apply_tangent(lin_, x_, y);
   }
 
   halo_dof_->export_add(y);

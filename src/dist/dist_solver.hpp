@@ -29,6 +29,7 @@
 // (identical assembly order, only the exchange interleaving changes).
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,7 +120,8 @@ struct RankContext {
 ///    scattered) applied with a hand-rolled serial row loop over the local
 ///    rows (CrsMatrix::apply is pool-parallel and must not run inside a
 ///    rank thread);
-///  - kMatrixFree: the fused per-element SFad<1> tangent apply.
+///  - kMatrixFree: the per-element tangent apply over the rank's
+///    quadrature-point cache, built once at linearize().
 /// linearize() also completes the per-node 2x2 diagonal blocks across ranks
 /// (export_add + import on the stride-4 plan) and refreshes the shared
 /// Dirichlet scale, so Jacobi/block-Jacobi preconditioners work unchanged
@@ -131,7 +133,7 @@ class DistStokesOperator final : public linalg::LinearOperator {
                      linalg::JacobianMode mode, RankContext& ctx);
 
   /// Collective: imports ghosts of U, assembles the partial Jacobian (or
-  /// caches U for the tangent apply), completes the block diagonal, and
+  /// builds the rank's tangent cache), completes the block diagonal, and
   /// refreshes ctx.dirichlet_scale via an allreduce.
   void linearize(const std::vector<double>& U);
 
@@ -139,7 +141,9 @@ class DistStokesOperator final : public linalg::LinearOperator {
   [[nodiscard]] std::size_t cols() const override;
 
   /// Collective: every rank must call apply the same number of times (the
-  /// injected inner product guarantees GMRES does exactly that).
+  /// injected inner product guarantees GMRES does exactly that).  Throws
+  /// physics::StaleLinearizationError if the problem's revision moved
+  /// since linearize().
   void apply(const std::vector<double>& x,
              std::vector<double>& y) const override;
 
@@ -165,6 +169,9 @@ class DistStokesOperator final : public linalg::LinearOperator {
   std::vector<double> U_;       ///< linearization state, ghosts imported
   std::vector<double> blocks_;  ///< completed per-node 2x2 blocks (2*n)
   std::unique_ptr<linalg::CrsMatrix> J_;  ///< partial, assembled mode only
+  /// Tangent cache per segment, matrix-free mode only.
+  std::vector<physics::TangentLinearization> lin_;
+  std::uint64_t revision_ = 0;  ///< problem revision at linearize()
   mutable std::vector<double> x_;         ///< apply scratch (ghost import)
   bool linearized_ = false;
 };

@@ -152,17 +152,29 @@ void Subdomain::assemble_jacobian_segment(int seg, const std::vector<double>& x,
   kernel_s_ += timer.seconds();
 }
 
-void Subdomain::apply_tangent(const std::vector<double>& U,
-                              const std::vector<double>& x,
-                              std::vector<double>& y) {
+void Subdomain::linearize_tangent(
+    const std::vector<double>& U,
+    std::vector<physics::TangentLinearization>& lin) {
   MALI_CHECK(U.size() == problem_->n_dofs());
+  pk::Timer timer;
+  const auto Uview = physics::to_view(U);
+  lin.resize(2);
+  for (std::size_t seg = 0; seg < 2; ++seg) {
+    engine_.linearize_tangent<pk::Serial>(segments_[seg], Uview, lin[seg]);
+  }
+  kernel_s_ += timer.seconds();
+}
+
+void Subdomain::apply_tangent(
+    const std::vector<physics::TangentLinearization>& lin,
+    const std::vector<double>& x, std::vector<double>& y) {
+  MALI_CHECK(lin.size() == 2);
   MALI_CHECK(x.size() == problem_->n_dofs());
   MALI_CHECK(y.size() == problem_->n_dofs());
   pk::Timer timer;
-  const auto Uview = physics::to_view(U);
   const auto Xview = physics::to_view(x);
-  for (const physics::CellBlock& seg : segments_) {
-    engine_.apply_tangent<pk::Serial>(seg, Uview, Xview, y);
+  for (std::size_t seg = 0; seg < 2; ++seg) {
+    engine_.apply_tangent<pk::Serial>(segments_[seg], lin[seg], Xview, y);
   }
   kernel_s_ += timer.seconds();
 }

@@ -103,11 +103,17 @@ class Subdomain {
   void assemble_jacobian_segment(int seg, const std::vector<double>& x,
                                  std::vector<double>& F, linalg::CrsMatrix& J);
 
+  /// Builds the tangent cache of this rank's cells at state U, one
+  /// TangentLinearization per segment (existing slabs of the right size
+  /// are reused).  U must have valid ghost entries.
+  void linearize_tangent(const std::vector<double>& U,
+                         std::vector<physics::TangentLinearization>& lin);
+
   /// Accumulates this rank's cells' tangent contribution y += J_local(U) x
-  /// (both segments, interior first) via the fused per-element tangent
-  /// kernel.  U and x must have valid ghost entries; y must be global
-  /// extent and pre-zeroed by the caller.
-  void apply_tangent(const std::vector<double>& U,
+  /// (both segments, interior first) from the cache linearize_tangent(U,
+  /// lin) built.  x must have valid ghost entries; y must be global extent
+  /// and pre-zeroed by the caller.
+  void apply_tangent(const std::vector<physics::TangentLinearization>& lin,
                      const std::vector<double>& x, std::vector<double>& y);
 
   /// Partial per-node 2x2 diagonal blocks of J(U) from this rank's cells

@@ -95,13 +95,14 @@ struct ArrayAccessSpec {
 // In the assembled path the steady-state GMRES traffic is the CRS matrix
 // stream — nnz values + nnz column indices + the row pointer — plus the in
 // and out vectors, *every* iteration.  The matrix-free apply replaces that
-// with per-cell reads of connectivity, nodal coordinates, the solution
-// state, and the direction, recomputing the cell geometry in registers
-// (fem/cell_geometry.cpp math, no wGradBF/wBF stream) and scattering the
-// per-cell tangent back.  Because the CRS stream is ~nnz/row * 16 bytes per
-// row while the matrix-free reads are O(nodal data) per cell, the modeled
-// bytes/GMRES-iteration drop strictly below the assembled path — the lever
-// on the paper's e_DM this PR pulls.
+// with per-cell reads of connectivity, the direction, and the quadrature-
+// point tangent cache built once per linearization (17 doubles per qp:
+// the map inverse, qp_weight·det, five velocity-gradient terms, μ and the
+// Glen's-law derivative factor; 18 with a per-qp A(T)), scattering the
+// per-cell tangent back.  The cache costs ~1.1 KB per cell against the
+// CRS stream's ~54 nnz/row * 16 bytes per row, so the modeled
+// bytes/GMRES-iteration stay (narrowly) below the assembled path while the
+// apply no longer inverts the map or calls pow per quadrature point.
 // ---------------------------------------------------------------------------
 
 /// Byte model for one operator apply y = J x on the FO Stokes mesh.
@@ -113,6 +114,8 @@ struct JacobianApplyModel {
   std::size_t num_nodes = 8;     ///< nodes per cell
   std::size_t n_basal_faces = 0; ///< layer-0 faces (0 in MMS mode)
   std::size_t face_qps = 4;      ///< face quadrature points
+  std::size_t num_qps = 8;       ///< quadrature points per cell
+  bool thermal = false;          ///< per-qp A(T) field (one more cached double)
   static constexpr std::size_t kIdx = sizeof(std::size_t);
   static constexpr std::size_t kVal = sizeof(double);
 
@@ -124,40 +127,63 @@ struct JacobianApplyModel {
 
   /// Theoretical minimum for the assembled SpMV — identical to the stream:
   /// every stored entry must be read at least once, so the CRS stream is
-  /// irreducible.  (The matrix-free apply escapes this bound by changing
-  /// the algorithm, not by caching.)
+  /// irreducible.
   [[nodiscard]] std::size_t assembled_min_bytes() const {
     return assembled_stream_bytes();
   }
 
-  /// Streamed bytes of the matrix-free tangent apply, per the kernel's
-  /// actual array traffic: connectivity + nodal coords + U + x gathers,
-  /// the per-cell Tangent write + scatter read, the y read-modify-write in
-  /// the scatter, and the basal-face arrays.  No wGradBF/wBF/gradBF and no
-  /// matrix stream — geometry is recomputed in registers.
+  /// Doubles per quadrature point in the tangent cache.
+  [[nodiscard]] std::size_t cache_fields() const { return thermal ? 18 : 17; }
+
+  /// Bytes of one cell's tangent cache.
+  [[nodiscard]] std::size_t cache_bytes_per_cell() const {
+    return num_qps * cache_fields() * kVal;
+  }
+
+  /// Streamed bytes of the matrix-free tangent apply, per the kernels'
+  /// actual array traffic: connectivity + x gathers, the tangent-cache
+  /// read, the per-cell Tangent write + scatter read, the y
+  /// read-modify-write in the scatter, and the basal-face arrays with the
+  /// friction tangent's U gather (the viscous kernel no longer reads U or
+  /// the nodal coordinates).  No wGradBF/wBF/gradBF and no matrix stream.
   [[nodiscard]] std::size_t matrix_free_stream_bytes() const {
     const std::size_t per_cell =
         num_nodes * kIdx +            // cell_nodes
-        num_nodes * 3 * kVal +        // coords
-        num_nodes * 2 * kVal +        // U gather
         num_nodes * 2 * kVal +        // x gather
+        cache_bytes_per_cell() +      // tangent cache
         2 * num_nodes * 2 * kVal +    // Tangent write + scatter read
         2 * num_nodes * 2 * kVal;     // y read-modify-write in the scatter
     const std::size_t per_face =
         kIdx +                        // face -> cell
         kVal +                        // beta
         4 * face_qps * kVal +         // face wBF
+        4 * 2 * kVal +                // U gather (4 bed nodes)
         2 * 4 * 2 * kVal;             // Tangent read-modify-write (4 nodes)
     return n_cells * per_cell + n_basal_faces * per_face;
   }
 
   /// Theoretical minimum for the matrix-free apply: each unique input read
-  /// once (U, x, nodal coords, connectivity), y written once.
+  /// once (x, U at the bed — about one node per basal face — the tangent
+  /// cache, connectivity), y written once.
   [[nodiscard]] std::size_t matrix_free_min_bytes() const {
-    return 2 * n_rows * kVal +          // U + x, unique
-           n_nodes * 3 * kVal +         // unique nodal coordinates
-           n_cells * num_nodes * kIdx + // connectivity (irreducible)
-           n_rows * kVal;               // y written once
+    return n_rows * kVal +                // x, unique
+           n_basal_faces * 2 * kVal +     // U at the bed nodes
+           n_cells * cache_bytes_per_cell() +
+           n_cells * num_nodes * kIdx +   // connectivity (irreducible)
+           n_rows * kVal;                 // y written once
+  }
+
+  /// Bytes of one linearization's tangent-cache build: connectivity, the U
+  /// and nodal-coordinate gathers, the A(T) field when thermal, and the
+  /// cache write.  Paid once per Newton step, not per GMRES iteration.
+  [[nodiscard]] std::size_t matrix_free_linearize_bytes() const {
+    const std::size_t per_cell =
+        num_nodes * kIdx +                 // cell_nodes
+        num_nodes * 2 * kVal +             // U gather
+        num_nodes * 3 * kVal +             // coords
+        (thermal ? num_qps * kVal : 0) +   // flow factor
+        cache_bytes_per_cell();            // cache write
+    return n_cells * per_cell;
   }
 };
 

@@ -246,8 +246,41 @@ void ElementEngine::assemble(const CellBlock& b, const pk::View<double, 1>& U,
 }
 
 template <class Exec>
+void ElementEngine::linearize_tangent(const CellBlock& b,
+                                      const pk::View<double, 1>& U,
+                                      TangentLinearization& lin) {
+  const ElementArrays& a = *arrays_;
+  const std::size_t cnt = b.count;
+  lin.width = simd_width();
+  lin.fields = a.flow_factor.allocated() ? kTangentFieldsThermal
+                                         : kTangentFields;
+  lin.U = U;
+  dispatch_simd_width(lin.width, [&]<int W>() {
+    const std::size_t cnt_pad = pack_count<W>(cnt);
+    const std::size_t size = cnt_pad * static_cast<std::size_t>(
+                                           a.num_qps * lin.fields);
+    if (!lin.qp_data.allocated() || lin.qp_data.size() != size) {
+      lin.qp_data = pk::View<double, 1>("tangent_qp_data", size);
+    }
+    StokesFOTangentLinearize<W> k;
+    k.cell_nodes = a.cell_nodes.window(b.offset, cnt_pad);
+    k.coords = a.coords.window(b.offset, cnt_pad);
+    k.flow_factor = flow_factor_window(a.flow_factor, b.offset, cnt_pad);
+    k.U = U;
+    k.ref_grad = a.ref_grad;
+    k.qp_weight = a.qp_weights;
+    k.qp_data = lin.qp_data;
+    set_flow_law(k, *cfg_, a);
+    lin.coeff = k.coeff();
+    lin.constant_mu = k.constant_mu > 0.0;
+    pk::parallel_for("tangent_linearize",
+                     pk::SimdRangePolicy<W, Exec>(cnt_pad), k);
+  });
+}
+
+template <class Exec>
 void ElementEngine::apply_tangent(const CellBlock& b,
-                                  const pk::View<double, 1>& U,
+                                  const TangentLinearization& lin,
                                   const pk::View<double, 1>& X,
                                   std::vector<double>& y) {
   if (b.count == 0) return;
@@ -259,20 +292,25 @@ void ElementEngine::apply_tangent(const CellBlock& b,
                                    a.num_nodes, 2);
   }
 
-  // Fused tangent: gather + in-register geometry + Ugrad + viscosity +
-  // stress, accumulating only the directional derivative, W cells per pack.
-  dispatch_simd_width(simd_width(), [&]<int W>() {
+  // Dot-only tangent: gather x + g = inv ref_grad + the derivative half of
+  // the stress, W cells per pack, over the cached quadrature-point data.
+  dispatch_simd_width(lin.width, [&]<int W>() {
     const std::size_t cnt_pad = pack_count<W>(cnt);
-    StokesFOTangentBatched<W> tangent;
+    MALI_CHECK_MSG(lin.qp_data.size() ==
+                       cnt_pad * static_cast<std::size_t>(a.num_qps *
+                                                          lin.fields),
+                   "tangent linearization does not match the block");
+    StokesFOTangentApply<W> tangent;
     tangent.cell_nodes = a.cell_nodes.window(b.offset, cnt_pad);
-    tangent.coords = a.coords.window(b.offset, cnt_pad);
-    tangent.flow_factor = flow_factor_window(a.flow_factor, b.offset, cnt_pad);
-    tangent.U = U;
     tangent.X = X;
     tangent.ref_grad = a.ref_grad;
-    tangent.qp_weight = a.qp_weights;
+    tangent.qp_data = lin.qp_data;
     tangent.Tangent = tangent_;
-    set_flow_law(tangent, cfg, a);
+    tangent.thermal = lin.fields == kTangentFieldsThermal;
+    tangent.constant_mu = lin.constant_mu;
+    tangent.coeff = lin.coeff;
+    tangent.numNodes = a.num_nodes;
+    tangent.numQPs = a.num_qps;
     pk::parallel_for("jacobian_tangent", pk::SimdRangePolicy<W, Exec>(cnt_pad),
                      tangent);
   });
@@ -281,7 +319,7 @@ void ElementEngine::apply_tangent(const CellBlock& b,
   if (!cfg.mms.enabled) {
     BasalFrictionTangent friction{
         b.face_cell_local, b.face_wBF, b.face_beta,
-        a.face_BF,         cell_nodes, U,
+        a.face_BF,         cell_nodes, lin.U,
         X,                 tangent_,   static_cast<unsigned>(a.face_qps),
         cfg.sliding};
     pk::parallel_for("basal_friction_tangent",
@@ -340,11 +378,16 @@ template void ElementEngine::assemble<JacobianEval, pk::Threads>(
     const CellBlock&, const pk::View<double, 1>&, std::vector<double>&,
     linalg::CrsMatrix*);
 
+template void ElementEngine::linearize_tangent<pk::Serial>(
+    const CellBlock&, const pk::View<double, 1>&, TangentLinearization&);
+template void ElementEngine::linearize_tangent<pk::Threads>(
+    const CellBlock&, const pk::View<double, 1>&, TangentLinearization&);
+
 template void ElementEngine::apply_tangent<pk::Serial>(
-    const CellBlock&, const pk::View<double, 1>&, const pk::View<double, 1>&,
+    const CellBlock&, const TangentLinearization&, const pk::View<double, 1>&,
     std::vector<double>&);
 template void ElementEngine::apply_tangent<pk::Threads>(
-    const CellBlock&, const pk::View<double, 1>&, const pk::View<double, 1>&,
+    const CellBlock&, const TangentLinearization&, const pk::View<double, 1>&,
     std::vector<double>&);
 
 template void ElementEngine::accumulate_node_blocks<pk::Serial>(

@@ -10,8 +10,10 @@
 //             StokesFOResid<variant> chain (width 1, the bitwise reference)
 //             -> basal friction -> scatter
 //   Jacobian  the staged chain on SFad<16> (always scalar) -> scatter
-//   tangent   StokesFOTangentBatched<W> (W = 1 included) -> basal friction
-//             tangent -> scatter
+//   tangent   linearize: StokesFOTangentLinearize<W> (W = 1 included)
+//             fills the block's quadrature-point cache, once per state U;
+//             apply: StokesFOTangentApply<W> over that cache -> basal
+//             friction tangent -> scatter
 //
 // so `simd_width` means the same thing on every path.  Batched kernels run
 // over the block rounded up to whole packs; per-cell arrays have
@@ -104,6 +106,21 @@ struct FieldSet {
   void allocate(std::size_t C, int N, int Q);
 };
 
+/// One CellBlock's tangent linearization: the pack-contiguous
+/// quadrature-point cache the dot-only apply reads (one slab per W-cell
+/// pack, laid out (qp, field, lane); see physics/stokes_jacobian_apply.hpp)
+/// and the state the basal friction tangent still reads.  It is only valid
+/// with the engine and block that built it.
+struct TangentLinearization {
+  int width = 0;   ///< pack width W the slabs are laid out for
+  int fields = 0;  ///< doubles per qp and lane: 17, or 18 with A(T)
+  /// Constant viscosity (manufactured-solution runs): mu' = 0.
+  bool constant_mu = false;
+  double coeff = 0.0;           ///< 0.5 A^(-1/n) of a uniform flow factor
+  pk::View<double, 1> qp_data;  ///< packs x Q x fields x W
+  pk::View<double, 1> U;        ///< linearization state (global)
+};
+
 /// Copies a global vector into a view the kernels can read.
 [[nodiscard]] pk::View<double, 1> to_view(const std::vector<double>& v);
 
@@ -141,9 +158,16 @@ class ElementEngine {
   void assemble(const CellBlock& b, const pk::View<double, 1>& U,
                 std::vector<double>& F, linalg::CrsMatrix* J);
 
-  /// y += J_b(U) X: the block's element tangents, scattered.
+  /// Fills lin with the block's tangent cache at state U (the slabs are
+  /// reused when lin already has the right size).
   template <class Exec>
-  void apply_tangent(const CellBlock& b, const pk::View<double, 1>& U,
+  void linearize_tangent(const CellBlock& b, const pk::View<double, 1>& U,
+                         TangentLinearization& lin);
+
+  /// y += J_b(U) X: the block's element tangents from the cache that
+  /// linearize_tangent(b, U, lin) built, scattered.
+  template <class Exec>
+  void apply_tangent(const CellBlock& b, const TangentLinearization& lin,
                      const pk::View<double, 1>& X, std::vector<double>& y);
 
   /// blocks += the per-node 2x2 diagonal blocks of the block's SFad element

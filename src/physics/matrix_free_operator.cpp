@@ -11,7 +11,9 @@ MatrixFreeStokesOperator::MatrixFreeStokesOperator(StokesFOProblem& problem)
 void MatrixFreeStokesOperator::linearize(const std::vector<double>& U) {
   MALI_CHECK(U.size() == problem_->n_dofs());
   U_ = U;
+  // The block diagonal refreshes the Dirichlet row scale the cache records.
   blocks_ = problem_->jacobian_block_diagonal(U_);
+  problem_->linearize_tangent(U_, lin_);
   linearized_ = true;
 }
 
@@ -28,7 +30,7 @@ void MatrixFreeStokesOperator::apply(const std::vector<double>& x,
   MALI_CHECK_MSG(linearized_, "MatrixFreeStokesOperator: call linearize()");
   MALI_CHECK_MSG(&x != &y, "MatrixFreeStokesOperator::apply: aliased in/out");
   MALI_CHECK(x.size() == cols());
-  problem_->apply_jacobian(U_, x, y);
+  problem_->apply_tangent(lin_, x, y);
 }
 
 bool MatrixFreeStokesOperator::diagonal(std::vector<double>& d) const {

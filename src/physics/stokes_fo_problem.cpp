@@ -172,6 +172,7 @@ void StokesFOProblem::set_basal_friction_scale(double scale) {
   MALI_CHECK_MSG(std::isfinite(scale) && scale > 0.0,
                  "basal friction scale must be positive and finite");
   basal_friction_scale_ = scale;
+  ++revision_;
   // Rewrite the workset source field (the dist subdomains stage from ws_)
   // from the pristine copy, then restage every block's faces from it.
   for (std::size_t f = 0; f < beta0_global_.size(); ++f) {
@@ -278,25 +279,59 @@ void StokesFOProblem::residual_and_jacobian(const std::vector<double>& U,
 }
 
 template <class Exec>
-void StokesFOProblem::apply_jacobian(const std::vector<double>& U,
-                                     const std::vector<double>& x,
-                                     std::vector<double>& y) {
+void StokesFOProblem::linearize_tangent(const std::vector<double>& U,
+                                        TangentCache& lin) {
   MALI_CHECK(U.size() == n_dofs());
-  MALI_CHECK(x.size() == n_dofs());
-  MALI_CHECK_MSG(&x != &y, "apply_jacobian: aliased in/out");
   const auto Uview = to_view(U);
+  lin.blocks.resize(blocks_.size());
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    engine_.linearize_tangent<Exec>(blocks_[i], Uview, lin.blocks[i]);
+  }
+  lin.revision = revision_;
+  lin.dirichlet_scale = dirichlet_scale_;
+}
+
+template <class Exec>
+void StokesFOProblem::apply_tangent(const TangentCache& lin,
+                                    const std::vector<double>& x,
+                                    std::vector<double>& y) {
+  if (lin.revision != revision_) {
+    throw StaleLinearizationError(
+        "tangent linearization is stale: the problem changed since it was "
+        "built");
+  }
+  MALI_CHECK(lin.blocks.size() == blocks_.size());
+  MALI_CHECK(x.size() == n_dofs());
+  MALI_CHECK_MSG(&x != &y, "apply_tangent: aliased in/out");
   const auto Xview = to_view(x);
   y.assign(n_dofs(), 0.0);
-  for (const CellBlock& b : blocks_) {
-    engine_.apply_tangent<Exec>(b, Uview, Xview, y);
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    engine_.apply_tangent<Exec>(blocks_[i], lin.blocks[i], Xview, y);
   }
 
   // Dirichlet rows act exactly like the assembled scaled identity rows.
   for (std::size_t d : dof_map_->dirichlet_dofs()) {
-    y[d] = dirichlet_scale_ * x[d];
+    y[d] = lin.dirichlet_scale * x[d];
   }
 }
 
+template <class Exec>
+void StokesFOProblem::apply_jacobian(const std::vector<double>& U,
+                                     const std::vector<double>& x,
+                                     std::vector<double>& y) {
+  TangentCache lin;
+  linearize_tangent<Exec>(U, lin);
+  apply_tangent<Exec>(lin, x, y);
+}
+
+template void StokesFOProblem::linearize_tangent<pk::Serial>(
+    const std::vector<double>&, TangentCache&);
+template void StokesFOProblem::linearize_tangent<pk::Threads>(
+    const std::vector<double>&, TangentCache&);
+template void StokesFOProblem::apply_tangent<pk::Serial>(
+    const TangentCache&, const std::vector<double>&, std::vector<double>&);
+template void StokesFOProblem::apply_tangent<pk::Threads>(
+    const TangentCache&, const std::vector<double>&, std::vector<double>&);
 template void StokesFOProblem::apply_jacobian<pk::Serial>(
     const std::vector<double>&, const std::vector<double>&,
     std::vector<double>&);
@@ -356,6 +391,7 @@ void StokesFOProblem::set_temperature_field(
   const std::size_t C = ws_.n_cells;
   const int N = ws_.num_nodes;
   const int Q = ws_.num_qps;
+  ++revision_;
   auto& flow_factor = elems_.flow_factor;
   if (!flow_factor.allocated()) {
     flow_factor = pk::View<double, 2>("flow_factor", ws_.n_cells_padded, Q);

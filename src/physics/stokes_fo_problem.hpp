@@ -7,6 +7,7 @@
 // MiniMALI analog of Albany's LandIce problem.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,6 +42,21 @@ enum class KernelVariant {
 };
 
 [[nodiscard]] const char* to_string(KernelVariant v);
+
+/// A cached tangent linearization applied after the problem changed under
+/// it (StokesFOProblem::revision() moved since it was built).
+class StaleLinearizationError : public Error {
+ public:
+  using Error::Error;
+};
+
+/// The problem's tangent linearization: one cache per workset block, and
+/// the problem revision and Dirichlet row scale it was built at.
+struct TangentCache {
+  std::vector<TangentLinearization> blocks;
+  std::uint64_t revision = 0;
+  double dirichlet_scale = 1.0;
+};
 
 struct StokesFOConfig {
   mesh::IceGeometryConfig geometry{};
@@ -104,11 +120,23 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
 
   // ---- matrix-free Jacobian ----
 
-  /// y = J(U) x via the fused per-element tangent kernel at the configured
-  /// SIMD width — no global matrix is formed.  Exec selects the pk
-  /// execution space for the tangent and the scatter.  Dirichlet rows act as
-  /// y[d] = dirichlet_scale() * x[d], matching the assembled scaled
-  /// identity rows.  x and y must be distinct.
+  /// Builds the tangent cache of every workset block at state U and
+  /// records the current revision() and dirichlet_scale() in it (existing
+  /// slabs of the right size are reused).
+  template <class Exec = pk::DefaultExec>
+  void linearize_tangent(const std::vector<double>& U, TangentCache& lin);
+
+  /// y = J(U) x from the cache linearize_tangent(U, lin) built, at the
+  /// configured SIMD width — no global matrix is formed.  Exec selects the
+  /// pk execution space for the tangent and the scatter.  Dirichlet rows act
+  /// as y[d] = lin.dirichlet_scale * x[d], matching the assembled scaled
+  /// identity rows.  x and y must be distinct.  Throws
+  /// StaleLinearizationError if revision() moved since the cache was built.
+  template <class Exec = pk::DefaultExec>
+  void apply_tangent(const TangentCache& lin, const std::vector<double>& x,
+                     std::vector<double>& y);
+
+  /// y = J(U) x: linearize_tangent at U, then apply_tangent.
   template <class Exec = pk::DefaultExec>
   void apply_jacobian(const std::vector<double>& U,
                       const std::vector<double>& x, std::vector<double>& y);
@@ -191,6 +219,7 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// parameter Albany's homotopy uses to tame the Glen's-law nonlinearity.
   void set_regularization(double eps_reg2) noexcept {
     cfg_.constants.eps_reg2 = eps_reg2;
+    ++revision_;
   }
 
   /// Replaces the physical-constants block (Glen A, exponent n, eps_reg2,
@@ -199,6 +228,7 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// untouched, which is what makes setup sharing across members valid.
   void set_constants(const PhysicalConstants& c) noexcept {
     cfg_.constants = c;
+    ++revision_;
   }
 
   /// Scales basal friction uniformly: beta(x) = scale * beta0(x), where
@@ -215,6 +245,12 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// to couple into the viscosity (see examples/thermal_coupling).
   void set_temperature_field(
       const std::function<double(double, double, double)>& temperature);
+
+  /// Counts the changes to what the Jacobian depends on besides the state:
+  /// set_constants, set_regularization, set_basal_friction_scale and
+  /// set_temperature_field each bump it.  A tangent linearization records
+  /// the revision it was built at and refuses to apply at another.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   /// Physically-motivated initial guess (shallow-ice-like surface speeds),
   /// used to stage realistic kernel inputs without a full solve.
@@ -268,6 +304,7 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// currently applied uniform scale (set_basal_friction_scale).
   std::vector<double> beta0_global_;
   double basal_friction_scale_ = 1.0;
+  std::uint64_t revision_ = 0;  ///< see revision()
   /// Per-phase assembly wall-clock (evaluate / kernel / scatter).
   pk::TimerRegistry phase_timers_;
   ElementEngine engine_{elems_, cfg_, phase_timers_};

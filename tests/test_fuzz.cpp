@@ -868,20 +868,40 @@ pk::View<double, 3> run_tangent(const ChainData& d, const pk::View<double, 1>& u
                                 const pk::View<double, 1>& x,
                                 const pk::View<std::size_t, 2>& cell_nodes) {
   pk::View<double, 3> out("fuzz_tan", fem::padded_cells(d.n_cells), kNodes, 2);
-  physics::StokesFOTangentBatched<W> tan;
+  const int fields = d.flow_factor.allocated()
+                         ? physics::kTangentFieldsThermal
+                         : physics::kTangentFields;
+  const std::size_t packs = (d.n_cells + W - 1) / W;
+  const pk::View<double, 1> qp_data(
+      "fuzz_qp_data", packs * W * kQPs * static_cast<std::size_t>(fields));
+
+  physics::StokesFOTangentLinearize<W> lin;
+  lin.cell_nodes = cell_nodes;
+  lin.coords = d.coords;
+  lin.flow_factor = d.flow_factor;
+  lin.U = u;
+  lin.ref_grad = d.ref_grad;
+  lin.qp_weight = d.qp_weight;
+  lin.qp_data = qp_data;
+  lin.glen_A = d.glen_A;
+  lin.glen_n = d.glen_n;
+  lin.numNodes = static_cast<int>(kNodes);
+  lin.numQPs = static_cast<int>(kQPs);
+  lin.prepare();
+
+  physics::StokesFOTangentApply<W> tan;
   tan.cell_nodes = cell_nodes;
-  tan.coords = d.coords;
-  tan.flow_factor = d.flow_factor;
-  tan.U = u;
   tan.X = x;
   tan.ref_grad = d.ref_grad;
-  tan.qp_weight = d.qp_weight;
+  tan.qp_data = qp_data;
   tan.Tangent = out;
-  tan.glen_A = d.glen_A;
-  tan.glen_n = d.glen_n;
+  tan.thermal = d.flow_factor.allocated();
+  tan.coeff = lin.coeff();
   tan.numNodes = static_cast<int>(kNodes);
   tan.numQPs = static_cast<int>(kQPs);
-  tan.prepare();
+  // Exact-n dispatch, as for the chain: ragged tails on both kernels.
+  pk::parallel_for("fuzz_linearize",
+                   pk::SimdRangePolicy<W, pk::Serial>(d.n_cells), lin);
   pk::parallel_for("fuzz_tangent",
                    pk::SimdRangePolicy<W, pk::Serial>(d.n_cells), tan);
   return out;

@@ -658,18 +658,43 @@ TEST(KMaxNodesGuard, FusedStokesChainThrowsTypedError) {
   EXPECT_THROW(chain(0), mali::Error);
 }
 
-TEST(KMaxNodesGuard, WidthOneTangentThrowsTypedError) {
-  physics::StokesFOTangentBatched<1> tan;
-  tan.cell_nodes = pk::View<std::size_t, 2>("cn", 4, kBigN);
-  tan.coords = pk::View<double, 3>("x", 4, kBigN, 3);
-  tan.U = pk::View<double, 1>("U", 2 * 4 * kBigN);
-  tan.X = pk::View<double, 1>("X", 2 * 4 * kBigN);
-  tan.ref_grad = pk::View<double, 3>("rg", 8, kBigN, 3);
-  tan.qp_weight = pk::View<double, 1>("qw", 8);
-  tan.Tangent = pk::View<double, 3>("T", 4, kBigN, 2);
+namespace {
+
+/// Both tangent kernels at width W on a 10-node element: the linearize
+/// kernel and the dot-only apply must each trip the kMaxNodes guard.
+template <int W>
+void expect_tangent_kernels_throw() {
+  constexpr std::size_t C = 2 * W;
+  pk::View<std::size_t, 2> cell_nodes("cn", C, kBigN);
+  const pk::View<double, 3> ref_grad("rg", 8, kBigN, 3);
+  const pk::View<double, 1> qp_data("qd", C * 8 * physics::kTangentFields);
+
+  physics::StokesFOTangentLinearize<W> lin;
+  lin.cell_nodes = cell_nodes;
+  lin.coords = pk::View<double, 3>("x", C, kBigN, 3);
+  lin.U = pk::View<double, 1>("U", 2 * C * kBigN);
+  lin.ref_grad = ref_grad;
+  lin.qp_weight = pk::View<double, 1>("qw", 8);
+  lin.qp_data = qp_data;
+  lin.numNodes = static_cast<int>(kBigN);
+  lin.numQPs = 8;
+  EXPECT_THROW(lin(pk::SimdBatch{0, W, W}), mali::Error);
+
+  physics::StokesFOTangentApply<W> tan;
+  tan.cell_nodes = cell_nodes;
+  tan.X = pk::View<double, 1>("X", 2 * C * kBigN);
+  tan.ref_grad = ref_grad;
+  tan.qp_data = qp_data;
+  tan.Tangent = pk::View<double, 3>("T", C, kBigN, 2);
   tan.numNodes = static_cast<int>(kBigN);
   tan.numQPs = 8;
-  EXPECT_THROW(tan(pk::SimdBatch{0, 1, 1}), mali::Error);
+  EXPECT_THROW(tan(pk::SimdBatch{0, W, W}), mali::Error);
+}
+
+}  // namespace
+
+TEST(KMaxNodesGuard, WidthOneTangentThrowsTypedError) {
+  expect_tangent_kernels_throw<1>();
 }
 
 TEST(KMaxNodesGuard, BatchedChainThrowsTypedError) {
@@ -687,17 +712,7 @@ TEST(KMaxNodesGuard, BatchedChainThrowsTypedError) {
 }
 
 TEST(KMaxNodesGuard, BatchedTangentThrowsTypedError) {
-  physics::StokesFOTangentBatched<4> tan;
-  tan.cell_nodes = pk::View<std::size_t, 2>("cn", 8, kBigN);
-  tan.coords = pk::View<double, 3>("x", 8, kBigN, 3);
-  tan.U = pk::View<double, 1>("U", 2 * 8 * kBigN);
-  tan.X = pk::View<double, 1>("X", 2 * 8 * kBigN);
-  tan.ref_grad = pk::View<double, 3>("rg", 8, kBigN, 3);
-  tan.qp_weight = pk::View<double, 1>("qw", 8);
-  tan.Tangent = pk::View<double, 3>("T", 8, kBigN, 2);
-  tan.numNodes = static_cast<int>(kBigN);
-  tan.numQPs = 8;
-  EXPECT_THROW(tan(pk::SimdBatch{0, 4, 4}), mali::Error);
+  expect_tangent_kernels_throw<4>();
 }
 
 TEST(KMaxNodesGuard, GuardPropagatesThroughThreadedDispatch) {

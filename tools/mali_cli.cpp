@@ -152,6 +152,8 @@ perf::JacobianApplyModel jacobian_apply_model(
   m.n_cells = problem.mesh().n_cells();
   m.n_nodes = problem.mesh().n_nodes();
   m.num_nodes = problem.workset().num_nodes;
+  m.num_qps = problem.workset().num_qps;
+  m.thermal = problem.element_arrays().flow_factor.allocated();
   m.n_basal_faces =
       problem.config().mms.enabled ? 0 : problem.mesh().base().n_cells();
   return m;
