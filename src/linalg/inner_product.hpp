@@ -1,7 +1,7 @@
 #pragma once
 // Inner-product abstraction for the Krylov solvers.
 //
-// Every control-flow branch in GMRES/CG/BiCgStab (and the Newton damping
+// Every control-flow branch in GMRES/CG (and the Newton damping
 // loop) is driven by dot products and norms.  Injecting the inner product
 // lets the distributed runtime (src/dist/) replace them with rank-reduced
 // versions: each rank sums only the dofs it OWNS and the partial sums are

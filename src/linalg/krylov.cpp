@@ -105,112 +105,4 @@ KrylovResult ConjugateGradient::solve(const LinearOperator& A,
   return result;
 }
 
-KrylovResult BiCgStab::solve(const LinearOperator& A, const Preconditioner& M,
-                             const std::vector<double>& b,
-                             std::vector<double>& x) const {
-  const std::size_t n = A.rows();
-  MALI_CHECK_MSG(A.cols() == n, "BiCGStab requires a square operator");
-  MALI_CHECK(b.size() == n);
-  if (x.size() != n) x.assign(n, 0.0);
-
-  KrylovResult result;
-  const InnerProduct& ip = inner_or_default(cfg_.inner);
-  const double bnorm = ip.norm2(b);
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-  if (!std::isfinite(bnorm)) {
-    result.breakdown = true;
-    result.reason = "non-finite right-hand side norm";
-    result.rel_residual = bnorm;
-    return result;
-  }
-
-  std::vector<double> r(n), r0(n), p(n, 0.0), v(n, 0.0), s(n), t(n);
-  std::vector<double> phat(n), shat(n);
-  A.apply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  r0 = r;
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-
-  // Every breakdown path reports the *true* residual at the current x —
-  // the recurrence r is stale (or x just moved) at these exits.
-  auto fail = [&](const char* reason) {
-    result.breakdown = true;
-    result.reason = reason;
-    result.rel_residual = true_rel_residual(A, b, x, bnorm, t, ip);
-    result.converged = result.rel_residual < cfg_.rel_tol;
-    return result;
-  };
-
-  for (std::size_t it = 0; it < cfg_.max_iters; ++it) {
-    const double rho_new = ip.dot(r0, r);
-    if (rho_new == 0.0) {
-      return fail("breakdown: (r0, r) == 0");
-    }
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-      }
-    }
-    rho = rho_new;
-
-    M.apply(p, phat);
-    A.apply(phat, v);
-    const double r0v = ip.dot(r0, v);
-    if (r0v == 0.0) {
-      return fail("breakdown: (r0, A M^{-1} p) == 0");
-    }
-    alpha = rho / r0v;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-
-    result.iterations = it + 1;
-    if (ip.norm2(s) / bnorm < cfg_.rel_tol) {
-      axpy(alpha, phat, x);
-      result.rel_residual = ip.norm2(s) / bnorm;
-      result.converged = true;
-      return result;
-    }
-
-    M.apply(s, shat);
-    A.apply(shat, t);
-    const double tt = ip.dot(t, t);
-    if (tt == 0.0) {
-      // Commit the alpha half-step (it is what the true residual reflects)
-      // before reporting.
-      axpy(alpha, phat, x);
-      return fail("breakdown: ||A M^{-1} s|| == 0");
-    }
-    omega = ip.dot(t, s) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * phat[i] + omega * shat[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    result.rel_residual = ip.norm2(r) / bnorm;
-    if (!std::isfinite(result.rel_residual)) {
-      // A NaN/Inf crept into the recurrence: report a typed breakdown
-      // instead of iterating on garbage to the cap.
-      return fail("non-finite residual norm (NaN/Inf in operator or "
-                  "preconditioner output)");
-    }
-    if (cfg_.verbose && it % 25 == 0) {
-      std::printf("  bicgstab iter %4zu rel res %.3e\n", it + 1,
-                  result.rel_residual);
-    }
-    if (result.rel_residual < cfg_.rel_tol) {
-      result.converged = true;
-      return result;
-    }
-    if (omega == 0.0) {
-      return fail("breakdown: omega == 0 (stabilizer stalled)");
-    }
-  }
-  return result;
-}
-
 }  // namespace mali::linalg

@@ -1,12 +1,12 @@
 #pragma once
-// Additional Krylov solvers: preconditioned conjugate gradients (for the
-// SPD systems that arise in diagnostic solves) and BiCGStab (a low-memory
-// alternative to restarted GMRES for the nonsymmetric Jacobians).
+// Preconditioned conjugate gradients, for the SPD systems that arise in
+// diagnostic solves.  The nonsymmetric Stokes Jacobians go through GMRES
+// (gmres.hpp) or its pipelined variant (pipelined_krylov.hpp).
 //
 // Failure contract: on well-formed inputs (square operator, size-consistent
 // right-hand side) `solve()` never aborts the process.  Algorithmic
-// breakdowns — indefinite operators in CG, the classic BiCGStab
-// orthogonality breakdowns — are reported through `KrylovResult`: the
+// breakdowns — an indefinite operator or preconditioner, a non-finite
+// residual — are reported through `KrylovResult`: the
 // `breakdown` flag is set, `reason` names the failed invariant, and
 // `rel_residual` is the *true* relative residual ||b - A x|| / ||b|| at the
 // returned iterate (never a stale recurrence value).
@@ -37,8 +37,8 @@ struct KrylovResult {
   std::size_t iterations = 0;
   double rel_residual = 0.0;
   /// True when the iteration stopped on an algorithmic breakdown (e.g. CG
-  /// on an indefinite operator, BiCGStab orthogonality collapse) rather
-  /// than convergence or the iteration cap; `reason` says which.  A
+  /// on an indefinite operator, a NaN/Inf in the recurrence) rather than
+  /// convergence or the iteration cap; `reason` says which.  A
   /// breakdown at an already-converged iterate still sets `converged`.
   bool breakdown = false;
   std::string reason;
@@ -48,23 +48,6 @@ struct KrylovResult {
 class ConjugateGradient {
  public:
   explicit ConjugateGradient(KrylovConfig cfg = {}) : cfg_(cfg) {}
-  KrylovResult solve(const LinearOperator& A, const Preconditioner& M,
-                     const std::vector<double>& b,
-                     std::vector<double>& x) const;
-  KrylovResult solve(const CrsMatrix& A, const Preconditioner& M,
-                     const std::vector<double>& b,
-                     std::vector<double>& x) const {
-    return solve(AssembledOperator(A), M, b, x);
-  }
-
- private:
-  KrylovConfig cfg_;
-};
-
-/// BiCGStab with right preconditioning for general nonsymmetric systems.
-class BiCgStab {
- public:
-  explicit BiCgStab(KrylovConfig cfg = {}) : cfg_(cfg) {}
   KrylovResult solve(const LinearOperator& A, const Preconditioner& M,
                      const std::vector<double>& b,
                      std::vector<double>& x) const;

@@ -16,7 +16,7 @@
 //    when unsupported) used to build Jacobi-type preconditioners without an
 //    assembled matrix.
 //  * `matrix()` exposes the underlying CrsMatrix when one exists, so
-//    matrix-dependent preconditioners (ILU, SGS, AMG) can keep working on
+//    matrix-dependent preconditioners (SGS, AMG) can keep working on
 //    the assembled path and fail loudly on the matrix-free one.
 
 #include <cmath>

@@ -75,68 +75,4 @@ void SymGaussSeidelPreconditioner::apply(const std::vector<double>& r,
   }
 }
 
-// ---- ILU(0) ----
-
-void Ilu0Preconditioner::compute(const CrsMatrix& A) {
-  A_ = &A;
-  const auto& rp = A.row_ptr();
-  const auto& cs = A.cols();
-  luv_ = A.values();
-  const std::size_t n = A.n_rows();
-
-  diag_.assign(n, CrsMatrix::npos);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (cs[k] == i) {
-        diag_[i] = k;
-        break;
-      }
-    }
-    MALI_CHECK_MSG(diag_[i] != CrsMatrix::npos, "ILU0: missing diagonal");
-  }
-
-  // IKJ-variant ILU(0) restricted to the sparsity pattern.
-  std::vector<std::size_t> pos(n, CrsMatrix::npos);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) pos[cs[k]] = k;
-    for (std::size_t k = rp[i]; k < rp[i + 1] && cs[k] < i; ++k) {
-      const std::size_t j = cs[k];
-      const double piv = luv_[diag_[j]];
-      MALI_CHECK_MSG(piv != 0.0, "ILU0: zero pivot");
-      const double lij = luv_[k] / piv;
-      luv_[k] = lij;
-      for (std::size_t kk = diag_[j] + 1; kk < rp[j + 1]; ++kk) {
-        const std::size_t p = pos[cs[kk]];
-        if (p != CrsMatrix::npos) luv_[p] -= lij * luv_[kk];
-      }
-    }
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) pos[cs[k]] = CrsMatrix::npos;
-  }
-}
-
-void Ilu0Preconditioner::apply(const std::vector<double>& r,
-                               std::vector<double>& z) const {
-  MALI_CHECK(A_ != nullptr);
-  const auto& rp = A_->row_ptr();
-  const auto& cs = A_->cols();
-  const std::size_t n = A_->n_rows();
-  z = r;
-  // Forward solve (unit lower).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = z[i];
-    for (std::size_t k = rp[i]; k < rp[i + 1] && cs[k] < i; ++k) {
-      acc -= luv_[k] * z[cs[k]];
-    }
-    z[i] = acc;
-  }
-  // Backward solve (upper).
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = z[ii];
-    for (std::size_t k = diag_[ii] + 1; k < rp[ii + 1]; ++k) {
-      acc -= luv_[k] * z[cs[k]];
-    }
-    z[ii] = acc / luv_[diag_[ii]];
-  }
-}
-
 }  // namespace mali::linalg

@@ -1,6 +1,6 @@
 #pragma once
-// Preconditioner interface plus the pointwise preconditioners: Jacobi,
-// symmetric Gauss–Seidel, and ILU(0).  The semicoarsening multigrid (the
+// Preconditioner interface plus the pointwise preconditioners: Jacobi and
+// symmetric Gauss–Seidel.  The semicoarsening multigrid (the
 // MDSC-AMG stand-in) lives in semicoarsening_amg.hpp.
 
 #include <memory>
@@ -25,7 +25,7 @@ class Preconditioner {
   virtual void compute(const CrsMatrix& A) = 0;
   /// Computes the preconditioner from an operator.  The default requires an
   /// assembled matrix behind the operator and fails loudly otherwise —
-  /// matrix-dependent preconditioners (SGS, ILU, AMG) cannot run
+  /// matrix-dependent preconditioners (SGS, AMG) cannot run
   /// matrix-free.
   virtual void compute(const LinearOperator& A) {
     MALI_CHECK_MSG(A.matrix() != nullptr,
@@ -79,21 +79,6 @@ class SymGaussSeidelPreconditioner final : public Preconditioner {
   int sweeps_;
   const CrsMatrix* A_ = nullptr;
   std::vector<double> inv_diag_;
-};
-
-/// Zero-fill incomplete LU factorization on the matrix graph.
-class Ilu0Preconditioner final : public Preconditioner {
- public:
-  using Preconditioner::compute;  // operator form: requires A.matrix()
-  void compute(const CrsMatrix& A) override;
-  void apply(const std::vector<double>& r,
-             std::vector<double>& z) const override;
-  [[nodiscard]] const char* name() const override { return "ilu0"; }
-
- private:
-  const CrsMatrix* A_ = nullptr;
-  std::vector<double> luv_;        ///< factor values on A's graph
-  std::vector<std::size_t> diag_;  ///< index of the diagonal in each row
 };
 
 }  // namespace mali::linalg

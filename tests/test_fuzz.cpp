@@ -248,22 +248,19 @@ std::vector<double> dense_solve(std::vector<std::vector<double>> a,
 
 class SolverFuzz : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(SolverFuzz, GmresAndBicgstabMatchDenseLu) {
+TEST_P(SolverFuzz, GmresMatchesDenseLu) {
   std::mt19937 rng(GetParam());
   const auto sys = random_dd_system(rng, 60, 0.15);
   const auto ref = dense_solve(sys.dense, sys.b);
 
-  linalg::Ilu0Preconditioner M;
+  linalg::SymGaussSeidelPreconditioner M;
   M.compute(sys.A);
 
-  std::vector<double> xg, xb;
+  std::vector<double> xg;
   const auto rg = linalg::Gmres({1e-12, 2000, 100}).solve(sys.A, M, sys.b, xg);
-  const auto rb = linalg::BiCgStab({1e-12, 2000}).solve(sys.A, M, sys.b, xb);
   ASSERT_TRUE(rg.converged);
-  ASSERT_TRUE(rb.converged);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(xg[i], ref[i], 1e-8 * std::max(1.0, std::abs(ref[i])));
-    EXPECT_NEAR(xb[i], ref[i], 1e-7 * std::max(1.0, std::abs(ref[i])));
   }
 }
 
@@ -319,7 +316,7 @@ class PipelinedKrylovFuzz : public ::testing::TestWithParam<unsigned> {};
 TEST_P(PipelinedKrylovFuzz, PipeGmresMatchesClassicAndDenseLu) {
   // Random nonsymmetric diagonally-dominant systems: classic and pipelined
   // GMRES must both reproduce the dense LU solution.  Iteration parity is
-  // NOT asserted here: ILU0 preconditions these systems almost exactly, so
+  // NOT asserted here: SGS preconditions these systems almost exactly, so
   // the new Krylov direction is tiny relative to ||w|| and the fused CGS
   // subtraction s - sum h_i^2 cancels catastrophically — the pipelined
   // solver then leans on its guarded restart and may take extra cycles
@@ -333,7 +330,7 @@ TEST_P(PipelinedKrylovFuzz, PipeGmresMatchesClassicAndDenseLu) {
     const auto sys = random_dd_system(rng, n, 0.15);
     const auto ref = dense_solve(sys.dense, sys.b);
 
-    linalg::Ilu0Preconditioner M;
+    linalg::SymGaussSeidelPreconditioner M;
     M.compute(sys.A);
     linalg::GmresConfig gc;
     gc.rel_tol = 1e-10;
@@ -392,14 +389,14 @@ TEST_P(PipelinedKrylovFuzz, NonFiniteInputsReportBreakdownNeverHang) {
     auto sys = make_spd(random_dd_system(rng, 30, 0.2));
     linalg::JacobiPreconditioner Mj;
     Mj.compute(sys.A);
-    linalg::Ilu0Preconditioner Mi;
-    Mi.compute(sys.A);
+    linalg::SymGaussSeidelPreconditioner Ms;
+    Ms.compute(sys.A);
 
     // Poisoned rhs.
     auto b_bad = sys.b;
     b_bad[b_bad.size() / 2] = bad;
     std::vector<double> x;
-    auto rg = linalg::PipelinedGmres({1e-10, 50, 30}).solve(sys.A, Mi, b_bad, x);
+    auto rg = linalg::PipelinedGmres({1e-10, 50, 30}).solve(sys.A, Ms, b_bad, x);
     EXPECT_TRUE(rg.breakdown);
     EXPECT_FALSE(rg.converged);
     EXPECT_LT(rg.iterations, 2u);
@@ -414,7 +411,7 @@ TEST_P(PipelinedKrylovFuzz, NonFiniteInputsReportBreakdownNeverHang) {
     // the poison is only met through the operator apply).
     auto A_bad = sys.A;
     A_bad.set(0, 0, bad);
-    rg = linalg::PipelinedGmres({1e-10, 50, 30}).solve(A_bad, Mi, sys.b, x);
+    rg = linalg::PipelinedGmres({1e-10, 50, 30}).solve(A_bad, Ms, sys.b, x);
     EXPECT_TRUE(rg.breakdown);
     EXPECT_LT(rg.iterations, 2u);
     rc = linalg::PipelinedCg({1e-10, 50}).solve(A_bad, Mj, sys.b, x);
@@ -484,7 +481,7 @@ TEST_P(OperatorFuzz, OperatorSolveMatchesMatrixSolve) {
   // operator path: identical inputs give identical iterates.
   std::mt19937 rng(GetParam() + 1000);
   const auto sys = random_dd_system(rng, 80, 0.15);
-  linalg::Ilu0Preconditioner M;
+  linalg::SymGaussSeidelPreconditioner M;
   M.compute(sys.A);
   const linalg::Gmres gmres({1e-12, 2000, 30});
 

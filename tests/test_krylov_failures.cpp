@@ -7,11 +7,11 @@
 //
 // Engineered cases:
 //   * CG on diag(1, -1):                p^T A p == 0 (indefinite);
-//   * CG / BiCGStab / GMRES on A == 0:  every invariant fails immediately —
+//   * GMRES on the rotation [[0,1],[-1,0]] with b = e1: (r0, A r0) == 0 is
+//     NOT a breakdown for Arnoldi — the solve must converge unflagged;
+//   * CG / GMRES on A == 0:             every invariant fails immediately —
 //     the solvers must return (in O(1) iterations for GMRES, not the
 //     iteration cap) with the untouched residual;
-//   * BiCGStab on the rotation [[0,1],[-1,0]] with b = e1: (r0, A p) == 0
-//     on the first step;
 //   * Newton with a crippled GMRES budget:   linear_failures recorded;
 //   * Newton fed a wrong-sign Jacobian:      line_search_stalled recorded.
 
@@ -109,51 +109,16 @@ TEST(KrylovFailures, CgBreakdownAtConvergedIterateStaysConverged) {
   EXPECT_LT(r.rel_residual, 1e-12);
 }
 
-// ---------------------------------------------------------------------------
-// BiCGStab.
-// ---------------------------------------------------------------------------
-
-TEST(KrylovFailures, BicgstabOrthogonalityBreakdownReportsTrueResidual) {
-  // Rotation by 90 degrees: r0 = b = e1, A r0 = -e2, so (r0, A M^{-1} p)
-  // vanishes on the first step — the classic (r0, v) == 0 breakdown.  The
-  // old code `break`ed out with the *initial* recurrence residual; the fix
-  // recomputes ||b - A x|| / ||b|| (== 1 here, x untouched).
-  const auto A = dense2(0.0, 1.0, -1.0, 0.0);
+TEST(KrylovFailures, CgNonFiniteRhsReportsBreakdown) {
+  const auto A = dense2(2.0, 0.0, 0.0, 2.0);
   IdentityPreconditioner M;
-  const std::vector<double> b = {1.0, 0.0};
+  const std::vector<double> b = {1.0, std::numeric_limits<double>::infinity()};
   std::vector<double> x;
   KrylovResult r;
-  EXPECT_NO_THROW(r = BiCgStab().solve(A, M, b, x));
+  EXPECT_NO_THROW(r = ConjugateGradient().solve(A, M, b, x));
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(r.breakdown);
-  EXPECT_FALSE(r.reason.empty());
-  EXPECT_NEAR(r.rel_residual, true_rel(A, x, b), 1e-14);
-  EXPECT_DOUBLE_EQ(r.rel_residual, 1.0);
-}
-
-TEST(KrylovFailures, BicgstabZeroOperatorReportsBreakdown) {
-  const auto A = zero_matrix(6);
-  IdentityPreconditioner M;
-  const std::vector<double> b(6, 2.0);
-  std::vector<double> x;
-  KrylovResult r;
-  EXPECT_NO_THROW(r = BiCgStab().solve(A, M, b, x));
-  EXPECT_FALSE(r.converged);
-  EXPECT_TRUE(r.breakdown);
-  EXPECT_DOUBLE_EQ(r.rel_residual, 1.0);
-}
-
-TEST(KrylovFailures, BicgstabStillSolvesAfterContractChange) {
-  // Regression guard: the breakdown plumbing must not disturb the healthy
-  // path.  Nonsymmetric but benign 2x2.
-  const auto A = dense2(4.0, 1.0, -1.0, 3.0);
-  IdentityPreconditioner M;
-  const std::vector<double> b = {1.0, 2.0};
-  std::vector<double> x;
-  const auto r = BiCgStab({1e-12, 50}).solve(A, M, b, x);
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.breakdown);
-  EXPECT_LT(true_rel(A, x, b), 1e-10);
+  EXPECT_NE(r.reason.find("non-finite"), std::string::npos) << r.reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -199,6 +164,34 @@ TEST(KrylovFailures, GmresHappyBreakdownDoesNotSetFlag) {
   EXPECT_FALSE(r.breakdown);
 }
 
+TEST(KrylovFailures, GmresSkewRotationIsNotABreakdown) {
+  // Rotation by 90 degrees with b = e1: (r0, A r0) == 0, the case that
+  // stops Lanczos-type solvers on their first step.  Arnoldi only needs
+  // ||A v|| != 0, so GMRES must solve it in two steps without a flag.
+  const auto A = dense2(0.0, 1.0, -1.0, 0.0);
+  IdentityPreconditioner M;
+  const std::vector<double> b = {1.0, 0.0};
+  std::vector<double> x;
+  const auto r = Gmres().solve(A, M, b, x);
+  EXPECT_TRUE(r.converged);
+  EXPECT_FALSE(r.breakdown);
+  EXPECT_LE(r.iterations, 2u);
+  EXPECT_LT(true_rel(A, x, b), 1e-12);
+}
+
+TEST(KrylovFailures, GmresNonFiniteRhsReportsBreakdown) {
+  const auto A = dense2(2.0, 0.0, 0.0, 2.0);
+  IdentityPreconditioner M;
+  const std::vector<double> b = {1.0, std::nan("")};
+  std::vector<double> x;
+  GmresResult r;
+  EXPECT_NO_THROW(r = Gmres().solve(A, M, b, x));
+  EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(r.breakdown);
+  EXPECT_NE(r.reason.find("non-finite"), std::string::npos) << r.reason;
+  EXPECT_EQ(r.iterations, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined variants: same engineered breakdowns, same typed reporting.
 // The fused-reduction restructuring must not reintroduce the
@@ -238,6 +231,19 @@ TEST(KrylovFailures, PipeGmresHappyBreakdownDoesNotSetFlag) {
   const auto r = PipelinedGmres().solve(A, M, b, x);
   EXPECT_TRUE(r.converged);
   EXPECT_FALSE(r.breakdown);
+}
+
+TEST(KrylovFailures, PipeGmresSkewRotationIsNotABreakdown) {
+  // The fused reduction sees <w, v1> == 0 on the first step; the pipelined
+  // Arnoldi must treat that as an ordinary direction, not a breakdown.
+  const auto A = dense2(0.0, 1.0, -1.0, 0.0);
+  IdentityPreconditioner M;
+  const std::vector<double> b = {1.0, 0.0};
+  std::vector<double> x;
+  const auto r = PipelinedGmres().solve(A, M, b, x);
+  EXPECT_TRUE(r.converged);
+  EXPECT_FALSE(r.breakdown);
+  EXPECT_LT(true_rel(A, x, b), 1e-12);
 }
 
 TEST(KrylovFailures, PipeGmresNonFiniteRhsReportsBreakdown) {

@@ -133,7 +133,7 @@ TEST(Newton, HonorsMaxIterations) {
 
 TEST(Newton, DampingRescuesBadInitialGuess) {
   RosenbrockGrad p(1.0, 10.0);
-  linalg::Ilu0Preconditioner M;
+  linalg::SymGaussSeidelPreconditioner M;
   NewtonConfig cfg;
   cfg.max_iters = 100;
   cfg.abs_tol = 1e-10;
@@ -150,7 +150,7 @@ TEST(Newton, LineSearchKeepsResidualMonotone) {
   // steps must not increase ||F||.  A mildly coupled problem exercises
   // several damped steps without hitting the floor.
   RosenbrockGrad p(1.0, 10.0);
-  linalg::Ilu0Preconditioner M;
+  linalg::SymGaussSeidelPreconditioner M;
   NewtonConfig cfg;
   cfg.max_iters = 60;
   cfg.abs_tol = 1e-10;

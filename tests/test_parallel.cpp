@@ -88,6 +88,25 @@ TEST(ParallelFor, TagDispatchSelectsOverload) {
   EXPECT_EQ(b.load(), 30);
 }
 
+TEST(ParallelFor, ThreadsRangeWithOffsetVisitsEachIndexOnce) {
+  std::vector<std::atomic<int>> hits(3000);
+  pk::parallel_for("t", pk::RangePolicy<pk::Threads>(700, 2900), [&](int i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), (i >= 700 && i < 2900) ? 1 : 0) << i;
+  }
+}
+
+TEST(ParallelFor, FlatRangeOverloadCoversZeroToN) {
+  std::vector<std::atomic<int>> hits(257);
+  pk::parallel_for("flat", 256, [&](int i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < 256; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(hits[256].load(), 0);
+}
+
 TEST(ParallelReduce, SumSerial) {
   double sum = 0.0;
   pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(100),
@@ -100,6 +119,45 @@ TEST(ParallelReduce, SumThreads) {
   pk::parallel_reduce("s", pk::RangePolicy<pk::Threads>(1000),
                       [](int i, long& acc) { acc += i; }, sum);
   EXPECT_EQ(sum, 499500);
+}
+
+TEST(ParallelReduce, EmptyRangeGivesIdentity) {
+  // The result is overwritten with the identity, not left at its old value.
+  double serial = 7.0, threaded = 7.0;
+  auto f = [](int, double& acc) { acc += 1.0; };
+  pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(0), f, serial);
+  pk::parallel_reduce("t", pk::RangePolicy<pk::Threads>(0), f, threaded);
+  EXPECT_EQ(serial, 0.0);
+  EXPECT_EQ(threaded, 0.0);
+  long offset_empty = 3;
+  pk::parallel_reduce("o", pk::RangePolicy<pk::Threads>(40, 40),
+                      [](int, long& acc) { acc += 1; }, offset_empty);
+  EXPECT_EQ(offset_empty, 0);
+}
+
+TEST(ParallelReduce, ThreadsRangeWithOffset) {
+  long sum = 0;
+  pk::parallel_reduce("t", pk::RangePolicy<pk::Threads>(100, 1100),
+                      [](int i, long& acc) { acc += i; }, sum);
+  EXPECT_EQ(sum, (100L + 1099L) * 1000L / 2);
+}
+
+struct TaggedSum {
+  void operator()(const TagA&, int i, long& acc) const { acc += i; }
+  void operator()(const TagB&, int i, long& acc) const { acc += 2L * i; }
+};
+
+TEST(ParallelReduce, TagDispatchSelectsOverload) {
+  long a = 0, b = 0, bt = 0;
+  pk::parallel_reduce("a", pk::RangePolicy<pk::Serial, TagA>(10), TaggedSum{},
+                      a);
+  pk::parallel_reduce("b", pk::RangePolicy<pk::Serial, TagB>(10), TaggedSum{},
+                      b);
+  pk::parallel_reduce("bt", pk::RangePolicy<pk::Threads, TagB>(1000),
+                      TaggedSum{}, bt);
+  EXPECT_EQ(a, 45);
+  EXPECT_EQ(b, 90);
+  EXPECT_EQ(bt, 999000);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,6 +248,22 @@ TEST(LaunchBounds, CompileTimeToRuntime) {
   EXPECT_FALSE(cfg.is_default());
   constexpr auto dflt = pk::to_launch_config<pk::LaunchBounds<>>();
   EXPECT_TRUE(dflt.is_default());
+}
+
+TEST(LaunchBounds, PolicyCarriesBoundsWithoutChangingResult) {
+  // On the CPU backends launch bounds are a hint carried by the policy
+  // type: the reduction result must not depend on them.
+  using Bounded = pk::RangePolicy<pk::Threads, void, pk::LaunchBounds<256, 4>>;
+  static_assert(pk::to_launch_config<Bounded::launch_bounds>() ==
+                pk::LaunchConfig{256, 4});
+  static_assert(
+      pk::to_launch_config<pk::RangePolicy<>::launch_bounds>().is_default());
+  long plain = 0, bounded = 0;
+  auto f = [](int i, long& acc) { acc += 3L * i - 1; };
+  pk::parallel_reduce("p", pk::RangePolicy<pk::Threads>(5000), f, plain);
+  pk::parallel_reduce("b", Bounded(5000), f, bounded);
+  EXPECT_EQ(bounded, plain);
+  EXPECT_EQ(Bounded(10, 25).size(), 15u);
 }
 
 // Backend-equivalence sweep over sizes.

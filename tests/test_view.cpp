@@ -107,6 +107,34 @@ TEST(View, DeepCopySizeMismatchThrows) {
   EXPECT_THROW(b.deep_copy_from(a), mali::Error);
 }
 
+TEST(View, DeepCopyIsIndependentOfSource) {
+  pk::View<double, 2> a("a", 3, 4);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) a(i, j) = 10.0 * i + j;
+  }
+  pk::View<double, 2> b("b", 3, 4);
+  b.deep_copy_from(a);
+  a.fill(-1.0);  // later writes to the source must not reach the copy
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(b(i, j), 10.0 * i + j);
+  }
+  EXPECT_EQ(b.label(), "b");
+}
+
+TEST(View, DeepCopyRejectsPartialWindow) {
+  // A partial cell window is strided in its parent's allocation, so a flat
+  // copy into or out of it would touch the wrong elements.
+  pk::View<double, 2> v("v", 6, 2);
+  pk::View<double, 2> small("small", 2, 2);
+  const auto part = v.window(1, 2);
+  EXPECT_THROW(part.deep_copy_from(small), mali::Error);
+  EXPECT_THROW(small.deep_copy_from(part), mali::Error);
+  pk::View<double, 2> full_src("src", 6, 2);
+  full_src.fill(4.0);
+  v.window(0, 6).deep_copy_from(full_src);  // full window is contiguous
+  EXPECT_EQ(v(5, 1), 4.0);
+}
+
 // Parameterized sweep: round-trip index <-> offset for many shapes.
 class ViewShapeTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

@@ -39,6 +39,7 @@
 #include "resilience/fault_injector.hpp"
 #include "resilience/guards.hpp"
 #include "timestepping/forecast_driver.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -62,10 +63,19 @@ class Args {
   [[nodiscard]] bool has(const std::string& k) const {
     return values_.count(k) > 0;
   }
+  /// Numeric flag value: the whole value must parse as a finite number.
   [[nodiscard]] double num(const std::string& k, double dflt) const {
     auto it = values_.find(k);
-    return it == values_.end() || it->second.empty() ? dflt
-                                                     : std::atof(it->second.c_str());
+    return it == values_.end() || it->second.empty()
+               ? dflt
+               : util::parse_finite("--" + k, it->second);
+  }
+  /// Integer flag value: as num(), and a fractional part is rejected too.
+  [[nodiscard]] int integer(const std::string& k, int dflt) const {
+    auto it = values_.find(k);
+    return it == values_.end() || it->second.empty()
+               ? dflt
+               : util::parse_int("--" + k, it->second);
   }
   [[nodiscard]] std::string str(const std::string& k,
                                 const std::string& dflt = "") const {
@@ -80,11 +90,11 @@ class Args {
 physics::StokesFOConfig problem_config(const Args& args) {
   physics::StokesFOConfig cfg;
   cfg.dx_m = args.num("dx-km", 64.0) * 1e3;
-  cfg.n_layers = static_cast<int>(args.num("layers", 10));
+  cfg.n_layers = args.integer("layers", 10);
   if (args.has("thermal")) cfg.thermal_viscosity = true;
   if (args.has("weertman")) cfg.sliding.law = physics::SlidingLaw::kWeertman;
   if (args.has("workset")) {
-    cfg.workset_size = static_cast<std::size_t>(args.num("workset", 0));
+    cfg.workset_size = static_cast<std::size_t>(args.integer("workset", 0));
   }
   const std::string variant = args.str("variant", "optimized");
   const std::map<std::string, physics::KernelVariant> variants = {
@@ -207,7 +217,7 @@ void configure_dist_resilience(const Args& args, dist::DistConfig& dcfg,
   if (args.has("comm-guards")) dcfg.guards.checksums = true;
   dcfg.guards.timeout_s =
       args.num("comm-timeout", args.has("comm-guards") ? 30.0 : 0.0);
-  dcfg.max_restarts = static_cast<int>(args.num("max-restarts", 0));
+  dcfg.max_restarts = args.integer("max-restarts", 0);
   dcfg.restart_backoff_s = args.num("restart-backoff", 0.0);
   if (args.has("inject-fault")) {
     const std::string spec = args.str("inject-fault");
@@ -244,13 +254,13 @@ void configure_dist_resilience(const Args& args, dist::DistConfig& dcfg,
 int cmd_solve_distributed(const Args& args) {
   physics::StokesFOProblem problem(problem_config(args));
   dist::DistConfig dcfg;
-  dcfg.ranks = static_cast<int>(args.num("ranks", 2));
+  dcfg.ranks = args.integer("ranks", 2);
   dcfg.decomp = dist::decomp_from_string(args.str("decomp", "strips"));
   dcfg.overlap = args.has("halo-overlap");
   dcfg.jacobian = problem.config().jacobian;
   dcfg.precond = args.str("precond", "block-jacobi");
   dcfg.krylov = linalg::krylov_kind_from_string(args.str("krylov", "gmres"));
-  dcfg.newton.max_iters = static_cast<int>(args.num("steps", 8));
+  dcfg.newton.max_iters = args.integer("steps", 8);
   dcfg.verbose = true;
   configure_dist_resilience(args, dcfg, /*dispatch_solver_fault=*/true);
   if (args.has("checkpoint")) dcfg.checkpoint = true;
@@ -352,7 +362,7 @@ int cmd_solve(const Args& args) {
       make_preconditioner(args, problem);
   std::printf("preconditioner: %s\n", M->name());
   nonlinear::NewtonConfig ncfg;
-  ncfg.max_iters = static_cast<int>(args.num("steps", 8));
+  ncfg.max_iters = args.integer("steps", 8);
   ncfg.verbose = true;
   ncfg.jacobian = problem.config().jacobian;
   // Inner Krylov method; the pipelined variants complete their fused
@@ -503,7 +513,7 @@ int cmd_solve(const Args& args) {
 
 int cmd_study(const Args& args) {
   core::StudyConfig cfg;
-  cfg.n_cells = static_cast<std::size_t>(args.num("cells", 262144));
+  cfg.n_cells = static_cast<std::size_t>(args.integer("cells", 262144));
   cfg.sim.scale = args.num("scale", 0.25);
   const core::OptimizationStudy study(cfg);
   const auto path = args.str("out", "mali_report.md");
@@ -558,7 +568,7 @@ int cmd_forecast(const Args& args) {
   fcfg.controller.backoff = args.num("dt-backoff", 0.5);
   fcfg.controller.cfl_fraction = args.num("cfl", 0.5);
   fcfg.forcing = args.str("forcing", "constant");
-  fcfg.velocity_every = static_cast<int>(args.num("velocity-every", 1));
+  fcfg.velocity_every = args.integer("velocity-every", 1);
   fcfg.thermal_enabled = !args.has("no-thermal");
   fcfg.thermal_steady = args.has("thermal-steady");
   fcfg.transport.flux = args.str("flux", "muscl") == "upwind"
@@ -566,13 +576,13 @@ int cmd_forecast(const Args& args) {
                             : mpas::FluxScheme::kVanLeerMuscl;
   fcfg.transport.time = mpas::TimeScheme::kHeunRk2;
   fcfg.transport.min_thickness = args.num("min-thickness", 0.0);
-  fcfg.newton.max_iters = static_cast<int>(args.num("steps", 8));
+  fcfg.newton.max_iters = args.integer("steps", 8);
   fcfg.newton.krylov =
       linalg::krylov_kind_from_string(args.str("krylov", "gmres"));
   fcfg.make_precond = [&args](const physics::StokesFOProblem& p) {
     return make_preconditioner(args, p);
   };
-  fcfg.ranks = static_cast<int>(args.num("ranks", 1));
+  fcfg.ranks = args.integer("ranks", 1);
   if (fcfg.ranks > 1) {
     fcfg.dist.decomp =
         dist::decomp_from_string(args.str("decomp", "strips"));
@@ -589,7 +599,7 @@ int cmd_forecast(const Args& args) {
                    "forecast: comm fault injection (--inject-fault comm:*) "
                    "requires --ranks > 1");
   }
-  fcfg.checkpoint_every = static_cast<int>(args.num("checkpoint-every", 0));
+  fcfg.checkpoint_every = args.integer("checkpoint-every", 0);
   if (args.has("checkpoint")) fcfg.checkpoint_path = args.str("checkpoint");
   fcfg.restart_path = args.str("restart", "");
   fcfg.verbose = !args.has("quiet");
@@ -684,7 +694,7 @@ int cmd_ensemble(const Args& args) {
   // Scheduling is a label, not physics: overriding the group count on the
   // command line never changes a member's result (or its cache key).
   if (args.has("rank-groups")) {
-    manifest.rank_groups = static_cast<int>(args.num("rank-groups", 1));
+    manifest.rank_groups = args.integer("rank-groups", 1);
     MALI_CHECK_MSG(manifest.rank_groups >= 1,
                    "ensemble: --rank-groups must be >= 1");
   }
@@ -694,11 +704,11 @@ int cmd_ensemble(const Args& args) {
   ecfg.recycle = !args.has("no-recycle");
   ecfg.use_cache = !args.has("no-cache");
   ecfg.cache_dir = args.str("cache", "");
-  ecfg.ranks_per_group = static_cast<int>(args.num("ranks-per-group", 1));
+  ecfg.ranks_per_group = args.integer("ranks-per-group", 1);
   ecfg.verbose = !args.has("quiet");
 
   // ---- graceful degradation (DESIGN.md §16) ----
-  ecfg.member_retries = static_cast<int>(args.num("member-retries", 0));
+  ecfg.member_retries = args.integer("member-retries", 0);
   ecfg.retry_backoff_s = args.num("retry-backoff", 0.0);
   ecfg.resilience = args.has("resilience");
   if (args.has("inject-fault")) {
@@ -709,7 +719,7 @@ int cmd_ensemble(const Args& args) {
                    "through `mali solve --ranks` / `mali forecast --ranks`");
     ecfg.inject_fault = true;
     ecfg.fault = resilience::fault_spec_from_string(spec);
-    ecfg.fault_member = static_cast<int>(args.num("fault-member", -1));
+    ecfg.fault_member = args.integer("fault-member", -1);
     if (ecfg.verbose) {
       std::printf("fault injection: %s (member %s)\n",
                   resilience::to_string(ecfg.fault).c_str(),
@@ -790,12 +800,12 @@ int cmd_export_jacobian(const Args& args) {
 
 int cmd_launch_bounds(const Args& args) {
   core::StudyConfig cfg;
-  cfg.n_cells = static_cast<std::size_t>(args.num("cells", 262144));
+  cfg.n_cells = static_cast<std::size_t>(args.integer("cells", 262144));
   cfg.sim.scale = args.num("scale", 0.25);
   const core::OptimizationStudy study(cfg);
   const pk::LaunchConfig launch{
-      static_cast<unsigned>(args.num("max-threads", 0)),
-      static_cast<unsigned>(args.num("min-blocks", 0))};
+      static_cast<unsigned>(args.integer("max-threads", 0)),
+      static_cast<unsigned>(args.integer("min-blocks", 0))};
   std::printf("LaunchBounds<%u,%u> on the modeled MI250X GCD (%zu cells):\n",
               launch.max_threads, launch.min_blocks, cfg.n_cells);
   for (const auto kind :
