@@ -122,7 +122,6 @@ EnsembleEngine::RunOutput EnsembleEngine::run() {
 
   linalg::AmgConfig acfg;
   acfg.smoother = linalg::AmgSmoother::kChebyshev;
-  acfg.reuse_structure = cfg_.recycle;
   linalg::SemicoarseningAmg shared_amg(problem.extrusion_info(), acfg);
 
   std::vector<bool> completed(n, false);

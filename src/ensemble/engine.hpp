@@ -5,10 +5,10 @@
 // coloring, staged worksets built once), with three reuse mechanisms the
 // cold per-member path pays for every time:
 //
-//   * AMG hierarchy recycling — one shared SemicoarseningAmg with
-//     reuse_structure: aggregation maps derive once, every later Newton
-//     linearization of every member replays them (bit-identical to a
-//     rebuild; see AmgConfig::reuse_structure);
+//   * AMG hierarchy recycling — one shared SemicoarseningAmg: its
+//     aggregation and Galerkin plans derive once, every later Newton
+//     linearization of every member replays them (the fine graph never
+//     changes, and a replay is bit-identical to a rebuild);
 //   * Chebyshev spectral-bound recycling — lambda estimates harvested
 //     after a member complete feed the next member's smoother setups,
 //     skipping the power iterations;
@@ -39,7 +39,7 @@ namespace mali::ensemble {
 
 struct EnsembleConfig {
   bool warm_start = true;   ///< neighbor warm starts for Newton
-  bool recycle = true;      ///< AMG structure + Chebyshev bound recycling
+  bool recycle = true;      ///< Chebyshev bound recycling
   bool use_cache = true;    ///< consult/populate the result cache
   std::string cache_dir;    ///< disk cache location (empty = memory only)
   /// Ranks per member velocity solve (> 1 uses the PR-5 in-process SPMD
