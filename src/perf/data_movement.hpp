@@ -211,8 +211,8 @@ struct AmgCycleModel {
   std::vector<std::size_t> level_nnz;  ///< CRS nonzeros per level
   int pre_sweeps = 1;
   int post_sweeps = 1;
-  /// Operator applies per Chebyshev smoother application (SGS streams the
-  /// level matrix twice per sweep instead).
+  /// Operator applies per Chebyshev smoother application (column-line
+  /// relaxation streams the level matrix twice per sweep instead).
   int cheb_degree = 3;
   /// True when level-0 smoothing/residuals run through the live operator
   /// (probed + Chebyshev mode) instead of streaming the probed matrix.
@@ -237,7 +237,8 @@ struct AmgCycleModel {
       return static_cast<std::size_t>(cheb_degree) * apply +
              3 * level_rows[l] * kVal;
     }
-    // SGS: forward + backward sweep each stream the matrix once.
+    // Column-line: the forward and the backward color sweep each stream
+    // the matrix once.
     return 2 * apply;
   }
 
@@ -259,8 +260,8 @@ struct AmgCycleModel {
 
   /// One V-cycle: per non-coarsest level, pre/post smoothing plus two
   /// residual computations and the (vector-sized) transfer traffic; the
-  /// coarsest level is one matrix stream (dense solve or SGS fallback on a
-  /// level sized coarse_max_dofs, negligible either way).
+  /// coarsest level is one matrix stream (dense solve, or the SGS fallback
+  /// when max_levels stops the hierarchy early).
   [[nodiscard]] std::size_t vcycle_bytes() const {
     if (level_nnz.empty()) return 0;
     std::size_t b = 0;

@@ -125,8 +125,8 @@ physics::StokesFOConfig problem_config(const Args& args) {
 
 /// The preconditioner named by --precond.  All three are consumable from
 /// both Jacobian modes: the AMG probes the fine matrix from operator
-/// applies on the matrix-free path.  The default SGS smoother runs on the
-/// probed matrix, reproducing the assembled+AMG GMRES counts exactly;
+/// applies on the matrix-free path.  The default column-line smoother runs
+/// on the probed matrix, reproducing the assembled+AMG GMRES counts exactly;
 /// --smoother chebyshev keeps level 0 fully matrix-free instead (operator
 /// applies + probed diagonal, the probed matrix never streamed after
 /// setup) at a modest iteration-count premium.
@@ -142,12 +142,12 @@ std::unique_ptr<linalg::Preconditioner> make_preconditioner(
   MALI_CHECK_MSG(precond == "amg", "unknown --precond: " + precond +
                                        " (jacobi | block-jacobi | amg)");
   linalg::AmgConfig acfg;
-  const std::string smoother = args.str("smoother", "sgs");
+  const std::string smoother = args.str("smoother", "line");
   if (smoother == "chebyshev") {
     acfg.smoother = linalg::AmgSmoother::kChebyshev;
   } else {
-    MALI_CHECK_MSG(smoother == "sgs", "unknown --smoother: " + smoother +
-                                          " (sgs | chebyshev)");
+    MALI_CHECK_MSG(smoother == "line", "unknown --smoother: " + smoother +
+                                           " (line | chebyshev)");
   }
   return std::make_unique<linalg::SemicoarseningAmg>(problem.extrusion_info(),
                                                      acfg);
@@ -853,7 +853,7 @@ void usage() {
       "                     pipelined variants: one fused allreduce per\n"
       "                     iteration, overlapped with the operator apply\n"
       "                   [--precond jacobi|block-jacobi|amg]\n"
-      "                   [--smoother sgs|chebyshev] [--mms]\n"
+      "                   [--smoother line|chebyshev] [--mms]\n"
       "                   [--thermal] [--weertman] [--workset N]\n"
       "                   [--csv PATH] [--ppm PATH]\n"
       "                   [--resilience] [--guards]\n"
