@@ -8,7 +8,8 @@ namespace {
 
 /// Owned dofs of `part` in the mirror's canonical order: owned columns
 /// ascending, levels fastest, u then v — the same order Subdomain builds
-/// its owned_dofs in, so pack/scatter agree without index traffic.
+/// its owned_dofs in, so the sender's owned-extent vector and the
+/// receiver's scatter agree without index traffic.
 std::vector<std::size_t> owned_dofs_of(const mesh::ExtrudedMesh& mesh,
                                        const mesh::Partition& part, int rank) {
   const std::size_t levels = mesh.levels();
@@ -36,7 +37,9 @@ CheckpointMirror::CheckpointMirror(const mesh::ExtrudedMesh& mesh,
                  "DistCheckpoint::U must be pre-sized to the global extent");
   const int n = comm.size();
   const int pred = (comm.rank() + n - 1) % n;
-  my_dofs_ = owned_dofs_of(mesh, part, comm.rank());
+  n_owned_ = part.owned_column_ids[static_cast<std::size_t>(comm.rank())]
+                 .size() *
+             mesh.levels() * 2;
   pred_dofs_ = owned_dofs_of(mesh, part, pred);
 }
 
@@ -46,9 +49,9 @@ void CheckpointMirror::capture(const std::vector<double>& U, double fnorm,
   const int succ = (comm_->rank() + 1) % n;
   const int pred = (comm_->rank() + n - 1) % n;
 
-  std::vector<double> pack(my_dofs_.size());
-  for (std::size_t i = 0; i < my_dofs_.size(); ++i) pack[i] = U[my_dofs_[i]];
-  comm_->send(succ, tag_base_, std::move(pack));
+  MALI_CHECK_MSG(U.size() == n_owned_,
+                 "checkpoint mirror: U must have the rank's owned extent");
+  comm_->send(succ, tag_base_, U);
 
   std::vector<double> mirror = comm_->recv(pred, tag_base_);
   MALI_CHECK_MSG(mirror.size() == pred_dofs_.size(),

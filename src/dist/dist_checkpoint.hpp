@@ -2,14 +2,14 @@
 // Replicated distributed checkpoint for the coordinated-rollback rung of
 // the comm fault-tolerance ladder (DESIGN.md §16).
 //
-// Each accepted Newton step, every rank MIRRORS its owned solution entries
-// to its successor rank ((r+1) mod N) as real point-to-point traffic —
-// checksum-framed like any other message when guards are on — and scatters
-// the state received from its predecessor into a shared global-extent
-// DistCheckpoint.  The scatter indices are the PREDECESSOR's owned dofs,
-// derived locally from the partition (both endpoints know the ownership
-// map, so no index traffic is needed), and ownership is disjoint across
-// ranks, so the shared-vector writes never race.
+// Each accepted Newton step, every rank MIRRORS its owned-extent solution
+// vector, as is, to its successor rank ((r+1) mod N) as real point-to-point
+// traffic — checksum-framed like any other message when guards are on — and
+// scatters the state received from its predecessor into a shared
+// global-extent DistCheckpoint.  The scatter indices are the PREDECESSOR's
+// owned dofs, derived locally from the partition (both endpoints know the
+// ownership map, so no index traffic is needed), and ownership is disjoint
+// across ranks, so the shared-vector writes never race.
 //
 // After a comm fault poisons the world, the restart loop seeds the next
 // attempt's initial guess from the checkpoint: the retried solve resumes
@@ -19,6 +19,7 @@
 // the in-process surrogate keeps the same traffic pattern and replication
 // discipline so the protocol is exercised end to end.
 
+#include <cstddef>
 #include <vector>
 
 #include "dist/communicator.hpp"
@@ -48,9 +49,9 @@ class CheckpointMirror {
   CheckpointMirror(const mesh::ExtrudedMesh& mesh, const mesh::Partition& part,
                    Communicator& comm, DistCheckpoint& ckpt, int tag_base = 16);
 
-  /// Mirrors this rank's owned entries of `U` to the successor, scatters
-  /// the predecessor's into the shared checkpoint, and (on rank 0) stamps
-  /// the metadata and marks the checkpoint valid.
+  /// Mirrors this rank's owned-extent `U` to the successor, scatters the
+  /// predecessor's into the shared checkpoint, and (on rank 0) stamps the
+  /// metadata and marks the checkpoint valid.
   void capture(const std::vector<double>& U, double fnorm, int step);
 
   /// Mirror messages exchanged so far on this rank.
@@ -60,7 +61,7 @@ class CheckpointMirror {
   Communicator* comm_;
   DistCheckpoint* ckpt_;
   int tag_base_;
-  std::vector<std::size_t> my_dofs_;    ///< this rank's owned dofs
+  std::size_t n_owned_ = 0;             ///< this rank's owned extent
   std::vector<std::size_t> pred_dofs_;  ///< predecessor's owned dofs
   std::size_t captures_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "dist/dist_solver.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -68,55 +69,58 @@ DistStokesOperator::DistStokesOperator(Subdomain& sub, HaloExchange& halo_dof,
       halo_blk_(&halo_blocks),
       comm_(&comm),
       mode_(mode),
-      ctx_(&ctx) {}
+      ctx_(&ctx),
+      n_owned_(sub.owned_dofs().size()) {}
 
-std::size_t DistStokesOperator::rows() const {
-  return sub_->problem().n_dofs();
-}
-std::size_t DistStokesOperator::cols() const {
-  return sub_->problem().n_dofs();
-}
+std::size_t DistStokesOperator::rows() const { return n_owned_; }
+std::size_t DistStokesOperator::cols() const { return n_owned_; }
 
 void DistStokesOperator::linearize(const std::vector<double>& U) {
   const physics::StokesFOProblem& prob = sub_->problem();
   const std::size_t n = prob.n_dofs();
-  MALI_CHECK(U.size() == n);
+  MALI_CHECK_MSG(U.size() == n_owned_,
+                 "DistStokesOperator::linearize: U must have owned extent");
   const std::size_t n_nodes = n / 2;
 
-  U_ = U;
-  halo_dof_->import_ghosts(U_);
+  std::vector<double> Ug(n, 0.0);  // global-extent U, ghosts imported
+  scatter_owned(U, sub_->owned_dofs(), Ug);
+  halo_dof_->import_ghosts(Ug);
+  x_.assign(n, 0.0);
+  y_.assign(n, 0.0);
 
+  std::vector<double> blocks;  // global-extent per-node 2x2 blocks
   if (mode_ == linalg::JacobianMode::kAssembled) {
     if (!J_) J_ = std::make_unique<linalg::CrsMatrix>(prob.create_matrix());
     J_->set_zero();
     std::vector<double> Fdummy(n, 0.0);
-    sub_->assemble_jacobian_segment(Subdomain::kInterior, U_, Fdummy, *J_);
-    sub_->assemble_jacobian_segment(Subdomain::kBoundary, U_, Fdummy, *J_);
+    sub_->assemble_jacobian_segment(Subdomain::kInterior, Ug, Fdummy, *J_);
+    sub_->assemble_jacobian_segment(Subdomain::kBoundary, Ug, Fdummy, *J_);
     // Extract this rank's partial per-node 2x2 diagonal blocks from the
     // partial matrix (zero everywhere the rank's cells did not touch).
-    blocks_.assign(2 * n, 0.0);
+    blocks.assign(2 * n, 0.0);
     const std::vector<char>& local = sub_->node_is_local();
     for (std::size_t node = 0; node < n_nodes; ++node) {
       if (!local[node]) continue;
       for (int r = 0; r < 2; ++r) {
         for (int c = 0; c < 2; ++c) {
-          blocks_[node * 4 + static_cast<std::size_t>(r) * 2 +
-                  static_cast<std::size_t>(c)] =
+          blocks[node * 4 + static_cast<std::size_t>(r) * 2 +
+                 static_cast<std::size_t>(c)] =
               J_->get(2 * node + static_cast<std::size_t>(r),
                       2 * node + static_cast<std::size_t>(c));
         }
       }
     }
   } else {
-    sub_->linearize_tangent(U_, lin_);
-    blocks_ = sub_->partial_node_blocks(U_);
+    sub_->linearize_tangent(Ug, lin_);
+    blocks = sub_->partial_node_blocks(Ug);
   }
 
   // Complete the block diagonal at the owners, agree on the Dirichlet row
   // scale collectively (same formula as the serial problem: mean |diag| over
-  // non-Dirichlet dofs), then refresh the ghosts so every local node block
-  // is final before any preconditioner reads it.
-  halo_blk_->export_add(blocks_);
+  // non-Dirichlet dofs), then refresh the ghost blocks.  Only owned blocks
+  // are kept below, so no ghost block is read; ROADMAP item 3 lists
+  // dropping that import.
+  halo_blk_->export_add(blocks);
 
   const fem::DofMap& dm = prob.dof_map();
   const std::vector<char>& owned = sub_->node_is_owned();
@@ -127,27 +131,28 @@ void DistStokesOperator::linearize(const std::vector<double>& U) {
     for (int c = 0; c < 2; ++c) {
       const std::size_t d = 2 * node + static_cast<std::size_t>(c);
       if (dm.is_dirichlet_dof(d)) continue;
-      sum += std::abs(blocks_[node * 4 + static_cast<std::size_t>(c) * 3]);
+      sum += std::abs(blocks[node * 4 + static_cast<std::size_t>(c) * 3]);
       cnt += 1.0;
     }
   }
   const std::vector<double> g = comm_->allreduce_sum(std::vector<double>{sum, cnt});
   if (g[1] > 0.0 && g[0] > 0.0) ctx_->dirichlet_scale = g[0] / g[1];
 
-  halo_blk_->import_ghosts(blocks_);
+  halo_blk_->import_ghosts(blocks);
 
-  // Overrides: identity blocks at non-local nodes keep block-Jacobi
-  // invertible everywhere (those rows/cols of x are masked anyway);
-  // Dirichlet nodes get scale * I to match the owner's row override.
-  const std::vector<char>& local = sub_->node_is_local();
-  for (std::size_t node = 0; node < n_nodes; ++node) {
-    double* b = blocks_.data() + node * 4;
-    if (!local[node]) {
-      b[0] = 1.0; b[1] = 0.0; b[2] = 0.0; b[3] = 1.0;
-    } else if (dm.is_dirichlet_dof(2 * node)) {
-      // MMS/Dirichlet columns pin both components of a node together.
+  // Keep the owned nodes' blocks, in owned-dof order.  Dirichlet nodes get
+  // scale * I to match the owner's row override (MMS/Dirichlet columns pin
+  // both components of a node together).
+  const std::vector<std::size_t>& owned_dofs = sub_->owned_dofs();
+  blocks_.resize(2 * n_owned_);
+  for (std::size_t k = 0; 2 * k < n_owned_; ++k) {
+    const std::size_t node = owned_dofs[2 * k] / 2;
+    double* b = blocks_.data() + 4 * k;
+    if (dm.is_dirichlet_dof(2 * node)) {
       b[0] = ctx_->dirichlet_scale; b[1] = 0.0;
       b[2] = 0.0; b[3] = ctx_->dirichlet_scale;
+    } else {
+      std::copy_n(blocks.data() + 4 * node, 4, b);
     }
   }
 
@@ -159,22 +164,23 @@ void DistStokesOperator::apply(const std::vector<double>& x,
                                std::vector<double>& y) const {
   MALI_CHECK(linearized_);
   MALI_CHECK(&x != &y);
-  const std::size_t n = sub_->problem().n_dofs();
-  MALI_CHECK(x.size() == n);
+  MALI_CHECK_MSG(x.size() == n_owned_,
+                 "DistStokesOperator::apply: x must have owned extent");
   if (sub_->problem().revision() != revision_) {
     throw physics::StaleLinearizationError(
         "DistStokesOperator: the problem changed since linearize()");
   }
 
-  x_ = x;
+  const std::vector<std::size_t>& owned = sub_->owned_dofs();
+  scatter_owned(x, owned, x_);
   halo_dof_->import_ghosts(x_);
-  y.assign(n, 0.0);
+  for (const std::size_t row : sub_->local_dofs()) y_[row] = 0.0;
 
   if (mode_ == linalg::JacobianMode::kAssembled) {
     // Hand-rolled serial row loop over the rows this rank's cells touch:
     // CrsMatrix::apply is pool-parallel and must not run inside a rank
     // thread.  Couplings to non-local dofs have zero VALUES in the partial
-    // matrix, so garbage x_ entries there multiply zeros — y stays finite.
+    // matrix and meet zero x_ entries there.
     const std::vector<std::size_t>& rp = J_->row_ptr();
     const std::vector<std::size_t>& cols = J_->cols();
     const std::vector<double>& vals = J_->values();
@@ -183,26 +189,26 @@ void DistStokesOperator::apply(const std::vector<double>& x,
       for (std::size_t k = rp[row]; k < rp[row + 1]; ++k) {
         acc += vals[k] * x_[cols[k]];
       }
-      y[row] = acc;
+      y_[row] = acc;
     }
   } else {
-    sub_->apply_tangent(lin_, x_, y);
+    sub_->apply_tangent(lin_, x_, y_);
   }
 
-  halo_dof_->export_add(y);
+  halo_dof_->export_add(y_);
 
   for (const std::size_t d : sub_->owned_dirichlet_dofs()) {
-    y[d] = ctx_->dirichlet_scale * x_[d];
+    y_[d] = ctx_->dirichlet_scale * x_[d];
   }
+  gather_owned(y_, owned, y);
 }
 
 bool DistStokesOperator::diagonal(std::vector<double>& d) const {
   MALI_CHECK(linearized_);
-  const std::size_t n = sub_->problem().n_dofs();
-  d.resize(n);
-  for (std::size_t node = 0; node < n / 2; ++node) {
-    d[2 * node] = blocks_[node * 4];
-    d[2 * node + 1] = blocks_[node * 4 + 3];
+  d.resize(n_owned_);
+  for (std::size_t k = 0; 2 * k < n_owned_; ++k) {
+    d[2 * k] = blocks_[4 * k];
+    d[2 * k + 1] = blocks_[4 * k + 3];
   }
   return true;
 }
@@ -219,32 +225,48 @@ bool DistStokesOperator::block_diagonal(int bs,
 // RankStokesProblem
 // ---------------------------------------------------------------------------
 
+RankStokesProblem::RankStokesProblem(Subdomain& sub, HaloExchange& halo_dof,
+                                     HaloExchange& halo_blocks,
+                                     Communicator& comm,
+                                     linalg::JacobianMode mode, bool overlap,
+                                     RankContext& ctx)
+    : sub_(&sub),
+      halo_dof_(&halo_dof),
+      halo_blk_(&halo_blocks),
+      comm_(&comm),
+      mode_(mode),
+      overlap_(overlap),
+      ctx_(&ctx),
+      scratch_(sub.problem().n_dofs(), 0.0),
+      F_(sub.problem().n_dofs(), 0.0) {}
+
 void RankStokesProblem::residual(const std::vector<double>& U,
                                  std::vector<double>& F) {
-  const physics::StokesFOProblem& prob = sub_->problem();
-  const std::size_t n = prob.n_dofs();
-  MALI_CHECK(U.size() == n);
+  const std::vector<std::size_t>& owned = sub_->owned_dofs();
+  MALI_CHECK_MSG(U.size() == owned.size(),
+                 "RankStokesProblem::residual: U must have owned extent");
 
-  scratch_ = U;
-  F.assign(n, 0.0);
+  scatter_owned(U, owned, scratch_);
+  for (const std::size_t row : sub_->local_dofs()) F_[row] = 0.0;
   if (overlap_) {
     // Split-phase: post the ghost import, assemble the interior cells (which
     // by construction read only owned columns), then complete the import
     // before the boundary cells that need the ghosts.
     halo_dof_->post_import(scratch_);
-    sub_->assemble_residual_segment(Subdomain::kInterior, scratch_, F);
+    sub_->assemble_residual_segment(Subdomain::kInterior, scratch_, F_);
     halo_dof_->finish_import(scratch_);
   } else {
     halo_dof_->import_ghosts(scratch_);
-    sub_->assemble_residual_segment(Subdomain::kInterior, scratch_, F);
+    sub_->assemble_residual_segment(Subdomain::kInterior, scratch_, F_);
   }
-  sub_->assemble_residual_segment(Subdomain::kBoundary, scratch_, F);
-  halo_dof_->export_add(F);
+  sub_->assemble_residual_segment(Subdomain::kBoundary, scratch_, F_);
+  halo_dof_->export_add(F_);
 
-  const std::vector<double>& g = prob.dirichlet_values();
+  const std::vector<double>& g = sub_->problem().dirichlet_values();
   for (const std::size_t d : sub_->owned_dirichlet_dofs()) {
-    F[d] = ctx_->dirichlet_scale * (scratch_[d] - g[d]);
+    F_[d] = ctx_->dirichlet_scale * (scratch_[d] - g[d]);
   }
+  gather_owned(F_, owned, F);
 }
 
 void RankStokesProblem::residual_and_jacobian(const std::vector<double>&,
@@ -253,6 +275,13 @@ void RankStokesProblem::residual_and_jacobian(const std::vector<double>&,
   MALI_CHECK_MSG(false,
                  "distributed solve is matrix-free at the Newton level; the "
                  "assembled fallback path is not supported per-rank");
+}
+
+linalg::CrsMatrix RankStokesProblem::create_matrix() const {
+  MALI_CHECK_MSG(false,
+                 "distributed solve is matrix-free at the Newton level; a "
+                 "rank has no assembled owned-extent matrix");
+  return {};
 }
 
 std::unique_ptr<linalg::LinearOperator> RankStokesProblem::jacobian_operator(
@@ -396,7 +425,7 @@ DistResult solve_distributed(const physics::StokesFOProblem& problem,
                               problem.mesh().levels(), /*per_node=*/4,
                               /*tag_base=*/8);
         RankContext ctx;
-        DistInnerProduct ip(comm, sub.owned_dofs());
+        DistInnerProduct ip(comm, sub.owned_dofs().size());
         RankStokesProblem rank_problem(sub, halo_dof, halo_blk, comm,
                                        cfg.jacobian, cfg.overlap, ctx);
         // Guard decorators when armed: the residual/operator outputs are
@@ -443,14 +472,17 @@ DistResult solve_distributed(const physics::StokesFOProblem& problem,
           };
         }
 
-        std::vector<double> U = U_shared;  // all ranks copy before any writes
-        comm.barrier();                    // ... and the barrier makes it so
+        // Each rank reads and later writes only its own owned entries of
+        // the shared global-extent U.
+        std::vector<double> U;
+        gather_owned(U_shared, sub.owned_dofs(), U);
+        comm.barrier();  // every rank starts the solve together
 
         nonlinear::NewtonSolver newton(ncfg);
         const nonlinear::NewtonResult nr = newton.solve(prob, M_use, U);
 
         comm.barrier();  // everyone done solving before gathering
-        for (const std::size_t d : sub.owned_dofs()) U_shared[d] = U[d];
+        scatter_owned(U, sub.owned_dofs(), U_shared);
 
         DistRankReport& rep = result.ranks[r];
         rep.owned_cells = part.owned_cells[r];

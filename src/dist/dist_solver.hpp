@@ -12,15 +12,19 @@
 //            DistStokesOperator — J(U) as a partial per-rank operator
 //              (assembled partial CRS or per-element tangent apply) wrapped
 //              in the same import/export protocol
-//            DistInnerProduct   — owned-dof reduction + deterministic
+//            DistInnerProduct   — owned-entry reduction + deterministic
 //              allreduce, injected into Newton AND GMRES so every branch
 //              (convergence tests, line-search damping, restart decisions)
 //              is bit-identical on all ranks
 //
-// Vectors are global-extent on every rank with the ownership discipline of
-// dist/halo_exchange.hpp: owned entries authoritative, ghosts valid after an
-// import, everything else finite garbage that the rank-reduced inner product
-// masks.  The final solution is gathered by disjoint owned-entry writes.
+// Every vector the rank's Newton, Krylov and preconditioner see has OWNED
+// extent: entry i is the rank's owned_dofs()[i] (ascending global dof ids).
+// Global-extent arrays survive only as private scratch inside the problem
+// and the operator, where the Subdomain kernels and the HaloExchange need
+// them: each call scatters its owned input into scratch, imports the ghosts,
+// runs the kernel and export_add, overrides the owned Dirichlet rows, and
+// gathers the owned rows back out.  solve_distributed gathers each rank's
+// start vector from the global-extent U and scatters the result back.
 //
 // Equivalence contract: for any rank count, decomposition, jacobian mode,
 // and overlap setting, the converged solution matches the single-rank solve
@@ -47,20 +51,18 @@
 
 namespace mali::dist {
 
-/// Rank-reduced inner product: each rank sums only the vector entries it
-/// owns, then the deterministic allreduce combines the rank partials in
-/// fixed rank order — every rank sees the bit-identical scalar.
+/// Rank-reduced inner product over owned-extent vectors: each rank sums
+/// its entries in order, then the deterministic allreduce combines the rank
+/// partials in fixed rank order — every rank sees the bit-identical scalar.
 class DistInnerProduct final : public linalg::InnerProduct {
  public:
-  DistInnerProduct(Communicator& comm, const std::vector<std::size_t>& owned)
-      : comm_(&comm), owned_(&owned) {}
+  /// `n_owned`: the extent every reduced vector must have.
+  DistInnerProduct(Communicator& comm, std::size_t n_owned)
+      : comm_(&comm), n_owned_(n_owned) {}
 
   [[nodiscard]] double dot(const std::vector<double>& x,
                            const std::vector<double>& y) const override {
-    MALI_CHECK(x.size() == y.size());
-    double local = 0.0;
-    for (const std::size_t d : *owned_) local += x[d] * y[d];
-    return comm_->allreduce_sum(local);
+    return comm_->allreduce_sum(local_dot(x, y));
   }
 
   /// All n partials ride ONE allreduce_n collective instead of n scalar
@@ -89,20 +91,27 @@ class DistInnerProduct final : public linalg::InnerProduct {
   }
 
  private:
+  [[nodiscard]] double local_dot(const std::vector<double>& x,
+                                 const std::vector<double>& y) const {
+    MALI_CHECK_MSG(x.size() == n_owned_ && y.size() == n_owned_,
+                   "DistInnerProduct: vectors must have the rank's owned "
+                   "extent");
+    double local = 0.0;
+    for (std::size_t i = 0; i < n_owned_; ++i) local += x[i] * y[i];
+    return local;
+  }
+
   [[nodiscard]] std::vector<double> local_partials(
       const std::vector<linalg::DotPair>& pairs) const {
-    std::vector<double> local(pairs.size(), 0.0);
+    std::vector<double> local(pairs.size());
     for (std::size_t k = 0; k < pairs.size(); ++k) {
-      const auto& x = *pairs[k].x;
-      const auto& y = *pairs[k].y;
-      MALI_CHECK(x.size() == y.size());
-      for (const std::size_t d : *owned_) local[k] += x[d] * y[d];
+      local[k] = local_dot(*pairs[k].x, *pairs[k].y);
     }
     return local;
   }
 
   Communicator* comm_;
-  const std::vector<std::size_t>* owned_;
+  std::size_t n_owned_;
 };
 
 /// Per-rank state shared between the residual and the operator: the
@@ -112,10 +121,11 @@ struct RankContext {
   double dirichlet_scale = 1.0;
 };
 
-/// The rank's view of the global Jacobian J(U): applies only the rank's own
-/// cells' contributions, then export_adds the ghost-row partials to their
-/// owners — owned rows of y are complete, everything else is masked.  Two
-/// internal modes mirror the serial solver's JacobianMode:
+/// The rank's rows of the global Jacobian J(U), on owned-extent vectors:
+/// applies only the rank's own cells' contributions in global-extent
+/// scratch, export_adds the ghost-row partials to their owners, and returns
+/// the completed owned rows.  Two internal modes mirror the serial solver's
+/// JacobianMode:
 ///  - kAssembled:  a partial CRS matrix (global sparsity, only local cells
 ///    scattered) applied with a hand-rolled serial row loop over the local
 ///    rows (CrsMatrix::apply is pool-parallel and must not run inside a
@@ -125,25 +135,26 @@ struct RankContext {
 /// linearize() also completes the per-node 2x2 diagonal blocks across ranks
 /// (export_add + import on the stride-4 plan) and refreshes the shared
 /// Dirichlet scale, so Jacobi/block-Jacobi preconditioners work unchanged
-/// through the standard diagonal()/block_diagonal() capabilities.
+/// through the standard diagonal()/block_diagonal() capabilities, which
+/// return the rank's owned nodes only.
 class DistStokesOperator final : public linalg::LinearOperator {
  public:
   DistStokesOperator(Subdomain& sub, HaloExchange& halo_dof,
                      HaloExchange& halo_blocks, Communicator& comm,
                      linalg::JacobianMode mode, RankContext& ctx);
 
-  /// Collective: imports ghosts of U, assembles the partial Jacobian (or
-  /// builds the rank's tangent cache), completes the block diagonal, and
-  /// refreshes ctx.dirichlet_scale via an allreduce.
+  /// Collective: imports ghosts of the owned-extent U, assembles the
+  /// partial Jacobian (or builds the rank's tangent cache), completes the
+  /// block diagonal, and refreshes ctx.dirichlet_scale via an allreduce.
   void linearize(const std::vector<double>& U);
 
   [[nodiscard]] std::size_t rows() const override;
   [[nodiscard]] std::size_t cols() const override;
 
   /// Collective: every rank must call apply the same number of times (the
-  /// injected inner product guarantees GMRES does exactly that).  Throws
-  /// physics::StaleLinearizationError if the problem's revision moved
-  /// since linearize().
+  /// injected inner product guarantees GMRES does exactly that).  x must
+  /// have owned extent.  Throws physics::StaleLinearizationError if the
+  /// problem's revision moved since linearize().
   void apply(const std::vector<double>& x,
              std::vector<double>& y) const override;
 
@@ -166,45 +177,40 @@ class DistStokesOperator final : public linalg::LinearOperator {
   linalg::JacobianMode mode_;
   RankContext* ctx_;
 
-  std::vector<double> U_;       ///< linearization state, ghosts imported
-  std::vector<double> blocks_;  ///< completed per-node 2x2 blocks (2*n)
+  std::size_t n_owned_;
+  std::vector<double> blocks_;  ///< completed 2x2 blocks of owned nodes
   std::unique_ptr<linalg::CrsMatrix> J_;  ///< partial, assembled mode only
   /// Tangent cache per segment, matrix-free mode only.
   std::vector<physics::TangentLinearization> lin_;
   std::uint64_t revision_ = 0;  ///< problem revision at linearize()
-  mutable std::vector<double> x_;         ///< apply scratch (ghost import)
+  /// Global-extent apply scratch: x with imported ghosts, and the y
+  /// accumulator.  Entries outside local_dofs() stay zero.
+  mutable std::vector<double> x_;
+  mutable std::vector<double> y_;
   bool linearized_ = false;
 };
 
-/// The NonlinearProblem each rank hands to the (unchanged) NewtonSolver.
-/// Always drives the matrix-free Newton path — jacobian_operator() returns
-/// a freshly linearized DistStokesOperator whose *internal* mode is the
-/// configured JacobianMode.  residual() implements the split-phase halo
-/// protocol; with `overlap` the import is overlapped with interior-cell
-/// assembly, and the result is bit-identical either way.
+/// The NonlinearProblem each rank hands to the (unchanged) NewtonSolver,
+/// over owned-extent vectors.  Always drives the matrix-free Newton path —
+/// jacobian_operator() returns a freshly linearized DistStokesOperator
+/// whose *internal* mode is the configured JacobianMode.  residual()
+/// implements the split-phase halo protocol; with `overlap` the import is
+/// overlapped with interior-cell assembly, and the result is bit-identical
+/// either way.
 class RankStokesProblem final : public nonlinear::NonlinearProblem {
  public:
   RankStokesProblem(Subdomain& sub, HaloExchange& halo_dof,
                     HaloExchange& halo_blocks, Communicator& comm,
-                    linalg::JacobianMode mode, bool overlap, RankContext& ctx)
-      : sub_(&sub),
-        halo_dof_(&halo_dof),
-        halo_blk_(&halo_blocks),
-        comm_(&comm),
-        mode_(mode),
-        overlap_(overlap),
-        ctx_(&ctx) {}
+                    linalg::JacobianMode mode, bool overlap, RankContext& ctx);
 
   [[nodiscard]] std::size_t n_dofs() const override {
-    return sub_->problem().n_dofs();
+    return sub_->owned_dofs().size();
   }
   void residual(const std::vector<double>& U, std::vector<double>& F) override;
   void residual_and_jacobian(const std::vector<double>& U,
                              std::vector<double>& F,
                              linalg::CrsMatrix& J) override;
-  [[nodiscard]] linalg::CrsMatrix create_matrix() const override {
-    return sub_->problem().create_matrix();
-  }
+  [[nodiscard]] linalg::CrsMatrix create_matrix() const override;
   [[nodiscard]] std::unique_ptr<linalg::LinearOperator> jacobian_operator(
       const std::vector<double>& U) override;
 
@@ -216,7 +222,10 @@ class RankStokesProblem final : public nonlinear::NonlinearProblem {
   linalg::JacobianMode mode_;
   bool overlap_;
   RankContext* ctx_;
-  std::vector<double> scratch_;  ///< U with imported ghosts
+  /// Global-extent scratch: U with imported ghosts, and the residual
+  /// accumulator.  Entries outside local_dofs() stay zero.
+  std::vector<double> scratch_;
+  std::vector<double> F_;
 };
 
 enum class Decomp { kStrips, kBlocks };

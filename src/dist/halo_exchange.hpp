@@ -20,12 +20,14 @@
 // Both sides pack/unpack the shared column lists in the same (ascending
 // global id) order, so buffers align index-for-index without headers.
 //
-// Vectors are GLOBAL-extent on every rank: entry i is authoritative iff the
-// rank owns column i (after export_add), ghost entries are valid after
-// import_ghosts, and all other entries are never read (the rank-reduced
-// inner product masks them).  Wall-clock for pack/exchange/unpack is
-// accumulated in stats() — this is the "measured halo time" that
-// bench_weak_scaling reports next to the NetworkModel prediction.
+// The plans act on GLOBAL-extent vectors, which exist only as private
+// scratch of the rank's problem and operator (the rank's solvers work on
+// owned-extent vectors, see dist/dist_solver.hpp): entry i is authoritative
+// iff the rank owns column i (after export_add), ghost entries are valid
+// after import_ghosts, and no other entry is read or written.  Wall-clock
+// for pack/exchange/unpack is accumulated in stats() — this is the
+// "measured halo time" that bench_weak_scaling reports next to the
+// NetworkModel prediction.
 
 #include <cstddef>
 #include <vector>

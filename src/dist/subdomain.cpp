@@ -10,6 +10,20 @@ namespace mali::dist {
 using physics::JacobianEval;
 using physics::ResidualEval;
 
+void gather_owned(const std::vector<double>& global,
+                  const std::vector<std::size_t>& idx,
+                  std::vector<double>& owned) {
+  owned.resize(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) owned[i] = global[idx[i]];
+}
+
+void scatter_owned(const std::vector<double>& owned,
+                   const std::vector<std::size_t>& idx,
+                   std::vector<double>& global) {
+  MALI_CHECK(owned.size() == idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) global[idx[i]] = owned[i];
+}
+
 Subdomain::Subdomain(const physics::StokesFOProblem& problem,
                      const mesh::Partition& part, int rank)
     : problem_(&problem), engine_(elems_, problem.config(), phase_timers_) {

@@ -9,9 +9,11 @@
 // re-enter the shared thread pool).  The staged arrays are padded to
 // fem::padded_cells rows with replicated ghost rows, so the configured SIMD
 // width applies here exactly as on the serial path.  Global node ids are
-// RETAINED, so the rank assembles into GLOBAL-extent vectors: its own
-// entries become partial sums that the HaloExchange export completes at the
-// owners.
+// RETAINED, so the kernels read and assemble into GLOBAL-extent vectors:
+// the rank's own entries become partial sums that the HaloExchange export
+// completes at the owners.  Those global-extent vectors are private scratch
+// of the rank's problem and operator; the rank's solvers work on
+// owned-extent vectors, moved in and out with gather_owned/scatter_owned.
 //
 // Cell ordering — interior first:
 //   [0, n_interior_cells)            cells whose 8 nodes all lie in OWNED
@@ -43,6 +45,17 @@
 
 namespace mali::dist {
 
+/// owned[i] = global[idx[i]]: the owned-extent copy of a global-extent
+/// vector (`owned` is resized to idx.size()).
+void gather_owned(const std::vector<double>& global,
+                  const std::vector<std::size_t>& idx,
+                  std::vector<double>& owned);
+/// global[idx[i]] = owned[i]: writes an owned-extent vector back into its
+/// entries of a global-extent one, leaving every other entry untouched.
+void scatter_owned(const std::vector<double>& owned,
+                   const std::vector<std::size_t>& idx,
+                   std::vector<double>& global);
+
 class Subdomain {
  public:
   /// Stages the rank's element data from the (shared, read-only) problem.
@@ -65,8 +78,8 @@ class Subdomain {
     return *problem_;
   }
 
-  /// Vector entries this rank owns (dofs of owned columns, ascending) — the
-  /// index set the rank-reduced inner product sums.
+  /// Vector entries this rank owns (dofs of owned columns, ascending) —
+  /// entry i of every owned-extent vector is global dof owned_dofs()[i].
   [[nodiscard]] const std::vector<std::size_t>& owned_dofs() const noexcept {
     return owned_dofs_;
   }
@@ -77,8 +90,8 @@ class Subdomain {
     return owned_dirichlet_dofs_;
   }
   /// All dofs of local (owned + ghost) columns, in column-plan order (owned
-  /// columns ascending, then ghost columns ascending) — the rows the rank's
-  /// partial operator can touch (the assembled apply iterates these).
+  /// columns ascending, then ghost columns ascending) — the only rows the
+  /// rank's kernels and halo exchanges touch in a global-extent vector.
   [[nodiscard]] const std::vector<std::size_t>& local_dofs() const noexcept {
     return local_dofs_;
   }

@@ -276,15 +276,17 @@ TEST(StaleLinearization, DistributedApplyAfterAMutationThrowsTyped) {
     dist::RankStokesProblem rp(sub, halo_dof, halo_blk, comm,
                                linalg::JacobianMode::kMatrixFree,
                                /*overlap=*/false, ctx);
-    const auto op = rp.jacobian_operator(U);
-    std::vector<double> y;
-    op->apply(x, y);
+    std::vector<double> Ur, xr, y;
+    dist::gather_owned(U, sub.owned_dofs(), Ur);
+    dist::gather_owned(x, sub.owned_dofs(), xr);
+    const auto op = rp.jacobian_operator(Ur);
+    op->apply(xr, y);
     applied += 1;
     comm.barrier();
     if (rank == 0) p.set_regularization(3.0e-10);
     comm.barrier();
     try {
-      op->apply(x, y);
+      op->apply(xr, y);
     } catch (const physics::StaleLinearizationError&) {
       refused += 1;
     }
