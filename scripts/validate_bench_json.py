@@ -28,6 +28,7 @@ REQUIRED = {
     "pipelined_krylov": ["rows"],
     "comm_guards": ["overhead_pct"],
     "ensemble": ["speedup"],
+    "amg_tangent_assembly": ["rows", "bitwise_equal"],
 }
 
 

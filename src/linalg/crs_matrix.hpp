@@ -4,6 +4,7 @@
 // helpers the Krylov solvers need.
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "portability/atomic.hpp"
@@ -41,11 +42,9 @@ class CrsMatrix {
 
   void set_zero() { std::fill(vals_.begin(), vals_.end(), 0.0); }
 
-  /// Adds v at (r, c); the entry must exist in the graph.
+  /// Adds v at (r, c); throws mali::Error when the graph lacks the entry.
   void add(std::size_t r, std::size_t c, double v) {
-    const std::size_t k = find(r, c);
-    MALI_ASSERT(k != npos);
-    vals_[k] += v;
+    vals_[find_existing(r, c)] += v;
   }
 
   /// Adds v at (r, c) with an atomic read-modify-write on the stored value —
@@ -53,16 +52,12 @@ class CrsMatrix {
   /// (ScatterMode::kAtomic).  The graph itself is immutable, so only the
   /// value update needs to be atomic.
   void add_atomic(std::size_t r, std::size_t c, double v) {
-    const std::size_t k = find(r, c);
-    MALI_ASSERT(k != npos);
-    pk::atomic_add(&vals_[k], v);
+    pk::atomic_add(&vals_[find_existing(r, c)], v);
   }
 
-  /// Sets (r, c) = v; the entry must exist in the graph.
+  /// Sets (r, c) = v; throws mali::Error when the graph lacks the entry.
   void set(std::size_t r, std::size_t c, double v) {
-    const std::size_t k = find(r, c);
-    MALI_ASSERT(k != npos);
-    vals_[k] = v;
+    vals_[find_existing(r, c)] = v;
   }
 
   [[nodiscard]] double get(std::size_t r, std::size_t c) const {
@@ -85,6 +80,18 @@ class CrsMatrix {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
+  /// find(r, c), throwing instead of returning npos: a write outside the
+  /// graph is a caller bug (a graph that misses a coupling) and must not
+  /// become an out-of-bounds store.
+  [[nodiscard]] std::size_t find_existing(std::size_t r, std::size_t c) const {
+    MALI_CHECK_MSG(r < n_rows(), "CrsMatrix: row out of range");
+    const std::size_t k = find(r, c);
+    MALI_CHECK_MSG(k != npos, "CrsMatrix: entry (" + std::to_string(r) +
+                                  ", " + std::to_string(c) +
+                                  ") is not in the sparsity graph");
+    return k;
+  }
+
   /// Binary search for column c in row r.
   [[nodiscard]] std::size_t find(std::size_t r, std::size_t c) const {
     std::size_t lo = row_ptr_[r];

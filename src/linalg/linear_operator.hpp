@@ -15,6 +15,12 @@
 //  * `diagonal` / `block_diagonal` are optional capabilities (return false
 //    when unsupported) used to build Jacobi-type preconditioners without an
 //    assembled matrix.
+//  * `assemble(A)` is the optional capability matrix-dependent
+//    preconditioners use on the matrix-free path: the operator writes its
+//    own entries onto A's given sparsity graph (which must cover every
+//    coupling) and returns true, or returns false when it cannot.  The
+//    semicoarsening AMG falls back to colored operator probing
+//    (linalg/operator_probing.hpp) for operators without it.
 //  * `matrix()` exposes the underlying CrsMatrix when one exists, so
 //    matrix-dependent preconditioners (SGS, AMG) can keep working on
 //    the assembled path and fail loudly on the matrix-free one.
@@ -67,6 +73,16 @@ class LinearOperator {
   virtual bool block_diagonal(int bs, std::vector<double>& blocks) const {
     (void)bs;
     (void)blocks;
+    return false;
+  }
+
+  /// Overwrites A's values with the operator's entries on A's graph and
+  /// returns true, or returns false if unsupported.  A must be
+  /// rows() x cols() and its graph must hold every nonzero of the operator
+  /// (entries absent from the operator become 0); implementations throw
+  /// mali::Error otherwise.
+  virtual bool assemble(CrsMatrix& A) const {
+    (void)A;
     return false;
   }
 

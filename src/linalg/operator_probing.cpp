@@ -129,12 +129,13 @@ StructuredProbing::StructuredProbing(const ExtrusionInfo& info) {
   }
 }
 
-CrsMatrix StructuredProbing::probe(const LinearOperator& A) const {
+void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
   const std::size_t n = n_dofs();
   MALI_CHECK_MSG(A.rows() == n && A.cols() == n,
                  "StructuredProbing: operator size does not match the "
                  "extrusion structure");
-  CrsMatrix P(row_ptr_, cols_);
+  MALI_CHECK_MSG(P.row_ptr() == row_ptr_ && P.cols() == cols_,
+                 "StructuredProbing: target is not on the structural graph");
   auto& vals = P.values();
 
   std::vector<double> e(n), y(n);
@@ -152,7 +153,6 @@ CrsMatrix StructuredProbing::probe(const LinearOperator& A) const {
       }
     }
   }
-  return P;
 }
 
 }  // namespace mali::linalg

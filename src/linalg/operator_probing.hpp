@@ -15,8 +15,10 @@
 // color: applying the operator to the 0/1 indicator vector of a color reads
 // off every entry of those columns exactly.  That is 27 * dofs_per_node
 // probe applies regardless of mesh size — the structure-aware probing the
-// matrix-dependent semicoarsening AMG needs to run on the JFNK path (see
-// DESIGN.md §10 for the contract `ExtrusionInfo` must satisfy).
+// matrix-dependent semicoarsening AMG falls back to for matrix-free
+// operators without the LinearOperator::assemble capability (see DESIGN.md
+// §10 for the contract `ExtrusionInfo` must satisfy).  The structural
+// graph is also the target such operators assemble onto.
 
 #include <cstddef>
 #include <vector>
@@ -48,10 +50,16 @@ class StructuredProbing {
   /// sparsity; entries absent from the operator probe to 0).
   [[nodiscard]] std::size_t graph_nnz() const noexcept { return cols_.size(); }
 
-  /// Reconstructs A entrywise on the structural graph: one apply per
-  /// non-empty color, each recovering all columns of that color exactly.
-  /// A must be square with rows() == n_dofs().
-  [[nodiscard]] CrsMatrix probe(const LinearOperator& A) const;
+  /// A zero matrix on the structural graph: the target probe() fills, and
+  /// the graph an operator with the LinearOperator::assemble capability
+  /// writes its own entries onto.
+  [[nodiscard]] CrsMatrix structure() const { return {row_ptr_, cols_}; }
+
+  /// Reconstructs A entrywise into P, which must be on the structural graph
+  /// (structure()): one apply per non-empty color, each recovering all
+  /// columns of that color exactly.  A must be square with rows() ==
+  /// n_dofs().
+  void probe(const LinearOperator& A, CrsMatrix& P) const;
 
  private:
   std::vector<std::size_t> color_of_;             ///< dof -> color

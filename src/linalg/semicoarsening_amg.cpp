@@ -171,9 +171,12 @@ SemicoarseningAmg::SemicoarseningAmg(ExtrusionInfo info, AmgConfig cfg)
   MALI_CHECK(info_.n_nodes % info_.levels == 0);
 }
 
+SemicoarseningAmg::~SemicoarseningAmg() = default;
+
 void SemicoarseningAmg::compute(const CrsMatrix& A) {
   fine_op_ = nullptr;
   probe_applies_ = 0;
+  fine_operator_assembled_ = false;
   load_fine(A);
   setup_smoothers();
 }
@@ -183,17 +186,28 @@ void SemicoarseningAmg::compute(const LinearOperator& A) {
     compute(*A.matrix());
     return;
   }
-  // Matrix-free: reconstruct the fine matrix by colored probing — a
-  // constant 27 * dofs_per_node operator applies on the extruded lattice —
-  // then reuse the assembled hierarchy build verbatim.
+  // Matrix-free: the operator writes its own fine matrix onto the
+  // structural lattice graph (a pure function of the ExtrusionInfo, so
+  // built once), or — lacking that capability — it is reconstructed by
+  // colored probing, a constant 27 * dofs_per_node operator applies.
+  // Either way the assembled hierarchy build is then reused verbatim.
   fine_op_ = nullptr;
-  const StructuredProbing probing(info_);
-  const CrsMatrix probed = probing.probe(A);
-  probe_applies_ = probing.n_probes();
-  load_fine(probed);
+  probe_applies_ = 0;
+  fine_operator_assembled_ = false;
+  if (!probing_) {
+    probing_ = std::make_unique<const StructuredProbing>(info_);
+    fine_ = probing_->structure();
+  }
+  if (A.assemble(fine_)) {
+    fine_operator_assembled_ = true;
+  } else {
+    probing_->probe(A, fine_);
+    probe_applies_ = probing_->n_probes();
+  }
+  load_fine(fine_);
   // With the Chebyshev smoother the fine level stays fully matrix-free:
   // level-0 smoothing and residuals go through the live operator (it must
-  // outlive every apply() until the next compute()); the probed matrix is
+  // outlive every apply() until the next compute()); the fine matrix is
   // then only streamed once per setup, during the Galerkin build.
   if (cfg_.smoother == AmgSmoother::kChebyshev) fine_op_ = &A;
   setup_smoothers();
@@ -431,7 +445,7 @@ void SemicoarseningAmg::setup_smoothers() {
       }
       auto cheb = std::make_unique<ChebyshevSmoother>(ccfg);
       if (l == 0 && fine_op_ != nullptr) {
-        // Matrix-free fine level: operator applies + probed diagonal only.
+        // Matrix-free fine level: operator applies + fine diagonal only.
         const std::size_t n = lvl.A.n_rows();
         std::vector<double> diag(n);
         for (std::size_t i = 0; i < n; ++i) diag[i] = lvl.A.diagonal(i);

@@ -30,13 +30,17 @@
 // The preconditioner is consumable from either side of the Jacobian split:
 //  * compute(const CrsMatrix&) — the classic assembled path;
 //  * compute(const LinearOperator&) — unwraps A.matrix() when one exists;
-//    otherwise the fine matrix is *probed* from operator applies via the
-//    structure-aware coloring of linalg::StructuredProbing (a constant
-//    27 * dofs_per_node applies), and the usual Galerkin hierarchy is built
-//    on the probed matrix.  With the Chebyshev smoother the fine level then
-//    stays fully matrix-free: level-0 smoothing and residuals run through
-//    the operator, and the probed matrix is only streamed during setup.
-// See DESIGN.md §10 for the operator-probing contract.
+//    otherwise the operator writes its own fine matrix onto the structural
+//    3x3x3 lattice graph through LinearOperator::assemble (the matrix-free
+//    Stokes operator does, from its tangent cache), and an operator without
+//    that capability is *probed* instead, via the structure-aware coloring
+//    of linalg::StructuredProbing (a constant 27 * dofs_per_node applies).
+//    The graph is built once per AMG; the usual Galerkin hierarchy is built
+//    on the resulting matrix.  With the Chebyshev smoother the fine level
+//    then stays fully matrix-free: level-0 smoothing and residuals run
+//    through the operator, and the fine matrix is only streamed during
+//    setup.
+// See DESIGN.md §10 for the assembly and probing contracts.
 
 #include <cstddef>
 #include <cstdint>
@@ -135,13 +139,20 @@ class ColumnLineSmoother final : public Preconditioner {
   std::vector<double> lu_;
 };
 
+class StructuredProbing;
+
 class SemicoarseningAmg final : public Preconditioner {
  public:
   SemicoarseningAmg(ExtrusionInfo info, AmgConfig cfg = {});
+  ~SemicoarseningAmg() override;
 
   void compute(const CrsMatrix& A) override;
-  /// Operator form: unwraps A.matrix() when assembled; probes the fine
-  /// matrix from operator applies otherwise (see StructuredProbing).  When
+  /// Operator form: unwraps A.matrix() when assembled.  Otherwise the fine
+  /// matrix lives on the structural 3x3x3 lattice graph of the
+  /// ExtrusionInfo (see StructuredProbing), built on the first such call
+  /// and kept: A.assemble() fills it when A supports that, and colored
+  /// probing (probe_applies() operator applies) fills it when A does not.
+  /// Errors from A.assemble (a stale linearization, say) propagate.  When
   /// the Chebyshev smoother is configured the operator is also kept for
   /// matrix-free level-0 smoothing/residuals — it must then outlive every
   /// subsequent apply() until the next compute().
@@ -162,8 +173,8 @@ class SemicoarseningAmg final : public Preconditioner {
     return levels_[l].A.nnz();
   }
   /// Level l's matrix: 0 is the fine matrix the hierarchy was built on
-  /// (assembled copy or probed reconstruction), then the Galerkin coarse
-  /// operators.
+  /// (assembled copy, operator-assembled or probed), then the Galerkin
+  /// coarse operators.
   [[nodiscard]] const CrsMatrix& level_matrix(std::size_t l) const {
     MALI_CHECK_MSG(l < levels_.size(), "AMG: no such level");
     return levels_[l].A;
@@ -174,13 +185,18 @@ class SemicoarseningAmg final : public Preconditioner {
     return levels_[l].agg;
   }
 
-  /// Operator applies the last compute() spent probing the fine matrix
-  /// (0 on the assembled path).
+  /// Operator applies the last compute() spent probing the fine matrix:
+  /// 0 on the assembled path and for operators that assemble themselves.
   [[nodiscard]] std::size_t probe_applies() const noexcept {
     return probe_applies_;
   }
+  /// True when the last compute() got its fine matrix from the operator's
+  /// own LinearOperator::assemble (no probe applies).
+  [[nodiscard]] bool fine_operator_assembled() const noexcept {
+    return fine_operator_assembled_;
+  }
   /// True when level-0 smoothing/residuals go through the live operator
-  /// instead of the probed matrix.
+  /// instead of the operator's fine matrix.
   [[nodiscard]] bool fine_matrix_free() const noexcept {
     return fine_op_ != nullptr;
   }
@@ -252,10 +268,15 @@ class SemicoarseningAmg final : public Preconditioner {
   AmgConfig cfg_;
   std::vector<Level> levels_;
 
-  /// Live operator for matrix-free level-0 work (Chebyshev + probed path
-  /// only); nullptr on the assembled path.  Not owned.
+  /// Live operator for matrix-free level-0 work (Chebyshev + operator
+  /// path only); nullptr on the assembled path.  Not owned.
   const LinearOperator* fine_op_ = nullptr;
   std::size_t probe_applies_ = 0;
+  bool fine_operator_assembled_ = false;
+  /// Operator path only, built on its first compute(): the lattice graph
+  /// and probe coloring, and the fine matrix on that graph.
+  std::unique_ptr<const StructuredProbing> probing_;
+  CrsMatrix fine_;
 
   std::size_t hierarchy_builds_ = 0;
   std::size_t structure_reuses_ = 0;

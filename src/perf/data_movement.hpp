@@ -188,25 +188,39 @@ struct JacobianApplyModel {
 };
 
 // ---------------------------------------------------------------------------
-// Operator-probed MDSC-AMG data movement: what making the production
-// preconditioner consumable by the matrix-free path costs and saves.
+// MDSC-AMG data movement on the matrix-free path: what making the
+// production preconditioner consumable by the matrix-free operator costs
+// and saves.
 //
-// Setup pays a constant number of probe operator applies (27 * dofs/node on
-// the extruded lattice) plus one stream of each level's CRS matrix for the
-// Galerkin build; that cost is amortized over every GMRES iteration of the
-// Newton step.  Per V-cycle, each level streams its matrix once per
-// smoother sweep and once per residual — except a matrix-free fine level
-// (Chebyshev smoother), where level-0 work runs through the operator apply
-// and the probed matrix is never streamed after setup.
+// Setup gets the fine matrix one of two ways: the operator assembles it
+// from its tangent cache (the cache read once per local unit direction, 16
+// on hex8, plus one pass over the fine CRS arrays), or — for operators
+// without that capability — a constant number of probe operator applies
+// (27 * dofs/node on the extruded lattice) reconstruct it.  Either way one
+// stream of each level's CRS matrix follows for the Galerkin build; the
+// setup is amortized over every GMRES iteration of the Newton step.  Per
+// V-cycle, each level streams its matrix once per smoother sweep and once
+// per residual — except a matrix-free fine level (Chebyshev smoother),
+// where level-0 work runs through the operator apply and the fine matrix
+// is never streamed after setup.
 // ---------------------------------------------------------------------------
 
-/// Byte model for the probed-AMG setup and V-cycle on the FO Stokes mesh.
+/// Byte model for the matrix-free AMG setup and V-cycle on the FO Stokes
+/// mesh.
 struct AmgCycleModel {
   /// Bytes of one fine operator apply (JacobianApplyModel::
   /// matrix_free_stream_bytes(), or assembled_stream_bytes() when the fine
   /// operator is an assembled SpMV).
   std::size_t fine_apply_bytes = 0;
   std::size_t probe_applies = 0;       ///< colored probe applies at setup
+  /// True when the operator assembled the fine matrix from its tangent
+  /// cache (then probe_applies is 0).
+  bool tangent_assembled = false;
+  /// Bytes of the whole tangent cache (JacobianApplyModel::n_cells *
+  /// cache_bytes_per_cell()), read once per direction when assembling.
+  std::size_t tangent_cache_bytes = 0;
+  /// Local unit directions the assembly runs: 2 dofs x 8 hex8 nodes.
+  static constexpr std::size_t kTangentDirections = 16;
   std::vector<std::size_t> level_rows; ///< dofs per level (0 = fine)
   std::vector<std::size_t> level_nnz;  ///< CRS nonzeros per level
   int pre_sweeps = 1;
@@ -215,7 +229,8 @@ struct AmgCycleModel {
   /// relaxation streams the level matrix twice per sweep instead).
   int cheb_degree = 3;
   /// True when level-0 smoothing/residuals run through the live operator
-  /// (probed + Chebyshev mode) instead of streaming the probed matrix.
+  /// (matrix-free operator + Chebyshev mode) instead of streaming the fine
+  /// matrix.
   bool fine_matrix_free = false;
   static constexpr std::size_t kIdx = sizeof(std::size_t);
   static constexpr std::size_t kVal = sizeof(double);
@@ -248,10 +263,21 @@ struct AmgCycleModel {
                                         : level_stream_bytes(l);
   }
 
-  /// Setup traffic: the probe applies plus one Galerkin stream per level
-  /// (each coarse matrix is built by streaming the finer one once).
+  /// Bytes of the fine matrix's tangent assembly (0 unless
+  /// tangent_assembled): the cache read once per local unit direction plus
+  /// one pass over the fine CRS arrays (values written, graph searched by
+  /// the scatter).
+  [[nodiscard]] std::size_t tangent_assembly_bytes() const {
+    if (!tangent_assembled || level_nnz.empty()) return 0;
+    return kTangentDirections * tangent_cache_bytes +
+           level_nnz[0] * (kVal + kIdx) + (level_rows[0] + 1) * kIdx;
+  }
+
+  /// Setup traffic: building the fine matrix (probe applies or tangent
+  /// assembly) plus one Galerkin stream per level (each coarse matrix is
+  /// built by streaming the finer one once).
   [[nodiscard]] std::size_t setup_bytes() const {
-    std::size_t b = probe_applies * fine_apply_bytes;
+    std::size_t b = probe_applies * fine_apply_bytes + tangent_assembly_bytes();
     for (std::size_t l = 0; l < level_nnz.size(); ++l) {
       b += level_stream_bytes(l);
     }

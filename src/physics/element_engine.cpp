@@ -279,11 +279,12 @@ void ElementEngine::linearize_tangent(const CellBlock& b,
 }
 
 template <class Exec>
-void ElementEngine::apply_tangent(const CellBlock& b,
-                                  const TangentLinearization& lin,
-                                  const pk::View<double, 1>& X,
-                                  std::vector<double>& y) {
-  if (b.count == 0) return;
+void ElementEngine::element_tangents(const CellBlock& b,
+                                     const TangentLinearization& lin,
+                                     const pk::View<std::size_t, 2>& nodes,
+                                     std::size_t node_offset,
+                                     const pk::View<double, 1>& U,
+                                     const pk::View<double, 1>& X) {
   const ElementArrays& a = *arrays_;
   const StokesFOConfig& cfg = *cfg_;
   const std::size_t cnt = b.count;
@@ -301,7 +302,7 @@ void ElementEngine::apply_tangent(const CellBlock& b,
                                                           lin.fields),
                    "tangent linearization does not match the block");
     StokesFOTangentApply<W> tangent;
-    tangent.cell_nodes = a.cell_nodes.window(b.offset, cnt_pad);
+    tangent.cell_nodes = nodes.window(node_offset, cnt_pad);
     tangent.X = X;
     tangent.ref_grad = a.ref_grad;
     tangent.qp_data = lin.qp_data;
@@ -315,19 +316,91 @@ void ElementEngine::apply_tangent(const CellBlock& b,
                      tangent);
   });
 
-  const auto cell_nodes = a.cell_nodes.window(b.offset, cnt);
   if (!cfg.mms.enabled) {
     BasalFrictionTangent friction{
         b.face_cell_local, b.face_wBF, b.face_beta,
-        a.face_BF,         cell_nodes, lin.U,
+        a.face_BF,         nodes.window(node_offset, cnt), U,
         X,                 tangent_,   static_cast<unsigned>(a.face_qps),
         cfg.sliding};
     pk::parallel_for("basal_friction_tangent",
                      pk::RangePolicy<pk::Serial>(b.face_cell_local.size()),
                      friction);
   }
-  scatter_add<Exec>(cfg.scatter, b.coloring, cell_nodes, tangent_, cnt,
+}
+
+template <class Exec>
+void ElementEngine::apply_tangent(const CellBlock& b,
+                                  const TangentLinearization& lin,
+                                  const pk::View<double, 1>& X,
+                                  std::vector<double>& y) {
+  if (b.count == 0) return;
+  const ElementArrays& a = *arrays_;
+  element_tangents<Exec>(b, lin, a.cell_nodes, b.offset, lin.U, X);
+  scatter_add<Exec>(cfg_->scatter, b.coloring,
+                    a.cell_nodes.window(b.offset, b.count), tangent_, b.count,
                     a.num_nodes, y, nullptr);
+}
+
+template <class Exec>
+void ElementEngine::assemble_tangent(const CellBlock& b,
+                                     const TangentLinearization& lin,
+                                     linalg::CrsMatrix& J) {
+  if (b.count == 0) return;
+  const ElementArrays& a = *arrays_;
+  const int N = a.num_nodes;
+  MALI_CHECK_MSG(2 * N == kNumLocalDofs,
+                 "tangent assembly needs 8-node cells (16 local dofs)");
+  const std::size_t cnt = b.count;
+  const std::size_t cnt_pad = fem::padded_cells(cnt);
+  const auto uN = static_cast<std::size_t>(N);
+  const auto cell_nodes = a.cell_nodes.window(b.offset, cnt);
+
+  // Cell-local node space: (c, k) -> c N + k, with the state gathered into
+  // it, so one direction vector carries an independent e_l for every cell.
+  pk::View<std::size_t, 2> local("tangent_local_nodes", cnt_pad, N);
+  pk::View<double, 1> U("tangent_local_U", 2 * uN * cnt_pad);
+  pk::View<double, 1> X("tangent_local_X", 2 * uN * cnt_pad);
+  pk::parallel_for("tangent_local_map", pk::RangePolicy<Exec>(cnt_pad),
+                   [&](int ci) {
+                     const auto c = static_cast<std::size_t>(ci);
+                     for (std::size_t k = 0; k < uN; ++k) {
+                       local(c, k) = c * uN + k;
+                       if (c >= cnt) continue;
+                       const std::size_t g = cell_nodes(c, k);
+                       U(2 * (c * uN + k)) = lin.U(2 * g);
+                       U(2 * (c * uN + k) + 1) = lin.U(2 * g + 1);
+                     }
+                   });
+
+  auto& f = jac_fields_;
+  f.allocate(cnt, N, a.num_qps);
+  for (int l = 0; l < kNumLocalDofs; ++l) {
+    // X = e_l in every cell: local dof l of cell c is X(2 N c + l).
+    const auto ul = static_cast<std::size_t>(l);
+    pk::parallel_for("tangent_unit_direction", pk::RangePolicy<Exec>(cnt_pad),
+                     [&](int ci) {
+                       const std::size_t base =
+                           2 * uN * static_cast<std::size_t>(ci);
+                       if (ul > 0) X(base + ul - 1) = 0.0;
+                       X(base + ul) = 1.0;
+                     });
+    element_tangents<Exec>(b, lin, local, 0, U, X);
+    pk::parallel_for("tangent_column", pk::RangePolicy<Exec>(cnt),
+                     [&](int c) {
+                       for (int k = 0; k < N; ++k) {
+                         for (int comp = 0; comp < 2; ++comp) {
+                           auto& R = f.Residual(c, k, comp);
+                           if (l == 0) R.val() = 0.0;
+                           R.fastAccessDx(l) = tangent_(c, k, comp);
+                         }
+                       }
+                     });
+  }
+  // The matrix scatter also adds the (zero) element residuals into a
+  // vector, which is discarded.
+  std::vector<double> F(lin.U.size(), 0.0);
+  scatter_add<Exec>(cfg_->scatter, b.coloring, cell_nodes, f.Residual, cnt, N,
+                    F, &J);
 }
 
 template <class Exec>
@@ -389,6 +462,11 @@ template void ElementEngine::apply_tangent<pk::Serial>(
 template void ElementEngine::apply_tangent<pk::Threads>(
     const CellBlock&, const TangentLinearization&, const pk::View<double, 1>&,
     std::vector<double>&);
+
+template void ElementEngine::assemble_tangent<pk::Serial>(
+    const CellBlock&, const TangentLinearization&, linalg::CrsMatrix&);
+template void ElementEngine::assemble_tangent<pk::Threads>(
+    const CellBlock&, const TangentLinearization&, linalg::CrsMatrix&);
 
 template void ElementEngine::accumulate_node_blocks<pk::Serial>(
     const CellBlock&, const pk::View<double, 1>&, std::vector<double>&);

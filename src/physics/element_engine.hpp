@@ -13,7 +13,9 @@
 //   tangent   linearize: StokesFOTangentLinearize<W> (W = 1 included)
 //             fills the block's quadrature-point cache, once per state U;
 //             apply: StokesFOTangentApply<W> over that cache -> basal
-//             friction tangent -> scatter
+//             friction tangent -> scatter; assemble: the same two kernels
+//             on each of the 16 cell-local unit directions -> the SFad
+//             field set's derivative slots -> matrix scatter
 //
 // so `simd_width` means the same thing on every path.  Batched kernels run
 // over the block rounded up to whole packs; per-cell arrays have
@@ -170,6 +172,17 @@ class ElementEngine {
   void apply_tangent(const CellBlock& b, const TangentLinearization& lin,
                      const pk::View<double, 1>& X, std::vector<double>& y);
 
+  /// J += the block's element tangent matrices, built from the cache
+  /// linearize_tangent(b, U, lin) built and scattered with the configured
+  /// ScatterMode.  Column l of every cell's 16x16 tangent is the apply's
+  /// tangent kernels run on the cell-local unit direction e_l, stored in
+  /// the SFad field set's dx(l) slot; so each entry is the exact value
+  /// colored operator probing reads, summed in the same scatter order.
+  /// Throws mali::Error when J's graph misses an element coupling.
+  template <class Exec>
+  void assemble_tangent(const CellBlock& b, const TangentLinearization& lin,
+                        linalg::CrsMatrix& J);
+
   /// blocks += the per-node 2x2 diagonal blocks of the block's SFad element
   /// Jacobians (row-major, 4 doubles per node).
   template <class Exec>
@@ -188,6 +201,16 @@ class ElementEngine {
   template <class EvalT, class Exec>
   FieldSet<typename EvalT::ScalarT>& evaluate(const CellBlock& b,
                                               const pk::View<double, 1>& U);
+
+  /// tangent_ = the block's per-cell tangents (viscous and basal friction)
+  /// in direction X.  `nodes` rows [node_offset, node_offset + count) map
+  /// each cell's nodes into the index space of U and X (and stay readable
+  /// up to the block's padded cell count).
+  template <class Exec>
+  void element_tangents(const CellBlock& b, const TangentLinearization& lin,
+                        const pk::View<std::size_t, 2>& nodes,
+                        std::size_t node_offset, const pk::View<double, 1>& U,
+                        const pk::View<double, 1>& X);
 
   /// FusedStokesChainBatched over the block's gathered velocities.
   template <class Exec>

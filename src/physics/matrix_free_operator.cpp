@@ -33,6 +33,12 @@ void MatrixFreeStokesOperator::apply(const std::vector<double>& x,
   problem_->apply_tangent(lin_, x, y);
 }
 
+bool MatrixFreeStokesOperator::assemble(linalg::CrsMatrix& A) const {
+  MALI_CHECK_MSG(linearized_, "MatrixFreeStokesOperator: call linearize()");
+  problem_->assemble_tangent(lin_, A);
+  return true;
+}
+
 bool MatrixFreeStokesOperator::diagonal(std::vector<double>& d) const {
   MALI_CHECK_MSG(linearized_, "MatrixFreeStokesOperator: call linearize()");
   const std::size_t n = rows();

@@ -12,9 +12,14 @@
 // y[d] = dirichlet_scale * x[d], identically to the assembled path's
 // scaled identity rows.
 //
-// The cache is a snapshot of the problem at linearize(): apply throws
-// StaleLinearizationError once the problem's revision() has moved (new
-// constants, regularization, friction scale or temperature field).
+// assemble(A) writes the same Jacobian onto a given sparsity graph from
+// the cache (the element tangents on the 16 local unit directions), which
+// is how the semicoarsening AMG gets its fine matrix on this path.
+//
+// The cache is a snapshot of the problem at linearize(): apply and
+// assemble throw StaleLinearizationError once the problem's revision() has
+// moved (new constants, regularization, friction scale or temperature
+// field).
 //
 // The apply honors StokesFOConfig::simd_width: the cache is laid out for,
 // and the tangent runs over, width-W cell packs (W = 1 at --simd off), and
@@ -49,6 +54,13 @@ class MatrixFreeStokesOperator final : public linalg::LinearOperator {
   /// linearize().
   void apply(const std::vector<double>& x,
              std::vector<double>& y) const override;
+
+  /// Writes J(U) onto A's graph from the tangent cache (see
+  /// StokesFOProblem::assemble_tangent) and returns true: bitwise the
+  /// matrix colored probing reads, without the probe applies.  Throws
+  /// StaleLinearizationError like apply(), and mali::Error when A has the
+  /// wrong size or its graph misses an element coupling.
+  bool assemble(linalg::CrsMatrix& A) const override;
 
   bool diagonal(std::vector<double>& d) const override;
   bool block_diagonal(int bs, std::vector<double>& blocks) const override;

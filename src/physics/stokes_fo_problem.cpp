@@ -1,6 +1,7 @@
 #include "physics/stokes_fo_problem.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "fem/cell_geometry.hpp"
 #include "fem/hex8.hpp"
@@ -291,16 +292,20 @@ void StokesFOProblem::linearize_tangent(const std::vector<double>& U,
   lin.dirichlet_scale = dirichlet_scale_;
 }
 
-template <class Exec>
-void StokesFOProblem::apply_tangent(const TangentCache& lin,
-                                    const std::vector<double>& x,
-                                    std::vector<double>& y) {
+void StokesFOProblem::check_fresh(const TangentCache& lin) const {
   if (lin.revision != revision_) {
     throw StaleLinearizationError(
         "tangent linearization is stale: the problem changed since it was "
         "built");
   }
   MALI_CHECK(lin.blocks.size() == blocks_.size());
+}
+
+template <class Exec>
+void StokesFOProblem::apply_tangent(const TangentCache& lin,
+                                    const std::vector<double>& x,
+                                    std::vector<double>& y) {
+  check_fresh(lin);
   MALI_CHECK(x.size() == n_dofs());
   MALI_CHECK_MSG(&x != &y, "apply_tangent: aliased in/out");
   const auto Xview = to_view(x);
@@ -312,6 +317,25 @@ void StokesFOProblem::apply_tangent(const TangentCache& lin,
   // Dirichlet rows act exactly like the assembled scaled identity rows.
   for (std::size_t d : dof_map_->dirichlet_dofs()) {
     y[d] = lin.dirichlet_scale * x[d];
+  }
+}
+
+template <class Exec>
+void StokesFOProblem::assemble_tangent(const TangentCache& lin,
+                                       linalg::CrsMatrix& J) {
+  check_fresh(lin);
+  MALI_CHECK_MSG(J.n_rows() == n_dofs(),
+                 "assemble_tangent: matrix has " + std::to_string(J.n_rows()) +
+                     " rows, the problem " + std::to_string(n_dofs()) +
+                     " dofs");
+  J.set_zero();
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    engine_.assemble_tangent<Exec>(blocks_[i], lin.blocks[i], J);
+  }
+  // The scaled identity rows apply_tangent gives Dirichlet dofs.
+  for (std::size_t d : dof_map_->dirichlet_dofs()) {
+    J.set_identity_row(d);
+    J.set(d, d, lin.dirichlet_scale);
   }
 }
 
@@ -332,6 +356,10 @@ template void StokesFOProblem::apply_tangent<pk::Serial>(
     const TangentCache&, const std::vector<double>&, std::vector<double>&);
 template void StokesFOProblem::apply_tangent<pk::Threads>(
     const TangentCache&, const std::vector<double>&, std::vector<double>&);
+template void StokesFOProblem::assemble_tangent<pk::Serial>(
+    const TangentCache&, linalg::CrsMatrix&);
+template void StokesFOProblem::assemble_tangent<pk::Threads>(
+    const TangentCache&, linalg::CrsMatrix&);
 template void StokesFOProblem::apply_jacobian<pk::Serial>(
     const std::vector<double>&, const std::vector<double>&,
     std::vector<double>&);

@@ -136,6 +136,17 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   void apply_tangent(const TangentCache& lin, const std::vector<double>& x,
                      std::vector<double>& y);
 
+  /// Overwrites J's values with J(U) from the cache linearize_tangent(U,
+  /// lin) built: each cell's element tangent from the apply's own kernels
+  /// on the 16 cell-local unit directions, scattered in the configured
+  /// order, and Dirichlet rows set to lin.dirichlet_scale * I.  Bitwise the
+  /// matrix colored probing of apply_tangent reads (up to the sign of
+  /// zeros).  J's graph must hold every element coupling.  Throws
+  /// StaleLinearizationError if revision() moved since the cache was
+  /// built, and mali::Error when J has the wrong size or misses a coupling.
+  template <class Exec = pk::DefaultExec>
+  void assemble_tangent(const TangentCache& lin, linalg::CrsMatrix& J);
+
   /// y = J(U) x: linearize_tangent at U, then apply_tangent.
   template <class Exec = pk::DefaultExec>
   void apply_jacobian(const std::vector<double>& U,
@@ -274,6 +285,9 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   template <class EvalT>
   void assemble(const std::vector<double>& U, std::vector<double>& F,
                 linalg::CrsMatrix* J);
+
+  /// Throws StaleLinearizationError unless lin was built at revision().
+  void check_fresh(const TangentCache& lin) const;
 
   /// Sets dirichlet_scale_ to the mean |diagonal(r)| over non-Dirichlet
   /// rows (unchanged when that is zero).

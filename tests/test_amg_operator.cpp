@@ -1,16 +1,22 @@
-// Operator-probed semicoarsening AMG (the `amg` ctest tier).
+// Semicoarsening AMG on a matrix-free operator (the `amg` ctest tier).
 //
 // The contract under test: on the manufactured FO Stokes problem the
 // colored probing reconstructs the assembled Jacobian entrywise from a
-// constant number of matrix-free operator applies; the AMG built on the
-// probed matrix preconditions the JFNK Newton run onto the same trajectory
+// constant number of matrix-free operator applies; the operator's own
+// tangent assembly writes that probed matrix bit for bit, without the
+// applies, and fails loudly on a stale cache or a bad target; the AMG
+// built on it preconditions the JFNK Newton run onto the same trajectory
 // as the assembled+AMG reference; and the Chebyshev smoother keeps the fine
 // level matrix-free without giving up the multigrid iteration counts.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "linalg/chebyshev.hpp"
@@ -21,7 +27,9 @@
 #include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/newton.hpp"
 #include "perf/data_movement.hpp"
+#include "physics/matrix_free_operator.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "util/hash.hpp"
 
 using namespace mali;
 using namespace mali::linalg;
@@ -70,6 +78,32 @@ std::vector<double> row_scales(const CrsMatrix& A) {
   return s;
 }
 
+/// Forwards everything but assemble(), as a tracing decorator that predates
+/// the capability does: SemicoarseningAmg must fall back to probing.
+class ForwardingOperator final : public LinearOperator {
+ public:
+  explicit ForwardingOperator(const LinearOperator& inner) : inner_(&inner) {}
+  [[nodiscard]] std::size_t rows() const override { return inner_->rows(); }
+  [[nodiscard]] std::size_t cols() const override { return inner_->cols(); }
+  void apply(const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    inner_->apply(x, y);
+  }
+  bool diagonal(std::vector<double>& d) const override {
+    return inner_->diagonal(d);
+  }
+  bool block_diagonal(int bs, std::vector<double>& blocks) const override {
+    return inner_->block_diagonal(bs, blocks);
+  }
+  [[nodiscard]] const CrsMatrix* matrix() const override {
+    return inner_->matrix();
+  }
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+
+ private:
+  const LinearOperator* inner_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -86,7 +120,8 @@ TEST(OperatorProbing, ProbedMatrixMatchesAssembledOnMms) {
   const auto op = p.jacobian_operator(U);
   ASSERT_NE(op, nullptr);
   const StructuredProbing probing(p.extrusion_info());
-  const CrsMatrix probed = probing.probe(*op);
+  CrsMatrix probed = probing.structure();
+  probing.probe(*op, probed);
 
   ASSERT_EQ(probed.n_rows(), J.n_rows());
   const auto scale = row_scales(J);
@@ -126,6 +161,109 @@ TEST(OperatorProbing, ProbeCountIsConstantAndBounded) {
 }
 
 // ---------------------------------------------------------------------------
+// Tangent assembly writes the probed matrix bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+enum class Case { kGlenDome, kThermalDome, kMms };
+
+const char* name(Case c) {
+  switch (c) {
+    case Case::kGlenDome:
+      return "glen dome";
+    case Case::kThermalDome:
+      return "thermal dome";
+    case Case::kMms:
+      return "mms";
+  }
+  return "?";
+}
+
+/// Case c's problem (the problem pins its own address, so it lives on the
+/// heap).
+std::unique_ptr<StokesFOProblem> make_case(Case c, int width,
+                                           physics::ScatterMode mode) {
+  StokesFOConfig cfg;
+  cfg.dx_m = 150.0e3;
+  cfg.n_layers = 4;
+  cfg.simd_width = width;
+  cfg.scatter = mode;
+  cfg.jacobian = JacobianMode::kMatrixFree;
+  if (c == Case::kGlenDome) cfg.workset_size = 301;  // ragged worksets
+  if (c == Case::kMms) {
+    cfg.dx_m = 100.0e3;
+    cfg.n_layers = 3;
+    cfg.mms.enabled = true;
+    cfg.geometry.square_mask = true;
+  }
+  auto p = std::make_unique<StokesFOProblem>(cfg);
+  if (c == Case::kThermalDome) {
+    p->set_temperature_field([](double x, double y, double sigma) {
+      return 243.0 + 25.0 * sigma + 1.0e-6 * (x - 0.5 * y);
+    });
+  }
+  return p;
+}
+
+/// A perturbed linearization state, so no two cells see the same strain
+/// rates.
+std::vector<double> perturbed_state(const StokesFOProblem& p, Case c) {
+  auto U = c == Case::kMms ? p.mms_exact() : p.analytic_initial_guess();
+  for (std::size_t i = 0; i < U.size(); ++i) {
+    U[i] += 0.01 * std::sin(0.1 * static_cast<double>(i)) *
+            (1.0 + std::abs(U[i]));
+  }
+  return U;
+}
+
+/// fnv1a64 of the values with -0 canonicalized to +0: probing reads exact
+/// zeros off cells that miss the probed column, whose sign the assembly
+/// (which never visits them) cannot reproduce.
+std::uint64_t value_hash(const CrsMatrix& A) {
+  std::vector<double> v = A.values();
+  for (double& x : v) {
+    if (x == 0.0) x = 0.0;
+  }
+  return util::fnv1a64(v.data(), v.size() * sizeof(double));
+}
+
+}  // namespace
+
+TEST(AmgOperator, TangentAssembledFineMatrixEqualsProbed) {
+  for (const Case c : {Case::kGlenDome, Case::kThermalDome, Case::kMms}) {
+    for (const int width : {1, 0}) {  // scalar reference and native packs
+      for (const auto mode :
+           {physics::ScatterMode::kSerial, physics::ScatterMode::kColored}) {
+        const auto p = make_case(c, width, mode);
+        physics::MatrixFreeStokesOperator op(*p);
+        op.linearize(perturbed_state(*p, c));
+
+        const StructuredProbing probing(p->extrusion_info());
+        CrsMatrix probed = probing.structure();
+        probing.probe(op, probed);
+        CrsMatrix assembled = probing.structure();
+        ASSERT_TRUE(op.assemble(assembled));
+        std::size_t nonzeros = 0;
+        for (const double v : assembled.values()) nonzeros += v != 0.0;
+        ASSERT_GT(nonzeros, 2 * assembled.n_rows());
+
+        const std::string what = std::string(name(c)) + ", width " +
+                                 std::to_string(width) + ", " +
+                                 physics::to_string(mode);
+        ASSERT_EQ(assembled.row_ptr(), probed.row_ptr()) << what;
+        ASSERT_EQ(assembled.cols(), probed.cols()) << what;
+        EXPECT_EQ(value_hash(assembled), value_hash(probed)) << what;
+        for (std::size_t k = 0; k < probed.nnz(); ++k) {
+          ASSERT_EQ(assembled.values()[k], probed.values()[k])
+              << what << ", nonzero " << k;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // SemicoarseningAmg::compute(const LinearOperator&).
 // ---------------------------------------------------------------------------
 
@@ -158,13 +296,25 @@ TEST(AmgOperator, ComputeUnwrapsAssembledOperator) {
 }
 
 TEST(AmgOperator, ProbedHierarchyReportsItsSetupCost) {
+  // The matrix-free Stokes operator assembles its own fine matrix, so the
+  // probing fallback is exercised through a forwarding wrapper without
+  // that capability (the shape of a tracing decorator).  Both must build
+  // the same hierarchy: the fallback pays n_probes() applies, the
+  // assembling path none, and their V-cycles agree bit for bit.
   StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
   const auto U = p.analytic_initial_guess();
   const auto op = p.jacobian_operator(U);
   ASSERT_NE(op, nullptr);
+  const ForwardingOperator forwarded(*op);
+
+  SemicoarseningAmg assembling(p.extrusion_info());
+  assembling.compute(*op);
+  EXPECT_EQ(assembling.probe_applies(), 0u);
+  EXPECT_TRUE(assembling.fine_operator_assembled());
 
   SemicoarseningAmg amg(p.extrusion_info());
-  amg.compute(*op);
+  amg.compute(forwarded);
+  EXPECT_FALSE(amg.fine_operator_assembled());
   const StructuredProbing probing(p.extrusion_info());
   EXPECT_EQ(amg.probe_applies(), probing.n_probes());
   EXPECT_LE(amg.probe_applies(),
@@ -174,6 +324,72 @@ TEST(AmgOperator, ProbedHierarchyReportsItsSetupCost) {
   EXPECT_FALSE(amg.fine_matrix_free());
   EXPECT_GE(amg.n_levels(), 1u);
   EXPECT_EQ(amg.level_matrix(0).n_rows(), p.n_dofs());
+
+  std::vector<double> r(p.n_dofs());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = std::sin(0.13 * static_cast<double>(i) + 0.5);
+  }
+  std::vector<double> z_probed, z_assembled;
+  amg.apply(r, z_probed);
+  assembling.apply(r, z_assembled);
+  ASSERT_EQ(z_probed.size(), z_assembled.size());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ASSERT_EQ(z_probed[i], z_assembled[i]) << "dof " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tangent assembly fails loudly.
+// ---------------------------------------------------------------------------
+
+TEST(AmgOperator, TangentAssemblyAfterAMutationThrowsStale) {
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  physics::MatrixFreeStokesOperator op(p);
+  op.linearize(p.analytic_initial_guess());
+  const StructuredProbing probing(p.extrusion_info());
+  CrsMatrix A = probing.structure();
+  ASSERT_TRUE(op.assemble(A));
+
+  p.set_regularization(2.0e-10);
+  EXPECT_THROW((void)op.assemble(A), physics::StaleLinearizationError);
+  SemicoarseningAmg amg(p.extrusion_info());
+  EXPECT_THROW(amg.compute(op), physics::StaleLinearizationError);
+}
+
+TEST(AmgOperator, TangentAssemblyRejectsAWrongSizeTarget) {
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  physics::MatrixFreeStokesOperator op(p);
+  op.linearize(p.analytic_initial_guess());
+  const std::size_t n = p.n_dofs() - 2;  // one node short
+  std::vector<std::size_t> rp(n + 1), cols(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rp[i + 1] = i + 1;
+    cols[i] = i;
+  }
+  CrsMatrix A(rp, cols);
+  EXPECT_THROW((void)op.assemble(A), Error);
+}
+
+TEST(AmgOperator, TangentAssemblyRejectsAGraphMissingACoupling) {
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  physics::MatrixFreeStokesOperator op(p);
+  op.linearize(p.analytic_initial_guess());
+
+  // The FE graph holds exactly the element couplings, so it assembles.
+  CrsMatrix fe = p.create_matrix();
+  ASSERT_TRUE(op.assemble(fe));
+
+  // Drop one off-diagonal coupling of an interior (non-Dirichlet) row.
+  std::size_t row = 0;
+  while (p.dof_map().is_dirichlet_dof(row)) ++row;
+  std::vector<std::size_t> rp = fe.row_ptr();
+  std::vector<std::size_t> cols = fe.cols();
+  std::size_t drop = rp[row];
+  if (cols[drop] == row) ++drop;
+  cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(drop));
+  for (std::size_t r = row + 1; r < rp.size(); ++r) --rp[r];
+  CrsMatrix A(rp, cols);
+  EXPECT_THROW((void)op.assemble(A), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,4 +553,21 @@ TEST(AmgCycleModel, ProbeSetupAndVcycleBytesAreConsistent) {
                 3 * m.level_rows[0] * sizeof(double));
   EXPECT_EQ(probed.residual_bytes(0), m.fine_apply_bytes);
   EXPECT_EQ(probed.residual_bytes(1), probed.level_stream_bytes(1));
+
+  // Tangent-assembled mode: no probe applies, so setup must not fall to
+  // the Galerkin streams alone — it reads the tangent cache once per local
+  // unit direction and passes over the fine CRS arrays once.
+  EXPECT_EQ(assembled.tangent_assembly_bytes(), 0u);
+  perf::AmgCycleModel tangent = assembled;
+  tangent.tangent_assembled = true;
+  tangent.tangent_cache_bytes = 500'000;
+  const std::size_t fine_crs = 270000 * (sizeof(double) + sizeof(std::size_t)) +
+                               10001 * sizeof(std::size_t);
+  EXPECT_EQ(tangent.tangent_assembly_bytes(), 16 * 500'000 + fine_crs);
+  EXPECT_EQ(tangent.setup_bytes(),
+            tangent.tangent_assembly_bytes() + assembled.setup_bytes());
+  // Cheaper than probing when the cache read per direction is below the
+  // apply's stream, as on the FO Stokes mesh.
+  EXPECT_LT(tangent.setup_bytes(), probed.setup_bytes());
+  EXPECT_EQ(tangent.vcycle_bytes(), assembled.vcycle_bytes());
 }

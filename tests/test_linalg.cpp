@@ -103,6 +103,17 @@ TEST(CrsMatrix, AddSetGetAndIdentityRow) {
   EXPECT_EQ(A.get(2, 3), 0.0);
 }
 
+TEST(CrsMatrix, WritesOutsideTheGraphThrow) {
+  // A write to an entry the graph lacks is a caller bug; it must throw in
+  // every build type rather than store out of bounds.
+  CrsMatrix A = laplacian_1d(5);
+  EXPECT_THROW(A.add(0, 4, 1.0), mali::Error);
+  EXPECT_THROW(A.add_atomic(4, 0, 1.0), mali::Error);
+  EXPECT_THROW(A.set(2, 4, 1.0), mali::Error);
+  EXPECT_THROW(A.add(5, 0, 1.0), mali::Error);  // row out of range
+  EXPECT_EQ(A.get(2, 2), 2.0);  // nothing was written
+}
+
 TEST(CrsMatrix, SetZeroAndDiagonal) {
   CrsMatrix A = laplacian_1d(4);
   EXPECT_EQ(A.diagonal(1), 2.0);

@@ -124,12 +124,12 @@ physics::StokesFOConfig problem_config(const Args& args) {
 }
 
 /// The preconditioner named by --precond.  All three are consumable from
-/// both Jacobian modes: the AMG probes the fine matrix from operator
-/// applies on the matrix-free path.  The default column-line smoother runs
-/// on the probed matrix, reproducing the assembled+AMG GMRES counts exactly;
-/// --smoother chebyshev keeps level 0 fully matrix-free instead (operator
-/// applies + probed diagonal, the probed matrix never streamed after
-/// setup) at a modest iteration-count premium.
+/// both Jacobian modes: on the matrix-free path the operator assembles the
+/// AMG's fine matrix from its tangent cache.  The default column-line
+/// smoother runs on that matrix, reproducing the assembled+AMG GMRES counts
+/// exactly; --smoother chebyshev keeps level 0 fully matrix-free instead
+/// (operator applies + the fine diagonal, the fine matrix never streamed
+/// after setup) at a modest iteration-count premium.
 std::unique_ptr<linalg::Preconditioner> make_preconditioner(
     const Args& args, const physics::StokesFOProblem& problem) {
   const std::string precond = args.str("precond", "amg");
@@ -182,9 +182,19 @@ void print_jacobian_apply_model(physics::StokesFOProblem& problem) {
               mf_b / 1e6, m.matrix_free_min_bytes() / 1e6, asm_b / mf_b);
 }
 
-/// Modeled probe-setup and V-cycle traffic of the semicoarsening AMG, per
-/// perf::AmgCycleModel — what the operator-probed preconditioner costs at
-/// setup and what each application streams.
+/// How the AMG's last compute() got its fine matrix, for reports:
+/// "tangent-assembled", "probed (N applies)" or "assembled".
+std::string fine_matrix_source(const linalg::SemicoarseningAmg& amg) {
+  if (amg.fine_operator_assembled()) return "tangent-assembled";
+  if (amg.probe_applies() > 0) {
+    return "probed (" + std::to_string(amg.probe_applies()) + " applies)";
+  }
+  return "assembled";
+}
+
+/// Modeled setup and V-cycle traffic of the semicoarsening AMG, per
+/// perf::AmgCycleModel — what building the preconditioner costs and what
+/// each application streams.
 void print_amg_cycle_model(physics::StokesFOProblem& problem,
                            const linalg::SemicoarseningAmg& amg,
                            bool matrix_free) {
@@ -193,6 +203,8 @@ void print_amg_cycle_model(physics::StokesFOProblem& problem,
   m.fine_apply_bytes = matrix_free ? j.matrix_free_stream_bytes()
                                    : j.assembled_stream_bytes();
   m.probe_applies = amg.probe_applies();
+  m.tangent_assembled = amg.fine_operator_assembled();
+  m.tangent_cache_bytes = j.n_cells * j.cache_bytes_per_cell();
   m.fine_matrix_free = amg.fine_matrix_free();
   for (std::size_t l = 0; l < amg.n_levels(); ++l) {
     m.level_rows.push_back(amg.level_dofs(l));
@@ -200,10 +212,11 @@ void print_amg_cycle_model(physics::StokesFOProblem& problem,
   }
   std::printf(
       "modeled AMG traffic (%zu levels, %s fine level):\n"
-      "  setup  %10.3f MB  (%zu probe applies + Galerkin streams)\n"
+      "  setup  %10.3f MB  (%s fine matrix + Galerkin streams)\n"
       "  V-cycle %9.3f MB per application\n",
       amg.n_levels(), m.fine_matrix_free ? "matrix-free" : "assembled",
-      m.setup_bytes() / 1e6, m.probe_applies, m.vcycle_bytes() / 1e6);
+      m.setup_bytes() / 1e6, fine_matrix_source(amg).c_str(),
+      m.vcycle_bytes() / 1e6);
 }
 
 /// Distributed fault-tolerance surface shared by `solve --ranks` and
