@@ -247,7 +247,7 @@ TEST(ExecModel, EmptyTraceThrows) {
   const ExecModel model;
   const auto info =
       core::kernel_model_info(KernelKind::kResidual, KernelVariant::kOptimized);
-  EXPECT_THROW(model.simulate(make_a100(), rec, info, 100), mali::Error);
+  EXPECT_THROW((void)model.simulate(make_a100(), rec, info, 100), mali::Error);
 }
 
 TEST(GpuArch, PvcExtensionSpecs) {

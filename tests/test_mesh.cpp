@@ -112,7 +112,9 @@ TEST(IceGeometry, FlotationCriterion) {
   for (double t = 0.0; t < 6.28; t += 0.3) {
     const double x = 0.3 * flat.extent(t) * std::cos(t);
     const double y = 0.3 * flat.extent(t) * std::sin(t);
-    if (flat.bed(x, y) >= 0.0) EXPECT_FALSE(flat.is_floating(x, y));
+    if (flat.bed(x, y) >= 0.0) {
+      EXPECT_FALSE(flat.is_floating(x, y));
+    }
   }
 }
 

@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <random>
+#include <string>
 
 #include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "util/hash.hpp"
 
 using namespace mali;
 using physics::KernelVariant;
@@ -116,7 +121,9 @@ TEST(StokesFOProblem, DirichletRowsAreScaledIdentity) {
     EXPECT_DOUBLE_EQ(F[d], s * U[d]);
     EXPECT_DOUBLE_EQ(J.get(d, d), s);
     for (std::size_t k = rp[d]; k < rp[d + 1]; ++k) {
-      if (cols[k] != d) EXPECT_EQ(vals[k], 0.0);
+      if (cols[k] != d) {
+        EXPECT_EQ(vals[k], 0.0);
+      }
     }
   }
 }
@@ -235,4 +242,115 @@ TEST(AntarcticaAcceptance, MeanVelocityMatchesStoredReference) {
   constexpr double kReference = 161.994681;
   RecordProperty("mean_velocity", std::to_string(mean));
   EXPECT_NEAR(mean / kReference, 1.0, 1e-5);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pins of the assembled SFad path: the CRS Jacobian, the residual
+// that comes with it, and the node-block diagonal, as raw bytes
+// (util::fnv1a64) — the values the assembled-Jacobian Newton solve and the
+// forecast's velocity solves run on.  Recorded on the library built at -O2;
+// a compiler flag or refactor that moves one bit fails here.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t hash_of(const std::vector<double>& v) {
+  return util::fnv1a64(v.data(), v.size() * sizeof(double));
+}
+
+}  // namespace
+
+// Every variant gives the same J bits and the same block-diagonal bits; the
+// residual values fall into two bit-groups: kOptimized and kFusedOnly sum
+// the stress and force terms in one fused quadrature loop, kBaseline,
+// kLoopOptOnly and kLocalAccumOnly in separate loops.  The SFad chain
+// always runs scalar, so the configured SIMD width must not move a bit.
+TEST(JacobianPin, AssembledSfadBytesEveryVariant) {
+  struct Pin {
+    bool thermal;
+    KernelVariant variant;
+    std::uint64_t J, F, diag;
+  };
+  const Pin pins[] = {
+      {false, KernelVariant::kBaseline, 0x6a7fdcf0712099a8ull,
+       0xfd8699e4611b9e16ull, 0xfe00bfbc6e6c378bull},
+      {false, KernelVariant::kOptimized, 0x6a7fdcf0712099a8ull,
+       0x8e89061d66a89884ull, 0xfe00bfbc6e6c378bull},
+      {false, KernelVariant::kLoopOptOnly, 0x6a7fdcf0712099a8ull,
+       0xfd8699e4611b9e16ull, 0xfe00bfbc6e6c378bull},
+      {false, KernelVariant::kFusedOnly, 0x6a7fdcf0712099a8ull,
+       0x8e89061d66a89884ull, 0xfe00bfbc6e6c378bull},
+      {false, KernelVariant::kLocalAccumOnly, 0x6a7fdcf0712099a8ull,
+       0xfd8699e4611b9e16ull, 0xfe00bfbc6e6c378bull},
+      {true, KernelVariant::kBaseline, 0x7adf82020350986full,
+       0x87a76e353c6d7cc9ull, 0x26c96ff8ef2af90dull},
+      {true, KernelVariant::kOptimized, 0x7adf82020350986full,
+       0xddde169d5ff793b6ull, 0x26c96ff8ef2af90dull},
+      {true, KernelVariant::kLoopOptOnly, 0x7adf82020350986full,
+       0x87a76e353c6d7cc9ull, 0x26c96ff8ef2af90dull},
+      {true, KernelVariant::kFusedOnly, 0x7adf82020350986full,
+       0xddde169d5ff793b6ull, 0x26c96ff8ef2af90dull},
+      {true, KernelVariant::kLocalAccumOnly, 0x7adf82020350986full,
+       0x87a76e353c6d7cc9ull, 0x26c96ff8ef2af90dull},
+  };
+  for (const int width : {1, 0}) {
+    for (const Pin& pin : pins) {
+      StokesFOConfig cfg;
+      cfg.dx_m = 100.0e3;
+      cfg.n_layers = 5;
+      cfg.variant = pin.variant;
+      cfg.thermal_viscosity = pin.thermal;
+      cfg.simd_width = width;
+      StokesFOProblem p(cfg);
+      auto U = p.analytic_initial_guess();
+      for (std::size_t i = 0; i < U.size(); ++i) {
+        U[i] += 0.01 * std::sin(0.1 * static_cast<double>(i)) *
+                (1.0 + std::abs(U[i]));
+      }
+      std::vector<double> F;
+      auto J = p.create_matrix();
+      p.residual_and_jacobian(U, F, J);
+      const auto diag = p.jacobian_block_diagonal(U);
+      const auto where = [&] {
+        return std::string(pin.thermal ? "thermal" : "glen") + ", " +
+               physics::to_string(pin.variant) + ", width " +
+               std::to_string(width);
+      };
+      EXPECT_EQ(hash_of(J.values()), pin.J)
+          << where() << ": J 0x" << std::hex << hash_of(J.values());
+      EXPECT_EQ(hash_of(F), pin.F)
+          << where() << ": F 0x" << std::hex << hash_of(F);
+      EXPECT_EQ(hash_of(diag), pin.diag)
+          << where() << ": diag 0x" << std::hex << hash_of(diag);
+    }
+  }
+}
+
+// Bitwise Newton-history pin of the assembled path at the native SIMD
+// width: SFad Jacobian, AmgConfig{} (a multi-level column-line hierarchy at
+// this size), each step's ||F|| as IEEE bits.  The matrix-free twin is
+// NewtonHistoryPin.SerialMatrixFreeAtWidthOne in test_jfnk.
+TEST(NewtonHistoryPin, SerialAssembledAmgAtNativeWidth) {
+  StokesFOConfig cfg;
+  cfg.dx_m = 100.0e3;
+  cfg.n_layers = 5;
+  cfg.simd_width = 0;
+  StokesFOProblem problem(cfg);
+  linalg::SemicoarseningAmg M(problem.extrusion_info(), linalg::AmgConfig{});
+  nonlinear::NewtonConfig ncfg;
+  ncfg.max_iters = 8;
+  auto U = problem.analytic_initial_guess();
+  const auto r = nonlinear::NewtonSolver(ncfg).solve(problem, M, U);
+  EXPECT_GT(M.n_levels(), 1u);
+  const std::uint64_t pinned[] = {
+      0x434c8d4697e0beefull, 0x431ef4b5f3ff9877ull, 0x4313ed9ebc17c5acull,
+      0x4309804eea9b448eull, 0x42e979b6d5dc8350ull, 0x42c12afed2dc65cbull,
+      0x428da870a7bbc8d5ull, 0x424afdbb1545aad5ull, 0x41d167a4942b230bull};
+  ASSERT_EQ(r.history.size(), std::size(pinned));
+  for (std::size_t i = 0; i < r.history.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r.history[i], sizeof bits);
+    EXPECT_EQ(bits, pinned[i]) << "Newton step " << i << ": ||F|| = "
+                               << r.history[i] << " = 0x" << std::hex << bits;
+  }
 }

@@ -200,15 +200,15 @@ TEST(FaultSpec, ParsesAndRoundTrips) {
 }
 
 TEST(FaultSpec, RejectsMalformedAndIncompatibleSpecs) {
-  EXPECT_THROW(fault_spec_from_string("nan"), Error);
-  EXPECT_THROW(fault_spec_from_string("bogus:residual"), Error);
-  EXPECT_THROW(fault_spec_from_string("nan:bogus-site"), Error);
-  EXPECT_THROW(fault_spec_from_string("nan:residual:1:sometimes"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("nan"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("bogus:residual"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("nan:bogus-site"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("nan:residual:1:sometimes"), Error);
   // Kind/site compatibility: poison wants an output site, stagnation wants
   // the linear solve, precond-fail wants preconditioner setup.
-  EXPECT_THROW(fault_spec_from_string("nan:linear-solve"), Error);
-  EXPECT_THROW(fault_spec_from_string("stagnation:residual"), Error);
-  EXPECT_THROW(fault_spec_from_string("precond-fail:jacobian"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("nan:linear-solve"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("stagnation:residual"), Error);
+  EXPECT_THROW((void)fault_spec_from_string("precond-fail:jacobian"), Error);
 }
 
 // ---------------------------------------------------------------------------

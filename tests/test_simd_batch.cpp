@@ -242,10 +242,10 @@ TEST(SimdWidthFromString, ParsesAllForms) {
 }
 
 TEST(SimdWidthFromString, RejectsInvalidWidths) {
-  EXPECT_THROW(physics::simd_width_from_string("3"), mali::Error);
-  EXPECT_THROW(physics::simd_width_from_string("16"), mali::Error);
-  EXPECT_THROW(physics::simd_width_from_string("fast"), mali::Error);
-  EXPECT_THROW(physics::simd_width_from_string(""), mali::Error);
+  EXPECT_THROW((void)physics::simd_width_from_string("3"), mali::Error);
+  EXPECT_THROW((void)physics::simd_width_from_string("16"), mali::Error);
+  EXPECT_THROW((void)physics::simd_width_from_string("fast"), mali::Error);
+  EXPECT_THROW((void)physics::simd_width_from_string(""), mali::Error);
 }
 
 // ---------------------------------------------------------------------------

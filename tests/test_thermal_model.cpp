@@ -144,7 +144,9 @@ TEST(ThermalModel, CouplingLoopConverges) {
     newton.solve(p, amg, U);
     const double new_mean = p.mean_velocity(U);
     const double change = std::abs(new_mean - mean);
-    if (it > 0) EXPECT_LT(change, prev_change) << "Picard must contract";
+    if (it > 0) {
+      EXPECT_LT(change, prev_change) << "Picard must contract";
+    }
     prev_change = change;
     mean = new_mean;
   }
