@@ -44,6 +44,18 @@ struct ScalarTraits<DFad<T>> {
 template <class T>
 inline constexpr bool is_fad_v = ScalarTraits<T>::is_fad;
 
+/// The independent variable i with value v: seeded along derivative i for
+/// SFad scalars, v itself for plain ones.
+template <class T>
+[[nodiscard]] constexpr T seeded(const typename ScalarTraits<T>::value_type& v,
+                                 int i) {
+  if constexpr (is_fad_v<T>) {
+    return T(v, i);
+  } else {
+    return v;
+  }
+}
+
 /// Passive value of any supported scalar.
 template <class T>
 [[nodiscard]] constexpr auto value_of(const T& x) noexcept {

@@ -149,8 +149,8 @@ void Subdomain::assemble_residual_segment(int seg, const std::vector<double>& x,
   MALI_CHECK(x.size() == problem_->n_dofs());
   MALI_CHECK(F.size() == problem_->n_dofs());
   pk::Timer timer;
-  engine_.assemble<ResidualEval, pk::Serial>(segments_[seg],
-                                             physics::to_view(x), F, nullptr);
+  engine_.assemble<ResidualEval, pk::Serial>(
+      segments_[seg], physics::copy_to_view(x, input_), F, nullptr);
   kernel_s_ += timer.seconds();
 }
 
@@ -161,8 +161,8 @@ void Subdomain::assemble_jacobian_segment(int seg, const std::vector<double>& x,
   MALI_CHECK(x.size() == problem_->n_dofs());
   MALI_CHECK(F.size() == problem_->n_dofs());
   pk::Timer timer;
-  engine_.assemble<JacobianEval, pk::Serial>(segments_[seg],
-                                             physics::to_view(x), F, &J);
+  engine_.assemble<JacobianEval, pk::Serial>(
+      segments_[seg], physics::copy_to_view(x, input_), F, &J);
   kernel_s_ += timer.seconds();
 }
 
@@ -171,6 +171,7 @@ void Subdomain::linearize_tangent(
     std::vector<physics::TangentLinearization>& lin) {
   MALI_CHECK(U.size() == problem_->n_dofs());
   pk::Timer timer;
+  // An owning copy: the linearization keeps the state past the call.
   const auto Uview = physics::to_view(U);
   lin.resize(2);
   for (std::size_t seg = 0; seg < 2; ++seg) {
@@ -186,7 +187,7 @@ void Subdomain::apply_tangent(
   MALI_CHECK(x.size() == problem_->n_dofs());
   MALI_CHECK(y.size() == problem_->n_dofs());
   pk::Timer timer;
-  const auto Xview = physics::to_view(x);
+  const auto& Xview = physics::copy_to_view(x, input_);
   for (std::size_t seg = 0; seg < 2; ++seg) {
     engine_.apply_tangent<pk::Serial>(segments_[seg], lin[seg], Xview, y);
   }
@@ -197,7 +198,7 @@ std::vector<double> Subdomain::partial_node_blocks(
     const std::vector<double>& U) {
   MALI_CHECK(U.size() == problem_->n_dofs());
   pk::Timer timer;
-  const auto Uview = physics::to_view(U);
+  const auto& Uview = physics::copy_to_view(U, input_);
   std::vector<double> blocks(2 * problem_->n_dofs(), 0.0);
   for (const physics::CellBlock& seg : segments_) {
     engine_.accumulate_node_blocks<pk::Serial>(seg, Uview, blocks);

@@ -160,6 +160,9 @@ class Subdomain {
 
   double kernel_s_ = 0.0;
   pk::TimerRegistry phase_timers_;  ///< the engine's per-phase sink
+  /// The caller's vector staged for one assembly, apply or block-diagonal
+  /// call, reused by the next.
+  pk::View<double, 1> input_;
   /// Private scratch fields (the shared problem's engine would race).
   physics::ElementEngine engine_;
 };

@@ -3,7 +3,9 @@
 // the FE connectivity, as Trilinos' Tpetra graphs are) plus the dense-vector
 // helpers the Krylov solvers need.
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,7 +20,9 @@ class CrsMatrix {
 
   /// Takes a prebuilt graph; column indices within a row must be sorted.
   CrsMatrix(std::vector<std::size_t> row_ptr, std::vector<std::size_t> cols)
-      : row_ptr_(std::move(row_ptr)), cols_(std::move(cols)) {
+      : row_ptr_(std::move(row_ptr)),
+        cols_(std::move(cols)),
+        graph_id_(next_graph_id()) {
     MALI_CHECK(!row_ptr_.empty());
     MALI_CHECK(row_ptr_.back() == cols_.size());
     vals_.assign(cols_.size(), 0.0);
@@ -39,6 +43,18 @@ class CrsMatrix {
     return vals_;
   }
   [[nodiscard]] std::vector<double>& values() noexcept { return vals_; }
+
+  /// Identifies the sparsity graph: unique to each constructed graph and
+  /// shared by the copies of a matrix (the graph is immutable), so a
+  /// structure precomputed for one graph id (such as the assembly's CRS slot
+  /// tables) is valid for every matrix carrying it.  0 for an empty matrix.
+  [[nodiscard]] std::uint64_t graph_id() const noexcept { return graph_id_; }
+
+  /// Index into values() of entry (r, c); throws mali::Error when the graph
+  /// lacks the entry.
+  [[nodiscard]] std::size_t slot(std::size_t r, std::size_t c) const {
+    return find_existing(r, c);
+  }
 
   void set_zero() { std::fill(vals_.begin(), vals_.end(), 0.0); }
 
@@ -107,9 +123,15 @@ class CrsMatrix {
     return (lo < row_ptr_[r + 1] && cols_[lo] == c) ? lo : npos;
   }
 
+  static std::uint64_t next_graph_id() noexcept {
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> cols_;
   std::vector<double> vals_;
+  std::uint64_t graph_id_ = 0;
 };
 
 // ---- dense vector helpers ----

@@ -1,10 +1,12 @@
 #include "physics/element_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <type_traits>
 
 #include "fem/cell_geometry.hpp"
 #include "physics/evaluators.hpp"
+#include "physics/fused_chain.hpp"
 #include "physics/fused_chain_batched.hpp"
 #include "physics/scatter.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -66,18 +68,33 @@ void set_flow_law(Kernel& k, const StokesFOConfig& cfg,
 }  // namespace
 
 template <class ScalarT>
-void FieldSet<ScalarT>::allocate(std::size_t C, int N, int Q) {
+void FieldSet<ScalarT>::allocate(std::size_t C, int N, int Q,
+                                 FieldStage stage) {
   // The cell axis is padded like the element arrays (fem::padded_cells) so
   // the batched kernels may run every batch — including the ragged tail —
   // at full pack width; ghost rows are compute scratch, never scattered.
   const std::size_t Cp = fem::padded_cells(C);
-  if (allocated && Residual.extent(0) >= Cp) return;  // big enough: reuse
-  UNodal = pk::View<ScalarT, 3>("UNodal", Cp, N, 2);
-  Ugrad = pk::View<ScalarT, 4>("Ugrad", Cp, Q, 2, 3);
-  mu = pk::View<ScalarT, 2>("muLandIce", Cp, Q);
-  force = pk::View<ScalarT, 3>("force", Cp, Q, 2);
-  Residual = pk::View<ScalarT, 3>("Residual", Cp, N, 2);
-  allocated = true;
+  const auto ensure = [Cp](auto& v, const char* label, auto... extents) {
+    if (!v.allocated() || v.extent(0) < Cp) {  // big enough: reuse
+      v = std::decay_t<decltype(v)>(label, Cp, extents...);
+    }
+  };
+  ensure(Residual, "Residual", N, 2);
+  if (stage == FieldStage::kResidual) return;
+  ensure(UNodal, "UNodal", N, 2);
+  if (stage == FieldStage::kGathered) return;
+  ensure(Ugrad, "Ugrad", Q, 2, 3);
+  ensure(mu, "muLandIce", Q);
+  ensure(force, "force", Q, 2);
+}
+
+template <class ScalarT>
+bool FieldSet<ScalarT>::staged(std::size_t C) const noexcept {
+  const auto holds = [C](const auto& v) {
+    return v.allocated() && v.extent(0) >= C;
+  };
+  return holds(UNodal) && holds(Ugrad) && holds(mu) && holds(force) &&
+         holds(Residual);
 }
 
 template struct FieldSet<ResidualEval::ScalarT>;
@@ -85,6 +102,15 @@ template struct FieldSet<JacobianEval::ScalarT>;
 
 pk::View<double, 1> to_view(const std::vector<double>& v) {
   pk::View<double, 1> view("vector", v.size());
+  std::copy(v.begin(), v.end(), view.data());
+  return view;
+}
+
+const pk::View<double, 1>& copy_to_view(const std::vector<double>& v,
+                                        pk::View<double, 1>& view) {
+  if (!view.allocated() || view.size() != v.size()) {
+    view = pk::View<double, 1>("vector", v.size());
+  }
   std::copy(v.begin(), v.end(), view.data());
   return view;
 }
@@ -104,7 +130,8 @@ FieldSet<typename EvalT::ScalarT>& ElementEngine::stage(
   const auto N = static_cast<unsigned>(a.num_nodes);
   const auto Q = static_cast<unsigned>(a.num_qps);
   auto& f = fields<ScalarT>();
-  f.allocate(cnt, a.num_nodes, a.num_qps);
+  f.allocate(cnt, a.num_nodes, a.num_qps,
+             gather_only ? FieldStage::kGathered : FieldStage::kStaged);
 
   GatherSolution<ScalarT> gather{U, a.cell_nodes.window(b.offset, cnt),
                                  f.UNodal, N};
@@ -136,8 +163,11 @@ void ElementEngine::run_resid_kernel(KernelVariant v, const CellBlock& b) {
   using pk::RangePolicy;
   const ElementArrays& a = *arrays_;
   auto& f = fields<ScalarT>();
-  MALI_CHECK_MSG(f.allocated, "stage the fields first");
   const std::size_t cnt = b.count;
+  MALI_CHECK_MSG(f.staged(cnt),
+                 "run_resid_kernel: stage the whole chain first (a fused "
+                 "evaluation or a gather-only stage leaves the staged "
+                 "fields unallocated)");
 
   StokesFOResid<ScalarT> kernel;
   kernel.Ugrad = f.Ugrad;
@@ -196,38 +226,93 @@ void ElementEngine::run_fused_batched(const CellBlock& b) {
   });
 }
 
+template <class Exec>
+void ElementEngine::run_fused_sfad(const CellBlock& b,
+                                  const pk::View<double, 1>& U) {
+  const ElementArrays& a = *arrays_;
+  const std::size_t cnt = b.count;
+  FusedStokesChain<JacobianEval::ScalarT> chain;
+  chain.U = U;
+  chain.cell_nodes = a.cell_nodes.window(b.offset, cnt);
+  chain.gradBF = a.gradBF.window(b.offset, cnt);
+  chain.wGradBF = a.wGradBF.window(b.offset, cnt);
+  chain.wBF = a.wBF.window(b.offset, cnt);
+  chain.force_passive = a.force_passive.window(b.offset, cnt);
+  chain.flow_factor = flow_factor_window(a.flow_factor, b.offset, cnt);
+  chain.Residual = jac_fields_.Residual;
+  set_flow_law(chain, *cfg_, a);
+  pk::parallel_for("FusedStokesChain", pk::RangePolicy<Exec>(cnt), chain);
+}
+
 template <class EvalT, class Exec>
 FieldSet<typename EvalT::ScalarT>& ElementEngine::evaluate(
     const CellBlock& b, const pk::View<double, 1>& U) {
   using ScalarT = typename EvalT::ScalarT;
   const ElementArrays& a = *arrays_;
   const StokesFOConfig& cfg = *cfg_;
-  // The SFad Jacobian always runs the staged scalar chain.
+  // The SFad Jacobian always runs scalar: fused per cell for the optimized
+  // variant, staged for the ablations Table III measures.
+  const bool fused_sfad =
+      ad::is_fad_v<ScalarT> && cfg.variant == KernelVariant::kOptimized;
   const bool batched = std::is_same_v<ScalarT, double> && simd_width() > 1;
+  auto& f = fields<ScalarT>();
 
   pk::Timer phase_timer;
-  auto& f = stage<EvalT, Exec>(b, U, /*gather_only=*/batched);
+  if (fused_sfad) {
+    f.allocate(b.count, a.num_nodes, a.num_qps, FieldStage::kResidual);
+  } else {
+    stage<EvalT, Exec>(b, U, /*gather_only=*/batched);
+  }
   timers_->add("evaluate", phase_timer.seconds());
   phase_timer.reset();
 
-  if (batched) {
+  if (fused_sfad) {
+    if constexpr (ad::is_fad_v<ScalarT>) run_fused_sfad<Exec>(b, U);
+  } else if (batched) {
     run_fused_batched<Exec>(b);
   } else {
     run_resid_kernel<EvalT, Exec>(cfg.variant, b);
   }
   // Basal friction (adds to Residual); the manufactured verification
-  // imposes Dirichlet values at the bed instead.
+  // imposes Dirichlet values at the bed instead.  attach_basal_faces gives
+  // each cell at most one face, so the faces' rows are disjoint and their
+  // order cannot move a bit.
   if (!cfg.mms.enabled) {
     BasalFrictionResid<ScalarT> friction{
-        b.face_cell_local, b.face_wBF, b.face_beta,
-        f.UNodal,          f.Residual, a.face_BF,
-        static_cast<unsigned>(a.face_qps), cfg.sliding};
+        b.face_cell_local,
+        b.face_wBF,
+        b.face_beta,
+        U,
+        a.cell_nodes.window(b.offset, b.count),
+        f.Residual,
+        a.face_BF,
+        static_cast<unsigned>(a.face_qps),
+        cfg.sliding};
     pk::parallel_for("basal_friction",
-                     pk::RangePolicy<pk::Serial>(b.face_cell_local.size()),
+                     pk::RangePolicy<Exec>(b.face_cell_local.size()),
                      friction);
   }
   timers_->add("kernel", phase_timer.seconds());
   return f;
+}
+
+template <class Exec>
+const CrsSlotTable& ElementEngine::slot_table(const CellBlock& b,
+                                              const linalg::CrsMatrix& J) {
+  auto it = std::find_if(slot_tables_.begin(), slot_tables_.end(),
+                         [&b](const BlockSlots& s) {
+                           return s.offset == b.offset && s.count == b.count;
+                         });
+  if (it == slot_tables_.end()) {
+    slot_tables_.push_back({b.offset, b.count, {}});
+    it = std::prev(slot_tables_.end());
+  }
+  if (!it->table.serves(J)) {
+    it->table = {};  // free the stale table before building its successor
+    it->table = build_slot_table<Exec>(
+        arrays_->cell_nodes.window(b.offset, b.count), b.count, J);
+  }
+  return it->table;
 }
 
 template <class EvalT, class Exec>
@@ -239,9 +324,13 @@ void ElementEngine::assemble(const CellBlock& b, const pk::View<double, 1>& U,
   // Element residuals/Jacobians into the global F / CRS matrix (rows are
   // shared between cells, so the parallel modes rely on the coloring or on
   // atomics).
+  const CrsSlotTable* slots = nullptr;
+  if constexpr (ad::is_fad_v<typename EvalT::ScalarT>) {
+    if (J != nullptr) slots = &slot_table<Exec>(b, *J);
+  }
   scatter_add<Exec>(cfg_->scatter, b.coloring,
                     arrays_->cell_nodes.window(b.offset, b.count), f.Residual,
-                    b.count, arrays_->num_nodes, F, J);
+                    b.count, arrays_->num_nodes, F, J, slots);
   timers_->add("scatter", phase_timer.seconds());
 }
 
@@ -322,8 +411,9 @@ void ElementEngine::element_tangents(const CellBlock& b,
         a.face_BF,         nodes.window(node_offset, cnt), U,
         X,                 tangent_,   static_cast<unsigned>(a.face_qps),
         cfg.sliding};
+    // One face per cell (attach_basal_faces): disjoint rows, any order.
     pk::parallel_for("basal_friction_tangent",
-                     pk::RangePolicy<pk::Serial>(b.face_cell_local.size()),
+                     pk::RangePolicy<Exec>(b.face_cell_local.size()),
                      friction);
   }
 }
@@ -373,7 +463,7 @@ void ElementEngine::assemble_tangent(const CellBlock& b,
                    });
 
   auto& f = jac_fields_;
-  f.allocate(cnt, N, a.num_qps);
+  f.allocate(cnt, N, a.num_qps, FieldStage::kResidual);
   for (int l = 0; l < kNumLocalDofs; ++l) {
     // X = e_l in every cell: local dof l of cell c is X(2 N c + l).
     const auto ul = static_cast<std::size_t>(l);
@@ -400,7 +490,7 @@ void ElementEngine::assemble_tangent(const CellBlock& b,
   // vector, which is discarded.
   std::vector<double> F(lin.U.size(), 0.0);
   scatter_add<Exec>(cfg_->scatter, b.coloring, cell_nodes, f.Residual, cnt, N,
-                    F, &J);
+                    F, &J, &slot_table<Exec>(b, J));
 }
 
 template <class Exec>

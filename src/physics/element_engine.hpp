@@ -9,26 +9,36 @@
 //             gather -> VelocityGradient -> ViscosityFO -> BodyForceFO ->
 //             StokesFOResid<variant> chain (width 1, the bitwise reference)
 //             -> basal friction -> scatter
-//   Jacobian  the staged chain on SFad<16> (always scalar) -> scatter
+//   Jacobian  kOptimized (the default): FusedStokesChain<SFad<16>> per
+//             cell, gathering and seeding its velocities from U, straight
+//             into the element Residual -- the only whole-mesh SFad field;
+//             the four ablation variants: the staged chain on SFad<16>
+//             (Table III reproduces them).  Always scalar.  -> basal
+//             friction -> scatter through the block's CRS slot table
 //   tangent   linearize: StokesFOTangentLinearize<W> (W = 1 included)
 //             fills the block's quadrature-point cache, once per state U;
 //             apply: StokesFOTangentApply<W> over that cache -> basal
 //             friction tangent -> scatter; assemble: the same two kernels
 //             on each of the 16 cell-local unit directions -> the SFad
-//             field set's derivative slots -> matrix scatter
+//             Residual's derivative slots -> matrix scatter through the
+//             block's CRS slot table
 //
 // so `simd_width` means the same thing on every path.  Batched kernels run
 // over the block rounded up to whole packs; per-cell arrays have
 // fem::padded_cells(n) rows with finite ghost rows, so the extra lanes read
-// valid data and their results are never scattered.
+// valid data and their results are never scattered.  A block's CRS slot
+// table (physics/scatter.hpp) is built the first time the block is
+// scattered into a matrix graph and rebuilt only when the graph changes.
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "fem/workset.hpp"
 #include "linalg/crs_matrix.hpp"
 #include "mesh/coloring.hpp"
 #include "physics/eval_types.hpp"
+#include "physics/scatter.hpp"
 #include "portability/timer.hpp"
 #include "portability/view.hpp"
 
@@ -70,14 +80,22 @@ struct CellBlock {
 
 /// Stages onto `b` the basal faces of `ws` whose cell lies in the block, in
 /// global face order; `local_cell(g)` maps global cell g to the owner's
-/// numbering (any value outside the block skips the face).
+/// numbering (any value outside the block skips the face).  The basal
+/// friction kernels run a block's faces in parallel, each writing only its
+/// own cell's rows, so no cell may own two faces (throws mali::Error).
 template <class LocalCell>
 void attach_basal_faces(CellBlock& b, const fem::GeometryWorkset& ws,
                         LocalCell&& local_cell) {
   std::vector<std::size_t> faces;
+  std::vector<char> has_face(b.count, 0);
   for (std::size_t f = 0; f < ws.n_basal_faces; ++f) {
     const std::size_t l = local_cell(ws.basal_face_cell(f));
-    if (l >= b.offset && l < b.offset + b.count) faces.push_back(f);
+    if (l < b.offset || l >= b.offset + b.count) continue;
+    MALI_CHECK_MSG(has_face[l - b.offset] == 0,
+                   "cell " + std::to_string(ws.basal_face_cell(f)) +
+                       " has two basal faces");
+    has_face[l - b.offset] = 1;
+    faces.push_back(f);
   }
   const std::size_t F = faces.size();
   const int Qf = ws.face_qps;
@@ -94,8 +112,15 @@ void attach_basal_faces(CellBlock& b, const fem::GeometryWorkset& ws,
   }
 }
 
+/// How far into the staged chain a path writes its fields: only the
+/// element Residual (the fused chains gathering from U), the gathered UNodal
+/// too, or every intermediate of the staged chain.
+enum class FieldStage { kResidual, kGathered, kStaged };
+
 /// Per-evaluation-type field storage (double for Residual, SFad<double,16>
-/// for Jacobian), allocated lazily — the Jacobian set is ~17x larger.
+/// for Jacobian).  Each field is allocated lazily, the first time a path
+/// writes it: the SFad Jacobian of KernelVariant::kOptimized allocates only
+/// Residual, ~2.2 kB per cell, against ~14 kB for the whole staged set.
 template <class ScalarT>
 struct FieldSet {
   pk::View<ScalarT, 3> UNodal;    ///< (C, N, 2)
@@ -103,9 +128,13 @@ struct FieldSet {
   pk::View<ScalarT, 2> mu;        ///< (C, Q)
   pk::View<ScalarT, 3> force;     ///< (C, Q, 2)
   pk::View<ScalarT, 3> Residual;  ///< (C, N, 2)
-  bool allocated = false;
 
-  void allocate(std::size_t C, int N, int Q);
+  /// Allocates the fields up to `stage` for C cells, keeping any that are
+  /// already large enough.
+  void allocate(std::size_t C, int N, int Q, FieldStage stage);
+
+  /// Whether every staged-chain field holds at least C cells.
+  [[nodiscard]] bool staged(std::size_t C) const noexcept;
 };
 
 /// One CellBlock's tangent linearization: the pack-contiguous
@@ -125,6 +154,13 @@ struct TangentLinearization {
 
 /// Copies a global vector into a view the kernels can read.
 [[nodiscard]] pk::View<double, 1> to_view(const std::vector<double>& v);
+
+/// Copies v into `view`, reallocating it only when the sizes differ, and
+/// returns it: the reusable staging of a caller's vector for the kernels.
+/// Unlike to_view, the result is overwritten by the next call, so only
+/// callers that are done with it by then may use it.
+const pk::View<double, 1>& copy_to_view(const std::vector<double>& v,
+                                        pk::View<double, 1>& view);
 
 class ElementEngine {
  public:
@@ -149,13 +185,16 @@ class ElementEngine {
                                            const pk::View<double, 1>& U,
                                            bool gather_only = false);
 
-  /// The paper's StokesFOResid variant `v` over the block's staged fields.
+  /// The paper's StokesFOResid variant `v` over the block's staged fields;
+  /// throws mali::Error unless stage() has allocated all of them.
   template <class EvalT, class Exec>
   void run_resid_kernel(KernelVariant v, const CellBlock& b);
 
   /// Element residuals (SFad element Jacobians for JacobianEval) of the
-  /// block, scatter-added into F (and J) with the configured ScatterMode.
-  /// Adds the "evaluate", "kernel" and "scatter" phase timings.
+  /// block, scatter-added into F (and J, through the block's CRS slot table)
+  /// with the configured ScatterMode.  Adds the "evaluate", "kernel" and
+  /// "scatter" phase timings.  Throws mali::Error when J's graph misses an
+  /// element coupling.
   template <class EvalT, class Exec>
   void assemble(const CellBlock& b, const pk::View<double, 1>& U,
                 std::vector<double>& F, linalg::CrsMatrix* J);
@@ -174,10 +213,11 @@ class ElementEngine {
 
   /// J += the block's element tangent matrices, built from the cache
   /// linearize_tangent(b, U, lin) built and scattered with the configured
-  /// ScatterMode.  Column l of every cell's 16x16 tangent is the apply's
-  /// tangent kernels run on the cell-local unit direction e_l, stored in
-  /// the SFad field set's dx(l) slot; so each entry is the exact value
-  /// colored operator probing reads, summed in the same scatter order.
+  /// ScatterMode through the block's CRS slot table.  Column l of every
+  /// cell's 16x16 tangent is the apply's tangent kernels run on the
+  /// cell-local unit direction e_l, stored in the SFad Residual's dx(l)
+  /// slot; so each entry is the exact value colored operator probing reads,
+  /// summed in the same scatter order.
   /// Throws mali::Error when J's graph misses an element coupling.
   template <class Exec>
   void assemble_tangent(const CellBlock& b, const TangentLinearization& lin,
@@ -193,6 +233,17 @@ class ElementEngine {
   /// to that block's offset.
   [[nodiscard]] const pk::View<double, 3>& element_residual() const noexcept {
     return res_fields_.Residual;
+  }
+
+  /// The field set of one evaluation type (double or SFad<double,16>), with
+  /// the fields the engine's paths have allocated so far.
+  template <class ScalarT>
+  [[nodiscard]] const FieldSet<ScalarT>& field_set() const noexcept {
+    if constexpr (ad::is_fad_v<ScalarT>) {
+      return jac_fields_;
+    } else {
+      return res_fields_;
+    }
   }
 
  private:
@@ -216,6 +267,17 @@ class ElementEngine {
   template <class Exec>
   void run_fused_batched(const CellBlock& b);
 
+  /// FusedStokesChain<SFad<16>> over the block, gathering from U, into the
+  /// SFad Residual.
+  template <class Exec>
+  void run_fused_sfad(const CellBlock& b, const pk::View<double, 1>& U);
+
+  /// The block's CRS slot table in J's graph: built on first use, rebuilt
+  /// when J carries another graph.
+  template <class Exec>
+  const CrsSlotTable& slot_table(const CellBlock& b,
+                                 const linalg::CrsMatrix& J);
+
   template <class ScalarT>
   FieldSet<ScalarT>& fields() {
     if constexpr (ad::is_fad_v<ScalarT>) {
@@ -232,6 +294,16 @@ class ElementEngine {
   FieldSet<ResidualEval::ScalarT> res_fields_;
   FieldSet<JacobianEval::ScalarT> jac_fields_;
   pk::View<double, 3> tangent_;  ///< (C, N, 2) per-cell J_e x_e scratch
+
+  /// One slot table per block the engine has scattered into a matrix,
+  /// identified by the block's cell range (the engine's cell_nodes are
+  /// fixed, so the range determines the cells' couplings).
+  struct BlockSlots {
+    std::size_t offset = 0;
+    std::size_t count = 0;
+    CrsSlotTable table;
+  };
+  std::vector<BlockSlots> slot_tables_;
 };
 
 }  // namespace mali::physics

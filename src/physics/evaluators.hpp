@@ -33,13 +33,9 @@ struct GatherSolution {
     for (unsigned int node = 0; node < numNodes; ++node) {
       const std::size_t gnode = cell_nodes(cell, node);
       for (int comp = 0; comp < 2; ++comp) {
-        const double val = U(2 * gnode + static_cast<std::size_t>(comp));
-        if constexpr (ad::is_fad_v<ScalarT>) {
-          UNodal(cell, node, comp) =
-              ScalarT(val, static_cast<int>(2 * node) + comp);
-        } else {
-          UNodal(cell, node, comp) = val;
-        }
+        UNodal(cell, node, comp) = ad::seeded<ScalarT>(
+            U(2 * gnode + static_cast<std::size_t>(comp)),
+            static_cast<int>(2 * node) + comp);
       }
     }
   }
@@ -135,15 +131,19 @@ struct BodyForceFO {
 };
 
 /// Adds the basal sliding term  int_basal tau_b(u) . phi  to the residual
-/// of layer-0 cells.  Face-local node k is cell-local node k (bottom face).
-/// The sliding law is configurable: linear (the paper's test) or Weertman
-/// power law, with the friction factor differentiated through ScalarT.
+/// of layer-0 cells.  Face-local node k is cell-local node k (bottom face),
+/// whose velocity is gathered from U (seeded for Fad scalars, as
+/// GatherSolution seeds it).  The sliding law is configurable: linear (the
+/// paper's test) or Weertman power law, with the friction factor
+/// differentiated through ScalarT.  Each face writes only its own cell's
+/// rows, so faces of distinct cells may run concurrently.
 template <class ScalarT>
 struct BasalFrictionResid {
   pk::View<std::size_t, 1> basal_face_cell;  ///< (F)
   pk::View<double, 3> basal_wBF;             ///< (F, 4, Qf)
   pk::View<double, 1> basal_beta;            ///< (F)
-  pk::View<ScalarT, 3> UNodal;               ///< (C, N, 2)
+  pk::View<double, 1> U;                     ///< global solution
+  pk::View<std::size_t, 2> cell_nodes;       ///< (C, N)
   pk::View<ScalarT, 3> Residual;             ///< (C, N, 2)
   /// Reference QUAD4 basis values at the face quadrature points (k, q).
   pk::View<double, 2> face_BF;
@@ -152,11 +152,19 @@ struct BasalFrictionResid {
 
   MALI_KERNEL_FUNCTION void operator()(const int& face) const {
     const std::size_t cell = basal_face_cell(face);
+    ScalarT ul[4][2];
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t gnode = cell_nodes(cell, k);
+      for (int comp = 0; comp < 2; ++comp) {
+        ul[k][comp] = ad::seeded<ScalarT>(
+            U(2 * gnode + static_cast<std::size_t>(comp)), 2 * k + comp);
+      }
+    }
     for (unsigned int qp = 0; qp < faceQPs; ++qp) {
       ScalarT uq(0.0), vq(0.0);
       for (int k = 0; k < 4; ++k) {
-        uq += UNodal(cell, k, 0) * face_BF(k, qp);
-        vq += UNodal(cell, k, 1) * face_BF(k, qp);
+        uq += ul[k][0] * face_BF(k, qp);
+        vq += ul[k][1] * face_BF(k, qp);
       }
       const ScalarT friction =
           friction_factor(sliding, basal_beta(face), uq, vq);

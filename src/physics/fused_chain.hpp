@@ -5,10 +5,16 @@
 // kept in registers.  The intermediate fields never touch memory, which is
 // the cross-kernel continuation of the paper's local-accumulation idea.
 // Numerically identical to the staged pipeline (asserted in tests).
+//
+// The nodal velocities come either from a gathered UNodal field or, with U
+// and cell_nodes set, straight from the global state: each cell gathers
+// (and, for SFad scalars, seeds) its 16 values into registers, so the
+// SFad Jacobian keeps no whole-mesh input field at all.
 
 #include <cmath>
 #include <cstddef>
 
+#include "ad/scalar_traits.hpp"
 #include "portability/common.hpp"
 #include "portability/view.hpp"
 
@@ -21,7 +27,9 @@ class FusedStokesChain {
   static constexpr int kMaxNodes = 8;
 
   // Inputs.
-  ViewT<ScalarT, 3> UNodal;        ///< (C, N, 2) gathered solution
+  ViewT<ScalarT, 3> UNodal;        ///< (C, N, 2) gathered solution, or
+  pk::View<double, 1> U;           ///< global solution (used when allocated)
+  pk::View<std::size_t, 2> cell_nodes;  ///< (C, N) global node ids, with U
   ViewT<double, 4> gradBF;         ///< (C, N, Q, 3)
   ViewT<double, 4> wGradBF;        ///< (C, N, Q, 3)
   ViewT<double, 3> wBF;            ///< (C, N, Q)
@@ -54,9 +62,20 @@ class FusedStokesChain {
 
     // Nodal values: each read exactly once from memory.
     ScalarT un[kMaxNodes][2];
-    for (std::size_t node = 0; node < numNodes; ++node) {
-      un[node][0] = UNodal(cell, node, 0);
-      un[node][1] = UNodal(cell, node, 1);
+    if (U.allocated()) {
+      for (std::size_t node = 0; node < numNodes; ++node) {
+        const std::size_t gnode = cell_nodes(cell, node);
+        for (int comp = 0; comp < 2; ++comp) {
+          un[node][comp] = ad::seeded<ScalarT>(
+              U(2 * gnode + static_cast<std::size_t>(comp)),
+              static_cast<int>(2 * node) + comp);
+        }
+      }
+    } else {
+      for (std::size_t node = 0; node < numNodes; ++node) {
+        un[node][0] = UNodal(cell, node, 0);
+        un[node][1] = UNodal(cell, node, 1);
+      }
     }
 
     ScalarT res0[kMaxNodes] = {};

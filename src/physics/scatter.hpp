@@ -21,8 +21,15 @@
 // All three produce the same values up to floating-point reassociation;
 // tests/test_scatter_parallel.cpp pins the equivalence on both the Serial
 // and the thread-pool exec spaces.
+//
+// The matrix half writes each element entry either through a CrsSlotTable
+// (the entry's index into the CRS values, looked up once per cell range and
+// graph) or, without one, through CrsMatrix::add's binary search of the row.
+// Both add the same values to the same entries in the same order.
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,18 +72,71 @@ enum class ScatterMode {
   return ScatterMode::kSerial;  // unreachable
 }
 
+/// Where every element coupling of a range of 8-node cells sits in one CRS
+/// graph: slots(c, kNumLocalDofs i + l) indexes J.values() at (row of local
+/// dof i, column of local dof l) of cell c, local dof = 2 node + comp.  Built
+/// once per (cell range, graph) by build_slot_table; it serves exactly the
+/// matrices that carry its graph (CrsMatrix::graph_id).
+struct CrsSlotTable {
+  static constexpr int kSlotsPerCell = kNumLocalDofs * kNumLocalDofs;
+
+  std::uint64_t graph_id = 0;
+  std::size_t nnz = 0;
+  /// (C, kSlotsPerCell), each cell's slots contiguous
+  pk::View<std::uint32_t, 2, pk::LayoutRight> slots;
+
+  [[nodiscard]] bool serves(const linalg::CrsMatrix& J) const noexcept {
+    return slots.allocated() && graph_id == J.graph_id() && nnz == J.nnz();
+  }
+};
+
+/// The slot table of cells [0, count) of `cell_nodes` (8 nodes each) in J's
+/// graph.  Throws mali::Error when the graph misses an element coupling or
+/// has more values than 32-bit slots address.
+template <class Exec = pk::DefaultExec>
+[[nodiscard]] CrsSlotTable build_slot_table(
+    const pk::View<std::size_t, 2>& cell_nodes, std::size_t count,
+    const linalg::CrsMatrix& J) {
+  MALI_CHECK_MSG(cell_nodes.extent(1) * 2 == kNumLocalDofs,
+                 "CRS slot tables need 8-node cells (16 local dofs)");
+  MALI_CHECK_MSG(J.nnz() <= std::numeric_limits<std::uint32_t>::max(),
+                 "CRS slot table: the graph has more than 2^32 - 1 values");
+  CrsSlotTable t;
+  t.graph_id = J.graph_id();
+  t.nnz = J.nnz();
+  t.slots = pk::View<std::uint32_t, 2, pk::LayoutRight>(
+      "crs_slots", count, CrsSlotTable::kSlotsPerCell);
+  pk::parallel_for("crs_slot_table", pk::RangePolicy<Exec>(count),
+                   [&](int c) {
+                     for (int i = 0; i < kNumLocalDofs; ++i) {
+                       const std::size_t row =
+                           fem::DofMap::dof(cell_nodes(c, i / 2), i % 2);
+                       for (int l = 0; l < kNumLocalDofs; ++l) {
+                         const std::size_t col =
+                             fem::DofMap::dof(cell_nodes(c, l / 2), l % 2);
+                         t.slots(c, i * kNumLocalDofs + l) =
+                             static_cast<std::uint32_t>(J.slot(row, col));
+                       }
+                     }
+                   });
+  return t;
+}
+
 namespace detail {
 
 /// Scatters one cell's element residual (and, for SFad scalars, its element
 /// Jacobian) into the global F vector / CRS matrix.  `Atomic` selects the
 /// lock-free update path; with Atomic = false the caller must guarantee the
 /// cell's rows are not concurrently updated (serial loop or color class).
+/// `slots` is the cell's row of a CrsSlotTable that serves J, or null to
+/// locate each entry with CrsMatrix::add.
 template <bool Atomic, class ScalarT>
 MALI_INLINE void scatter_cell(std::size_t c,
                               const pk::View<std::size_t, 2>& cell_nodes,
                               const pk::View<ScalarT, 3>& Residual,
                               int num_nodes, double* MALI_RESTRICT F,
-                              linalg::CrsMatrix* J) {
+                              linalg::CrsMatrix* J,
+                              const std::uint32_t* slots) {
   for (int node = 0; node < num_nodes; ++node) {
     const std::size_t gnode = cell_nodes(c, node);
     for (int comp = 0; comp < 2; ++comp) {
@@ -88,15 +148,27 @@ MALI_INLINE void scatter_cell(std::size_t c,
         F[row] += ad::value_of(R);
       }
       if constexpr (ad::is_fad_v<ScalarT>) {
-        if (J != nullptr) {
+        if (J == nullptr) continue;
+        if (slots != nullptr) {
+          double* vals = J->values().data();
+          const std::uint32_t* row_slots =
+              slots + (2 * node + comp) * kNumLocalDofs;
           for (int l = 0; l < kNumLocalDofs; ++l) {
-            const std::size_t col =
-                fem::DofMap::dof(cell_nodes(c, l / 2), l % 2);
             if constexpr (Atomic) {
-              J->add_atomic(row, col, R.dx(l));
+              pk::atomic_add(&vals[row_slots[l]], R.dx(l));
             } else {
-              J->add(row, col, R.dx(l));
+              vals[row_slots[l]] += R.dx(l);
             }
+          }
+          continue;
+        }
+        for (int l = 0; l < kNumLocalDofs; ++l) {
+          const std::size_t col =
+              fem::DofMap::dof(cell_nodes(c, l / 2), l % 2);
+          if constexpr (Atomic) {
+            J->add_atomic(row, col, R.dx(l));
+          } else {
+            J->add(row, col, R.dx(l));
           }
         }
       }
@@ -110,18 +182,32 @@ MALI_INLINE void scatter_cell(std::size_t c,
 /// SFad scalars).  `coloring` must cover exactly the same local cell range
 /// and is only consulted for ScatterMode::kColored.  Exec selects the pk
 /// execution space for the parallel modes (the serial mode ignores it).
+/// `slots` is a slot table of the same cell range; the matrix entries go
+/// through it when it serves J, else through CrsMatrix::add, which throws
+/// mali::Error when J's graph misses a coupling.
 template <class Exec = pk::DefaultExec, class ScalarT>
 void scatter_add(ScatterMode mode, const mesh::CellColoring& coloring,
                  const pk::View<std::size_t, 2>& cell_nodes,
                  const pk::View<ScalarT, 3>& Residual, std::size_t count,
-                 int num_nodes, std::vector<double>& F,
-                 linalg::CrsMatrix* J) {
+                 int num_nodes, std::vector<double>& F, linalg::CrsMatrix* J,
+                 const CrsSlotTable* slots = nullptr) {
   MALI_CHECK(cell_nodes.extent(0) >= count);
+  const std::uint32_t* S = nullptr;
+  if (slots != nullptr && J != nullptr && slots->serves(*J)) {
+    MALI_CHECK_MSG(slots->slots.extent(0) >= count,
+                   "CRS slot table does not cover the cell range");
+    S = slots->slots.data();
+  }
+  // Cell c's slots, or null for the CrsMatrix::add path.
+  const auto cell_slots = [S](std::size_t c) {
+    return S == nullptr ? nullptr : S + c * CrsSlotTable::kSlotsPerCell;
+  };
   double* Fp = F.data();
   switch (mode) {
     case ScatterMode::kSerial: {
       for (std::size_t c = 0; c < count; ++c) {
-        detail::scatter_cell<false>(c, cell_nodes, Residual, num_nodes, Fp, J);
+        detail::scatter_cell<false>(c, cell_nodes, Residual, num_nodes, Fp, J,
+                                    cell_slots(c));
       }
       break;
     }
@@ -136,7 +222,8 @@ void scatter_add(ScatterMode mode, const mesh::CellColoring& coloring,
             "scatter_color", pk::RangePolicy<Exec>(coloring.color_size(k)),
             [&, cells](int i) {
               detail::scatter_cell<false>(cells[i], cell_nodes, Residual,
-                                          num_nodes, Fp, J);
+                                          num_nodes, Fp, J,
+                                          cell_slots(cells[i]));
             });
       }
       break;
@@ -144,9 +231,10 @@ void scatter_add(ScatterMode mode, const mesh::CellColoring& coloring,
     case ScatterMode::kAtomic: {
       pk::parallel_for("scatter_atomic", pk::RangePolicy<Exec>(count),
                        [&](int i) {
-                         detail::scatter_cell<true>(
-                             static_cast<std::size_t>(i), cell_nodes, Residual,
-                             num_nodes, Fp, J);
+                         const auto c = static_cast<std::size_t>(i);
+                         detail::scatter_cell<true>(c, cell_nodes, Residual,
+                                                    num_nodes, Fp, J,
+                                                    cell_slots(c));
                        });
       break;
     }

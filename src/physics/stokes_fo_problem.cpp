@@ -224,7 +224,7 @@ FieldSet<typename EvalT::ScalarT>& StokesFOProblem::evaluate_fields(
   MALI_CHECK(U.size() == n_dofs());
   CellBlock all;  // the whole mesh; staging needs no faces or coloring
   all.count = ws_.n_cells;
-  return engine_.stage<EvalT, pk::DefaultExec>(all, to_view(U));
+  return engine_.stage<EvalT, pk::DefaultExec>(all, copy_to_view(U, input_));
 }
 
 template FieldSet<ResidualEval::ScalarT>&
@@ -246,7 +246,7 @@ template <class EvalT>
 void StokesFOProblem::assemble(const std::vector<double>& U,
                                std::vector<double>& F, linalg::CrsMatrix* J) {
   MALI_CHECK(U.size() == n_dofs());
-  const auto Uview = to_view(U);
+  const auto& Uview = copy_to_view(U, input_);
   F.assign(n_dofs(), 0.0);
   for (const CellBlock& b : blocks_) {
     engine_.assemble<EvalT, pk::DefaultExec>(b, Uview, F, J);
@@ -283,6 +283,7 @@ template <class Exec>
 void StokesFOProblem::linearize_tangent(const std::vector<double>& U,
                                         TangentCache& lin) {
   MALI_CHECK(U.size() == n_dofs());
+  // An owning copy: the cache keeps the state past the caller's vector.
   const auto Uview = to_view(U);
   lin.blocks.resize(blocks_.size());
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
@@ -308,7 +309,7 @@ void StokesFOProblem::apply_tangent(const TangentCache& lin,
   check_fresh(lin);
   MALI_CHECK(x.size() == n_dofs());
   MALI_CHECK_MSG(&x != &y, "apply_tangent: aliased in/out");
-  const auto Xview = to_view(x);
+  const auto& Xview = copy_to_view(x, input_);
   y.assign(n_dofs(), 0.0);
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     engine_.apply_tangent<Exec>(blocks_[i], lin.blocks[i], Xview, y);
@@ -370,7 +371,7 @@ template void StokesFOProblem::apply_jacobian<pk::Threads>(
 std::vector<double> StokesFOProblem::jacobian_block_diagonal(
     const std::vector<double>& U) {
   MALI_CHECK(U.size() == n_dofs());
-  const auto Uview = to_view(U);
+  const auto& Uview = copy_to_view(U, input_);
   // One 2x2 block per node (dof = 2*node + comp): 2 * n_dofs doubles.
   std::vector<double> blocks(2 * n_dofs(), 0.0);
   for (const CellBlock& b : blocks_) {

@@ -321,6 +321,9 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   std::uint64_t revision_ = 0;  ///< see revision()
   /// Per-phase assembly wall-clock (evaluate / kernel / scatter).
   pk::TimerRegistry phase_timers_;
+  /// The caller's vector, staged for the kernels of one residual, Jacobian,
+  /// tangent apply or block-diagonal call and reused by the next.
+  pk::View<double, 1> input_;
   ElementEngine engine_{elems_, cfg_, phase_timers_};
 };
 

@@ -374,9 +374,9 @@ class StokesFOTangentApply {
 /// Tangent of the basal sliding residual: accumulates d/dx of
 /// friction(u)·u · wBF into the Tangent view of layer-0 cells.  Face-local
 /// node k is cell-local node k (bottom face), exactly as in
-/// BasalFrictionResid.  Run serially over faces, mirroring the assembled
-/// chain (multiple faces never share a cell, but the serial order keeps the
-/// accumulation deterministic and identical to the assembled path).
+/// BasalFrictionResid.  Faces may run in parallel: each writes only its
+/// own cell's rows, and no cell owns two faces (attach_basal_faces checks),
+/// so the accumulation is deterministic in any order.
 struct BasalFrictionTangent {
   using Fad = ad::SFad<double, 1>;
 

@@ -123,18 +123,21 @@ TEST(BasalFriction, LinearLawContribution) {
   pk::View<std::size_t, 1> face_cell("fc", 1);
   pk::View<double, 3> face_wBF("fw", 1, 4, 1);
   pk::View<double, 1> beta("b", 1);
-  pk::View<double, 3> UNodal("un", 1, 8, 2);
+  pk::View<double, 1> U("u", 16);
+  pk::View<std::size_t, 2> cell_nodes("cn", 1, 8);
   pk::View<double, 3> Residual("r", 1, 8, 2);
   pk::View<double, 2> face_BF("bf", 4, 1);
   beta(0) = 2.0;
+  for (std::size_t k = 0; k < 8; ++k) cell_nodes(0, k) = 7 - k;
   for (int k = 0; k < 4; ++k) {
     face_BF(k, 0) = 0.25;       // uniform face basis at the single qp
     face_wBF(0, k, 0) = 3.0;    // weight x area
-    UNodal(0, k, 0) = 10.0;     // uniform basal velocity
-    UNodal(0, k, 1) = -4.0;
+    const std::size_t g = cell_nodes(0, k);
+    U(2 * g) = 10.0;            // uniform basal velocity
+    U(2 * g + 1) = -4.0;
   }
-  physics::BasalFrictionResid<double> f{face_cell, face_wBF, beta,
-                                        UNodal,    Residual, face_BF, 1};
+  physics::BasalFrictionResid<double> f{
+      face_cell, face_wBF, beta, U, cell_nodes, Residual, face_BF, 1};
   f(0);
   for (int k = 0; k < 4; ++k) {
     EXPECT_NEAR(Residual(0, k, 0), 2.0 * 10.0 * 3.0, 1e-12);

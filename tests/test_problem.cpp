@@ -14,6 +14,7 @@
 
 #include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/newton.hpp"
+#include "physics/element_engine.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "util/hash.hpp"
 
@@ -218,6 +219,100 @@ TEST(StokesFOProblem, AnalyticGuessSpeedsIncreaseTowardSurface) {
       prev = s;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// SFad field memory: the optimized variant's fused Jacobian keeps only the
+// element Residual whole-mesh; the ablations stage every intermediate.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using JacScalar = physics::JacobianEval::ScalarT;
+
+/// Whether the SFad field set holds each of the staged chain's fields.
+struct Allocated {
+  bool UNodal, Ugrad, mu, force, Residual;
+};
+
+Allocated sfad_fields_after_jacobian(KernelVariant v) {
+  StokesFOProblem p(coarse_config(v));
+  const auto U = p.analytic_initial_guess();
+  std::vector<double> F;
+  auto J = p.create_matrix();
+  p.residual_and_jacobian(U, F, J);
+  (void)p.jacobian_block_diagonal(U);
+  const auto& f = p.engine().field_set<JacScalar>();
+  return {f.UNodal.allocated(), f.Ugrad.allocated(), f.mu.allocated(),
+          f.force.allocated(), f.Residual.allocated()};
+}
+
+}  // namespace
+
+TEST(ElementEngine, OptimizedJacobianAllocatesOnlyTheSfadResidual) {
+  const Allocated a = sfad_fields_after_jacobian(KernelVariant::kOptimized);
+  EXPECT_FALSE(a.UNodal);
+  EXPECT_FALSE(a.Ugrad);
+  EXPECT_FALSE(a.mu);
+  EXPECT_FALSE(a.force);
+  EXPECT_TRUE(a.Residual);
+}
+
+TEST(ElementEngine, AblationJacobiansStageEverySfadField) {
+  for (const auto v :
+       {KernelVariant::kBaseline, KernelVariant::kLoopOptOnly,
+        KernelVariant::kFusedOnly, KernelVariant::kLocalAccumOnly}) {
+    const Allocated a = sfad_fields_after_jacobian(v);
+    EXPECT_TRUE(a.UNodal && a.Ugrad && a.mu && a.force && a.Residual)
+        << physics::to_string(v);
+  }
+}
+
+TEST(ElementEngine, RunResidKernelAfterAGatherOnlyStageThrows) {
+  StokesFOProblem p(coarse_config());
+  const auto U = physics::to_view(p.analytic_initial_guess());
+  pk::TimerRegistry timers;
+  physics::ElementEngine engine(p.element_arrays(), p.config(), timers);
+  physics::CellBlock all;
+  all.count = p.workset().n_cells;
+
+  (void)engine.stage<physics::ResidualEval, pk::DefaultExec>(all, U, true);
+  EXPECT_THROW((engine.run_resid_kernel<physics::ResidualEval,
+                                        pk::DefaultExec>(
+                   KernelVariant::kOptimized, all)),
+               Error);
+  (void)engine.stage<physics::JacobianEval, pk::DefaultExec>(all, U, true);
+  EXPECT_THROW((engine.run_resid_kernel<physics::JacobianEval,
+                                        pk::DefaultExec>(
+                   KernelVariant::kOptimized, all)),
+               Error);
+  EXPECT_FALSE(engine.field_set<JacScalar>().Ugrad.allocated());
+
+  // The whole chain staged, the kernel runs.
+  (void)engine.stage<physics::JacobianEval, pk::DefaultExec>(all, U);
+  EXPECT_NO_THROW((engine.run_resid_kernel<physics::JacobianEval,
+                                           pk::DefaultExec>(
+      KernelVariant::kOptimized, all)));
+}
+
+// The basal friction kernels run a block's faces in parallel, which is
+// race-free only while every cell owns at most one basal face.
+TEST(ElementEngine, AttachBasalFacesRejectsACellWithTwoFaces) {
+  StokesFOProblem p(coarse_config());
+  fem::GeometryWorkset ws = p.workset();
+  ASSERT_GE(ws.n_basal_faces, 2u);
+  physics::CellBlock all;
+  all.count = ws.n_cells;
+  const auto identity = [](std::size_t c) { return c; };
+  EXPECT_NO_THROW(physics::attach_basal_faces(all, ws, identity));
+
+  pk::View<std::size_t, 1> cells("basal_face_cell", ws.n_basal_faces);
+  for (std::size_t f = 0; f < ws.n_basal_faces; ++f) {
+    cells(f) = ws.basal_face_cell(f);
+  }
+  cells(1) = cells(0);
+  ws.basal_face_cell = cells;
+  EXPECT_THROW(physics::attach_basal_faces(all, ws, identity), Error);
 }
 
 // The paper's acceptance criterion: "the mean value of the final solution is

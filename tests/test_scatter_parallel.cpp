@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <random>
+#include <string>
 
 #include "mesh/coloring.hpp"
 #include "physics/scatter.hpp"
@@ -194,6 +197,195 @@ TEST(ScatterExecSpaces, JacobianSerialExec) {
 
 TEST(ScatterExecSpaces, JacobianThreadsExec) {
   exercise_scatter_exec_space<pk::Threads, JacobianEval::ScalarT>();
+}
+
+// ---------------------------------------------------------------------------
+// CRS slot tables: a table-driven scatter adds the same values to the same
+// entries in the same order as the CrsMatrix::add scatter, so the serial
+// and colored modes agree bit for bit; the atomic mode's order is the
+// schedule's either way.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using JacScalar = JacobianEval::ScalarT;
+
+/// Synthetic SFad element Jacobians over C cells, every slot populated.
+pk::View<JacScalar, 3> random_element_jacobians(std::size_t C, int N) {
+  pk::View<JacScalar, 3> R("R", C, static_cast<std::size_t>(N), 2);
+  std::mt19937 rng(4321);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t c = 0; c < C; ++c) {
+    for (int n = 0; n < N; ++n) {
+      for (int comp = 0; comp < 2; ++comp) {
+        JacScalar v(dist(rng));
+        for (int l = 0; l < physics::kNumLocalDofs; ++l) {
+          v.fastAccessDx(l) = dist(rng);
+        }
+        R(c, n, comp) = v;
+      }
+    }
+  }
+  return R;
+}
+
+/// Scatters R over cells [0, C) in blocks of `chunk` cells (each with its
+/// own cell window, coloring and, with `tables`, slot table) and returns
+/// (F, J values).
+template <class Exec>
+std::pair<std::vector<double>, std::vector<double>> chunked_scatter(
+    const StokesFOProblem& p, const pk::View<JacScalar, 3>& R,
+    std::size_t chunk, ScatterMode mode, bool tables) {
+  const auto& ws = p.workset();
+  const std::size_t C = ws.n_cells;
+  const int N = ws.num_nodes;
+  std::vector<double> F(p.n_dofs(), 0.0);
+  auto J = p.create_matrix();
+  for (std::size_t c0 = 0; c0 < C; c0 += chunk) {
+    const std::size_t cnt = std::min(chunk, C - c0);
+    const auto nodes = ws.cell_nodes.window(c0, cnt);
+    const auto coloring = mesh::greedy_color_cells(ws.cell_nodes, c0, cnt, N);
+    physics::CrsSlotTable table;
+    if (tables) table = physics::build_slot_table<Exec>(nodes, cnt, J);
+    physics::scatter_add<Exec>(mode, coloring, nodes, R.window(c0, cnt), cnt,
+                               N, F, &J, tables ? &table : nullptr);
+  }
+  return {F, J.values()};
+}
+
+template <class Exec>
+void expect_slot_scatter_matches_add() {
+  StokesFOProblem p(antarctica_config(ScatterMode::kSerial));
+  const std::size_t C = p.workset().n_cells;
+  const auto R = random_element_jacobians(C, p.workset().num_nodes);
+  for (const std::size_t chunk : {C, std::size_t{64}}) {
+    for (const auto mode : {ScatterMode::kSerial, ScatterMode::kColored}) {
+      const auto [F_add, J_add] = chunked_scatter<Exec>(p, R, chunk, mode,
+                                                        /*tables=*/false);
+      const auto [F_tab, J_tab] = chunked_scatter<Exec>(p, R, chunk, mode,
+                                                        /*tables=*/true);
+      EXPECT_EQ(F_add, F_tab) << to_string(mode) << ", chunk " << chunk;
+      EXPECT_EQ(J_add, J_tab) << to_string(mode) << ", chunk " << chunk;
+    }
+    const auto [F_ref, J_ref] =
+        chunked_scatter<Exec>(p, R, chunk, ScatterMode::kSerial, false);
+    const auto [F_atm, J_atm] =
+        chunked_scatter<Exec>(p, R, chunk, ScatterMode::kAtomic, true);
+    expect_relative_match(F_ref, F_atm, 1e-14, "atomic slot-table F");
+    expect_relative_match(J_ref, J_atm, 1e-14, "atomic slot-table J");
+  }
+}
+
+}  // namespace
+
+TEST(CrsSlotTable, ScatterMatchesAddScatterSerialExec) {
+  expect_slot_scatter_matches_add<pk::Serial>();
+}
+
+TEST(CrsSlotTable, ScatterMatchesAddScatterThreadsExec) {
+  expect_slot_scatter_matches_add<pk::Threads>();
+}
+
+// The engine's assembly (fused SFad chain, slot-table scatter, chunked
+// worksets) against the staged chain scattered through CrsMatrix::add, on
+// the manufactured problem (no basal friction, so the staged kernel's
+// output is the whole element Jacobian).  Dirichlet rows are the
+// problem's own and are skipped.
+TEST(CrsSlotTable, ChunkedAssemblyMatchesStagedAddScatter) {
+  for (const std::size_t ws_size : {std::size_t{0}, std::size_t{64}}) {
+    for (const auto mode : {ScatterMode::kSerial, ScatterMode::kColored,
+                            ScatterMode::kAtomic}) {
+      const StokesFOConfig cfg = mms_config(mode, ws_size);
+      StokesFOProblem p(cfg);
+      const auto U = p.analytic_initial_guess();
+      std::vector<double> F;
+      auto J = p.create_matrix();
+      p.residual_and_jacobian(U, F, J);
+
+      StokesFOProblem ref(cfg);
+      const auto& f = ref.evaluate_fields<JacobianEval>(U);
+      ref.run_resid_kernel<JacobianEval>(physics::KernelVariant::kOptimized);
+      const auto& ws = ref.workset();
+      std::vector<double> F_ref(ref.n_dofs(), 0.0);
+      auto J_ref = ref.create_matrix();
+      std::size_t c0 = 0;
+      for (std::size_t w = 0; w < ref.n_worksets(); ++w) {
+        const auto& coloring = ref.workset_coloring(w);
+        const std::size_t cnt = coloring.n_cells();
+        // The reference keeps one order in atomic mode: serial.
+        physics::scatter_add(
+            mode == ScatterMode::kAtomic ? ScatterMode::kSerial : mode,
+            coloring, ws.cell_nodes.window(c0, cnt), f.Residual.window(c0, cnt),
+            cnt, ws.num_nodes, F_ref, &J_ref);
+        c0 += cnt;
+      }
+      ASSERT_EQ(c0, ws.n_cells);
+
+      // Atomic sums reassociate: 1e-14 of the largest |F| and of each row's
+      // largest |J| entry (sums of opposite-sign cell contributions cancel,
+      // so the entry itself is no scale); the other modes are exact.
+      const std::string what = std::string(to_string(mode)) + ", workset " +
+                               std::to_string(ws_size);
+      const double tol = mode == ScatterMode::kAtomic ? 1e-14 : 0.0;
+      double F_scale = 0.0;
+      for (const double v : F_ref) F_scale = std::max(F_scale, std::abs(v));
+      const auto& rp = J.row_ptr();
+      for (std::size_t r = 0; r < p.n_dofs(); ++r) {
+        if (p.dof_map().is_dirichlet_dof(r)) continue;
+        ASSERT_NEAR(F[r], F_ref[r], tol * F_scale) << what << ", row " << r;
+        double row_scale = 0.0;
+        for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
+          row_scale = std::max(row_scale, std::abs(J_ref.values()[k]));
+        }
+        for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
+          ASSERT_NEAR(J.values()[k], J_ref.values()[k], tol * row_scale)
+              << what << ", row " << r << ", nonzero " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(CrsSlotTable, GraphMissingACouplingThrows) {
+  StokesFOProblem p(antarctica_config(ScatterMode::kSerial));
+  const auto& ws = p.workset();
+  const std::size_t C = ws.n_cells;
+  const auto R = random_element_jacobians(C, ws.num_nodes);
+  const auto coloring = mesh::greedy_color_cells(ws.cell_nodes, 0, C,
+                                                 ws.num_nodes);
+  const auto full = p.create_matrix();
+
+  // The FE graph minus one off-diagonal coupling of row 0's node.
+  std::vector<std::size_t> rp = full.row_ptr();
+  std::vector<std::size_t> cols = full.cols();
+  const std::size_t drop = cols[rp[0]] == 0 ? rp[0] + 1 : rp[0];
+  cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(drop));
+  for (std::size_t r = 1; r < rp.size(); ++r) --rp[r];
+  linalg::CrsMatrix missing(rp, cols);
+
+  EXPECT_THROW((void)physics::build_slot_table(ws.cell_nodes, C, missing),
+               Error);
+
+  // A table serves the copies of the matrix it was built for; another
+  // graph falls back to CrsMatrix::add, which throws on the gap.
+  const auto table = physics::build_slot_table(ws.cell_nodes, C, full);
+  auto copy = full;
+  EXPECT_TRUE(table.serves(copy));
+  EXPECT_FALSE(table.serves(missing));
+  EXPECT_FALSE(table.serves(linalg::CrsMatrix(full.row_ptr(), full.cols())));
+  for (const auto mode : {ScatterMode::kSerial, ScatterMode::kColored}) {
+    std::vector<double> F(p.n_dofs(), 0.0);
+    EXPECT_NO_THROW(physics::scatter_add(mode, coloring, ws.cell_nodes, R, C,
+                                         ws.num_nodes, F, &copy, &table));
+    EXPECT_THROW(physics::scatter_add(mode, coloring, ws.cell_nodes, R, C,
+                                      ws.num_nodes, F, &missing, &table),
+                 Error);
+  }
+
+  // The engine builds its tables from the matrix it assembles into.
+  std::vector<double> F;
+  EXPECT_THROW(p.residual_and_jacobian(p.analytic_initial_guess(), F, missing),
+               Error);
 }
 
 // ---------------------------------------------------------------------------

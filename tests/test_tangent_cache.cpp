@@ -163,6 +163,57 @@ TEST(TangentPin, SubdomainApplyTangentBytesAtTwoAndFourRanks) {
   }
 }
 
+// Each rank's partial assembled SFad Jacobian and residual (both segments
+// through Subdomain::assemble_jacobian_segment), concatenated in rank
+// order, on the thermal dome.  Recorded while the scatter still located
+// every entry with CrsMatrix::add; the segments' CRS slot tables must write
+// the same bits.  kOptimized runs the fused SFad chain, kLocalAccumOnly the
+// staged one: one J, and the two residual bit-groups of
+// JacobianPin.AssembledSfadBytesEveryVariant.
+TEST(JacobianPin, SubdomainAssembledBytesAtTwoAndFourRanks) {
+  struct Pin {
+    int ranks;
+    physics::KernelVariant variant;
+    std::uint64_t J, F;
+  };
+  const Pin pins[] = {
+      {2, physics::KernelVariant::kOptimized, 0xe412a86a78b22724ull,
+       0x7d44cecd74011066ull},
+      {2, physics::KernelVariant::kLocalAccumOnly, 0xe412a86a78b22724ull,
+       0xbf5056b55820b33cull},
+      {4, physics::KernelVariant::kOptimized, 0xeedf7590c20f1dc3ull,
+       0x7c90fbc55c488b15ull},
+      {4, physics::KernelVariant::kLocalAccumOnly, 0xeedf7590c20f1dc3ull,
+       0x438f77f94307b952ull},
+  };
+  for (const Pin& pin : pins) {
+    StokesFOConfig cfg = make_config(Case::kThermalDome, 1);
+    cfg.variant = pin.variant;
+    StokesFOProblem p(cfg);
+    set_test_temperature(p);
+    std::vector<double> U, x;
+    state_and_direction(p, Case::kThermalDome, U, x);
+    const auto part =
+        dist::make_partition(p.mesh().base(), pin.ranks, dist::Decomp::kStrips);
+    std::vector<double> all_J, all_F;
+    for (int r = 0; r < pin.ranks; ++r) {
+      dist::Subdomain sub(p, part, r);
+      auto J = p.create_matrix();
+      std::vector<double> F(p.n_dofs(), 0.0);
+      sub.assemble_jacobian_segment(dist::Subdomain::kInterior, U, F, J);
+      sub.assemble_jacobian_segment(dist::Subdomain::kBoundary, U, F, J);
+      all_J.insert(all_J.end(), J.values().begin(), J.values().end());
+      all_F.insert(all_F.end(), F.begin(), F.end());
+    }
+    const std::string what = std::to_string(pin.ranks) + " ranks, " +
+                             physics::to_string(pin.variant);
+    EXPECT_EQ(hash_of(all_J), pin.J)
+        << what << ": J 0x" << std::hex << hash_of(all_J);
+    EXPECT_EQ(hash_of(all_F), pin.F)
+        << what << ": F 0x" << std::hex << hash_of(all_F);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stale-linearization guard: the cache is a snapshot of the problem at
 // linearize(), so an apply after a setter moved revision() must refuse.
