@@ -447,18 +447,34 @@ void ElementEngine::assemble_tangent(const CellBlock& b,
 
   // Cell-local node space: (c, k) -> c N + k, with the state gathered into
   // it, so one direction vector carries an independent e_l for every cell.
-  pk::View<std::size_t, 2> local("tangent_local_nodes", cnt_pad, N);
-  pk::View<double, 1> U("tangent_local_U", 2 * uN * cnt_pad);
-  pk::View<double, 1> X("tangent_local_X", 2 * uN * cnt_pad);
+  // The views are the engine's, grown on demand and reused by later calls;
+  // every entry a call reads is rewritten here first (padded cells get a
+  // zero state, every cell a zero direction).
+  if (!tangent_local_.allocated() || tangent_local_.extent(0) < cnt_pad) {
+    tangent_local_ =
+        pk::View<std::size_t, 2>("tangent_local_nodes", cnt_pad, N);
+    tangent_U_ = pk::View<double, 1>("tangent_local_U", 2 * uN * cnt_pad);
+    tangent_X_ = pk::View<double, 1>("tangent_local_X", 2 * uN * cnt_pad);
+  }
+  const auto& local = tangent_local_;
+  const auto& U = tangent_U_;
+  const auto& X = tangent_X_;
   pk::parallel_for("tangent_local_map", pk::RangePolicy<Exec>(cnt_pad),
                    [&](int ci) {
                      const auto c = static_cast<std::size_t>(ci);
                      for (std::size_t k = 0; k < uN; ++k) {
-                       local(c, k) = c * uN + k;
-                       if (c >= cnt) continue;
+                       const std::size_t lk = c * uN + k;
+                       local(c, k) = lk;
+                       X(2 * lk) = 0.0;
+                       X(2 * lk + 1) = 0.0;
+                       if (c >= cnt) {
+                         U(2 * lk) = 0.0;
+                         U(2 * lk + 1) = 0.0;
+                         continue;
+                       }
                        const std::size_t g = cell_nodes(c, k);
-                       U(2 * (c * uN + k)) = lin.U(2 * g);
-                       U(2 * (c * uN + k) + 1) = lin.U(2 * g + 1);
+                       U(2 * lk) = lin.U(2 * g);
+                       U(2 * lk + 1) = lin.U(2 * g + 1);
                      }
                    });
 
@@ -487,10 +503,10 @@ void ElementEngine::assemble_tangent(const CellBlock& b,
                      });
   }
   // The matrix scatter also adds the (zero) element residuals into a
-  // vector, which is discarded.
-  std::vector<double> F(lin.U.size(), 0.0);
+  // vector, which is discarded (and so stays zero across calls).
+  tangent_F_.resize(lin.U.size(), 0.0);
   scatter_add<Exec>(cfg_->scatter, b.coloring, cell_nodes, f.Residual, cnt, N,
-                    F, &J, &slot_table<Exec>(b, J));
+                    tangent_F_, &J, &slot_table<Exec>(b, J));
 }
 
 template <class Exec>

@@ -295,6 +295,14 @@ class ElementEngine {
   FieldSet<JacobianEval::ScalarT> jac_fields_;
   pk::View<double, 3> tangent_;  ///< (C, N, 2) per-cell J_e x_e scratch
 
+  /// assemble_tangent's scratch, kept for later calls: the cell-local node
+  /// map, the state gathered into it and the unit direction (grown to the
+  /// largest padded block), and the scatter's discarded residual vector.
+  pk::View<std::size_t, 2> tangent_local_;
+  pk::View<double, 1> tangent_U_;
+  pk::View<double, 1> tangent_X_;
+  std::vector<double> tangent_F_;
+
   /// One slot table per block the engine has scattered into a matrix,
   /// identified by the block's cell range (the engine's cell_nodes are
   /// fixed, so the range determines the cells' couplings).

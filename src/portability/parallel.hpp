@@ -2,11 +2,11 @@
 // parallel_for / parallel_reduce — the pk-layer analog of Kokkos parallel
 // dispatch.  Functors may expose either `operator()(int)` or the tagged form
 // `operator()(const Tag&, int)`; reductions additionally take an accumulator
-// reference, as in Kokkos.
+// reference, as in Kokkos.  Labels are `const char*` and unused: a label is
+// a literal at every call site, so no dispatch builds a std::string.
 
 #include <cstddef>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "portability/exec_policy.hpp"
@@ -15,7 +15,7 @@
 namespace mali::pk {
 
 template <class ExecSpace, class WorkTag, class Bounds, class Functor>
-void parallel_for(const std::string& /*label*/,
+void parallel_for(const char* /*label*/,
                   const RangePolicy<ExecSpace, WorkTag, Bounds>& policy,
                   const Functor& f) {
   if constexpr (std::is_same_v<ExecSpace, Serial>) {
@@ -41,14 +41,14 @@ void parallel_for(const RangePolicy<ExecSpace, WorkTag, Bounds>& policy,
 
 /// Simple flat-range parallel_for over [0, n).
 template <class Functor>
-void parallel_for(const std::string& label, std::size_t n, const Functor& f) {
+void parallel_for(const char* label, std::size_t n, const Functor& f) {
   parallel_for(label, RangePolicy<>(n), f);
 }
 
 /// Sum-reduction: functor signature `void(int, Value&)` (or tagged).
 template <class ExecSpace, class WorkTag, class Bounds, class Functor,
           class Value>
-void parallel_reduce(const std::string& /*label*/,
+void parallel_reduce(const char* /*label*/,
                      const RangePolicy<ExecSpace, WorkTag, Bounds>& policy,
                      const Functor& f, Value& result) {
   Value total{};
@@ -81,7 +81,7 @@ void parallel_reduce(const std::string& /*label*/,
 }
 
 template <class Functor, class Value>
-void parallel_reduce(const std::string& label, std::size_t n, const Functor& f,
+void parallel_reduce(const char* label, std::size_t n, const Functor& f,
                      Value& result) {
   parallel_reduce(label, RangePolicy<>(n), f, result);
 }
@@ -103,7 +103,7 @@ void parallel_reduce(const std::string& label, std::size_t n, const Functor& f,
 /// Bitwise-reproducible sum-reduction: functor signature `void(int, Value&)`.
 /// `chunk` fixes the reduction tree; 0 picks a default of 1024.
 template <class Functor, class Value>
-void parallel_reduce_deterministic(const std::string& /*label*/, std::size_t n,
+void parallel_reduce_deterministic(const char* /*label*/, std::size_t n,
                                    const Functor& f, Value& result,
                                    std::size_t chunk = 0) {
   if (chunk == 0) chunk = 1024;

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <type_traits>
 
 #include "portability/common.hpp"
@@ -278,7 +277,7 @@ class SimdRangePolicy {
 
 /// Batched parallel_for: functor signature `void(const SimdBatch&)`.
 template <int W, class ExecSpace, class Functor>
-void parallel_for(const std::string& /*label*/,
+void parallel_for(const char* /*label*/,
                   const SimdRangePolicy<W, ExecSpace>& policy,
                   const Functor& f) {
   const std::size_t n = policy.size();

@@ -535,6 +535,28 @@ TEST(AmgGalerkinPlan, ChangedFineGraphRebuildsThePlan) {
   EXPECT_TRUE(bitwise_equal(z, z_fresh));
 }
 
+TEST(AmgGalerkinPlan, EqualGraphReplaysWhetherOrNotItsIdMatches) {
+  // A copy shares the fine graph's id; a matrix built anew on an equal
+  // graph (as each forecast solve's create_matrix() is) has another id.
+  // Both must replay the hierarchy rather than rebuild it.
+  auto base = make_extruded_laplacian(10, 10, 8, 100.0);
+  AmgConfig cfg;
+  cfg.coarse_max_dofs = 50;
+  SemicoarseningAmg amg(base.info, cfg);
+  amg.compute(base.A);
+
+  const CrsMatrix copy = base.A;
+  ASSERT_EQ(copy.graph_id(), base.A.graph_id());
+  amg.compute(copy);
+  CrsMatrix rebuilt(base.A.row_ptr(), base.A.cols());
+  rebuilt.values() = base.A.values();
+  ASSERT_NE(rebuilt.graph_id(), base.A.graph_id());
+  amg.compute(rebuilt);
+  EXPECT_EQ(amg.hierarchy_builds(), 1u);
+  EXPECT_EQ(amg.structure_reuses(), 2u);
+  expect_plan_matches_hash_map(amg);
+}
+
 TEST(SemicoarseningAmg, NonDirectCoarseLevelAppliesBitwiseAsBefore) {
   // max_levels stops the hierarchy above coarse_max_dofs, so the coarsest
   // level runs the SGS fallback (built once per compute()).  The apply

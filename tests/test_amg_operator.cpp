@@ -258,6 +258,11 @@ TEST(AmgOperator, TangentAssembledFineMatrixEqualsProbed) {
           ASSERT_EQ(assembled.values()[k], probed.values()[k])
               << what << ", nonzero " << k;
         }
+        // A second assembly reuses the engine's scratch, which the first
+        // left holding its last unit direction, and gives the same values.
+        CrsMatrix again = probing.structure();
+        ASSERT_TRUE(op.assemble(again));
+        EXPECT_EQ(again.values(), assembled.values()) << what;
       }
     }
   }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "portability/launch_bounds.hpp"
@@ -43,6 +46,143 @@ TEST(ThreadPool, PropagatesExceptions) {
     count += static_cast<int>(e - b);
   });
   EXPECT_EQ(count.load(), 8);
+}
+
+namespace {
+
+constexpr std::size_t kPoolThreads = 4;
+
+/// Runs one dispatch over [0, n) on `pool` and expects every index visited
+/// exactly once, by chunks inside the range.
+void expect_exact_cover(pk::ThreadPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.parallel_range(0, n, [&](std::size_t b, std::size_t e) {
+    ASSERT_LT(b, e);
+    ASSERT_LE(e, n);
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "n " << n << " index " << i;
+  }
+}
+
+}  // namespace
+
+TEST(ThreadPool, VisitsEveryIndexOnceAcrossChunkCounts) {
+  pk::ThreadPool pool(kPoolThreads);
+  ASSERT_EQ(pool.size(), kPoolThreads);
+  for (std::size_t n : {std::size_t{1}, kPoolThreads - 1, kPoolThreads,
+                        4 * kPoolThreads + 1, std::size_t{100000}}) {
+    expect_exact_cover(pool, n);
+  }
+}
+
+TEST(ThreadPool, ExceptionFromFirstOrLastChunkPropagates) {
+  pk::ThreadPool pool(kPoolThreads);
+  const std::size_t n = 1000;
+  EXPECT_THROW(pool.parallel_range(0, n,
+                                   [](std::size_t b, std::size_t) {
+                                     if (b == 0) throw std::runtime_error("first");
+                                   }),
+               std::runtime_error);
+  expect_exact_cover(pool, n);
+  EXPECT_THROW(pool.parallel_range(0, n,
+                                   [n](std::size_t, std::size_t e) {
+                                     if (e == n) throw std::logic_error("last");
+                                   }),
+               std::logic_error);
+  expect_exact_cover(pool, n);
+}
+
+TEST(ThreadPool, NestedDispatchRunsInlineAndCovers) {
+  // An inner dispatch from a chunk body must not wait on the pool its own
+  // chunk occupies.
+  constexpr std::size_t kOuter = 37, kInner = 101;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pk::parallel_for("outer", pk::RangePolicy<pk::Threads>(kOuter), [&](int o) {
+    pk::parallel_for("inner", pk::RangePolicy<pk::Threads>(kInner), [&](int i) {
+      hits[static_cast<std::size_t>(o) * kInner + static_cast<std::size_t>(i)]
+          .fetch_add(1);
+    });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k) EXPECT_EQ(hits[k].load(), 1) << k;
+
+  pk::ThreadPool pool(kPoolThreads);
+  std::atomic<std::size_t> inner_total{0};
+  pool.parallel_range(0, kOuter, [&](std::size_t b, std::size_t e) {
+    for (std::size_t o = b; o < e; ++o) {
+      pool.parallel_range(0, kInner, [&](std::size_t ib, std::size_t ie) {
+        inner_total += ie - ib;
+      });
+    }
+  });
+  EXPECT_EQ(inner_total.load(), kOuter * kInner);
+}
+
+TEST(ThreadPool, ConcurrentCallersOnTheGlobalPoolBothCover) {
+  // Two dedicated threads (as in-process ranks are) dispatch at once: one
+  // holds the pool, the other runs its loops inline.
+  constexpr std::size_t kN = 4096;
+  constexpr int kRounds = 200;
+  std::vector<std::vector<std::atomic<int>>> hits(2);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  pk::ThreadPool::parallel_tasks(2, [&](std::size_t t) {
+    for (int r = 0; r < kRounds; ++r) {
+      pk::parallel_for("concurrent", pk::RangePolicy<pk::Threads>(kN),
+                       [&](int i) {
+                         hits[t][static_cast<std::size_t>(i)].fetch_add(1);
+                       });
+    }
+  });
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[t][i].load(), kRounds) << "caller " << t << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ManyTinyBackToBackDispatchesComplete) {
+  pk::ThreadPool pool(kPoolThreads);
+  constexpr std::size_t kDispatches = 100000;
+  std::atomic<std::size_t> visited{0};
+  for (std::size_t d = 0; d < kDispatches; ++d) {
+    pool.parallel_range(d, d + 1 + d % 5, [&](std::size_t b, std::size_t e) {
+      visited.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  // Lengths cycle 1..5: 3 per dispatch on average.
+  EXPECT_EQ(visited.load(), 3 * kDispatches);
+}
+
+TEST(ThreadPool, ParkedWorkersWakeForALongLoop) {
+  // After an idle gap the workers have parked; a loop long enough for the
+  // caller to wake them still covers its range exactly once.
+  pk::ThreadPool pool(kPoolThreads);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<std::atomic<int>> hits(64);
+    pool.parallel_range(0, hits.size(), [&](std::size_t b, std::size_t e) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, SingleThreadPoolRunsOnTheCaller) {
+  for (std::size_t n_threads : {0, 1}) {
+    pk::ThreadPool pool(n_threads);
+    EXPECT_EQ(pool.size(), 1u);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> foreign{0};
+    std::atomic<std::size_t> visited{0};
+    pool.parallel_range(0, 1000, [&](std::size_t b, std::size_t e) {
+      if (std::this_thread::get_id() != caller) foreign.fetch_add(1);
+      visited += e - b;
+    });
+    EXPECT_EQ(foreign.load(), 0);
+    EXPECT_EQ(visited.load(), 1000u);
+  }
 }
 
 TEST(ParallelFor, SerialBackend) {
