@@ -9,8 +9,7 @@
 // assemble), or — for an operator without that capability — a constant
 // number of colored probe applies (<= 27 * dofs_per_node on the extruded
 // lattice) reconstruct it, once per Newton step.  The usual Galerkin
-// hierarchy is built on it, and with the Chebyshev smoother the fine level
-// afterwards runs entirely through the live operator.
+// hierarchy and its column-line smoothers are built on it.
 //
 // This bench answers three questions on the reduced Antarctica mesh:
 //   0. fine-matrix build — tangent assembly vs colored probing: wall time
@@ -274,9 +273,7 @@ int main(int argc, char** argv) {
   const auto bj_lin = gmres.solve(*op, bj, rhs, dU);
   const double bj_solve_s = timer.seconds();
 
-  linalg::AmgConfig acfg;
-  acfg.smoother = linalg::AmgSmoother::kChebyshev;
-  linalg::SemicoarseningAmg amg(problem.extrusion_info(), acfg);
+  linalg::SemicoarseningAmg amg(problem.extrusion_info());
   timer.reset();
   amg.compute(*op);
   const double amg_setup_s = timer.seconds();
@@ -314,7 +311,6 @@ int main(int argc, char** argv) {
   am.probe_applies = amg.probe_applies();
   am.tangent_assembled = amg.fine_operator_assembled();
   am.tangent_cache_bytes = jm.n_cells * jm.cache_bytes_per_cell();
-  am.fine_matrix_free = amg.fine_matrix_free();
   for (std::size_t l = 0; l < amg.n_levels(); ++l) {
     am.level_rows.push_back(amg.level_dofs(l));
     am.level_nnz.push_back(amg.level_nnz(l));
@@ -332,7 +328,7 @@ int main(int argc, char** argv) {
   linalg::BlockJacobiPreconditioner bj2(2);
   const auto run_bj =
       run_newton(cfg, linalg::JacobianMode::kMatrixFree, bj2, steps);
-  linalg::SemicoarseningAmg amg_mf(problem.extrusion_info(), acfg);
+  linalg::SemicoarseningAmg amg_mf(problem.extrusion_info());
   const auto run_amg =
       run_newton(cfg, linalg::JacobianMode::kMatrixFree, amg_mf, steps);
   linalg::SemicoarseningAmg amg_asm(problem.extrusion_info());

@@ -3,8 +3,8 @@
 //
 //   cold      one fresh StokesFOProblem + fresh AMG per member, Newton
 //             from the analytic guess (what a naive per-member script pays),
-//   amortized the EnsembleEngine: ONE shared problem, recycled AMG
-//             hierarchy + Chebyshev bounds, neighbor warm starts,
+//   amortized the EnsembleEngine: ONE shared problem, ONE AMG whose
+//             hierarchy structure is replayed, neighbor warm starts,
 //   cached    the engine rerun against its populated cache (every member
 //             a hit, zero solves).
 //
@@ -86,13 +86,10 @@ double run_cold(const ensemble::EnsembleManifest& m) {
     fcfg.newton.max_iters = m.newton_max_iters;
     fcfg.newton.abs_tol = m.newton_tol;
     fcfg.newton.rel_tol = 0.0;  // mirror the engine's absolute criterion
-    // A fresh AMG per member, like the engine's but never recycled.
+    // A fresh AMG per member, like the engine's but never shared.
     fcfg.make_precond = [](const physics::StokesFOProblem& prob) {
-      linalg::AmgConfig acfg;
-      acfg.smoother = linalg::AmgSmoother::kChebyshev;
       return std::unique_ptr<linalg::Preconditioner>(
-          std::make_unique<linalg::SemicoarseningAmg>(prob.extrusion_info(),
-                                                      acfg));
+          std::make_unique<linalg::SemicoarseningAmg>(prob.extrusion_info()));
     };
     timestepping::ForecastDriver driver(problem, fcfg);
     (void)driver.run();
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
   std::printf("%-10s %9.3f s  (%0.1f members/hr)\n", "cold", cold_s,
               cold_s > 0.0 ? 3600.0 * n / cold_s : 0.0);
 
-  // ---- amortized: the engine (shared problem, recycled AMG, warm starts)
+  // ---- amortized: the engine (shared problem, shared AMG, warm starts)
   ensemble::EnsembleConfig ecfg;
   ecfg.use_cache = true;  // populates the cache the rerun below reads
   ensemble::EnsembleEngine engine(manifest, ecfg);

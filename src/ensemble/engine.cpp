@@ -20,7 +20,7 @@ namespace mali::ensemble {
 namespace {
 
 /// Non-owning preconditioner wrapper the ForecastDriver's make_precond
-/// factory hands out, so every member's Newton solves share ONE recycled
+/// factory hands out, so every member's Newton solves share ONE
 /// SemicoarseningAmg instead of each driver building its own.  The shared
 /// AMG must outlive every driver (the engine owns both).
 class SharedPrecond final : public linalg::Preconditioner {
@@ -81,7 +81,7 @@ EnsembleEngine::EnsembleEngine(EnsembleManifest manifest, EnsembleConfig cfg)
 std::string EnsembleEngine::member_canonical_key(const EnsembleManifest& m,
                                                  const MemberParams& p,
                                                  int ranks) {
-  std::string key = "maliensr-v1";
+  std::string key = "maliensr-v2";
   key += "|mesh:dx_km=" + util::format_double(m.dx_km) +
          ",layers=" + std::to_string(m.layers);
   key += "|run:years=" + util::format_double(m.years) +
@@ -112,7 +112,7 @@ EnsembleEngine::RunOutput EnsembleEngine::run() {
        manifest_.friction_scale.size(), manifest_.forcing.size()});
 
   // ---- amortized setup: ONE problem (mesh/partition/coloring/worksets)
-  // and ONE recycled AMG for every member ----
+  // and ONE AMG, its hierarchy structure replayed, for every member ----
   physics::StokesFOConfig pcfg;
   pcfg.dx_m = manifest_.dx_km * 1.0e3;
   pcfg.n_layers = manifest_.layers;
@@ -120,9 +120,7 @@ EnsembleEngine::RunOutput EnsembleEngine::run() {
   const physics::PhysicalConstants base_constants =
       problem.config().constants;
 
-  linalg::AmgConfig acfg;
-  acfg.smoother = linalg::AmgSmoother::kChebyshev;
-  linalg::SemicoarseningAmg shared_amg(problem.extrusion_info(), acfg);
+  linalg::SemicoarseningAmg shared_amg(problem.extrusion_info());
 
   std::vector<bool> completed(n, false);
 
@@ -284,14 +282,6 @@ EnsembleEngine::RunOutput EnsembleEngine::run() {
     completed[id] = true;
     ++out.stats.cache_misses;
     if (cfg_.use_cache) cache_.store(out.records[id]);
-
-    // Recycle the spectral bounds the member's last smoother setup
-    // measured: later members (nearby parameter points) skip the power
-    // iterations entirely.
-    if (cfg_.recycle && cfg_.ranks_per_group <= 1) {
-      shared_amg.set_chebyshev_lambda_hints(
-          shared_amg.chebyshev_lambda_estimates());
-    }
     if (cfg_.verbose) {
       std::printf("  member %zu: %d steps, %d newton iters, vol %.6e\n", id,
                   out.records[id].steps, out.records[id].newton_iters,

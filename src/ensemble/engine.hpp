@@ -2,16 +2,13 @@
 // EnsembleEngine — batched many-run execution with amortized setup
 // (DESIGN.md §15).  One engine run executes every member of a manifest's
 // parameter sweep over ONE shared StokesFOProblem (mesh, partition,
-// coloring, staged worksets built once), with three reuse mechanisms the
+// coloring, staged worksets built once), with two reuse mechanisms the
 // cold per-member path pays for every time:
 //
 //   * AMG hierarchy recycling — one shared SemicoarseningAmg: its
-//     aggregation and Galerkin plans derive once, every later Newton
-//     linearization of every member replays them (the fine graph never
-//     changes, and a replay is bit-identical to a rebuild);
-//   * Chebyshev spectral-bound recycling — lambda estimates harvested
-//     after a member complete feed the next member's smoother setups,
-//     skipping the power iterations;
+//     aggregation, Galerkin plans and smoother colorings derive once, every
+//     later Newton linearization of every member replays them (the fine
+//     graph never changes, and a replay is bit-identical to a rebuild);
 //   * Newton warm starts — each member starts from the final velocity of
 //     the nearest already-completed member (L1 distance in sweep-index
 //     space, ties to the lower id), instead of the analytic guess.
@@ -21,9 +18,9 @@
 // Schedule::execution_order() (a pure function of the manifest), every
 // member's result is pinned at first computation, and the members section
 // of the results document is byte-identical between a computing run and a
-// cache-served rerun.  Warm starts and spectral hints change only the
-// iteration path; warm and cold converge to the same root within the
-// Newton tolerance (pinned <= 1e-10/dof by test_ensemble).
+// cache-served rerun.  Warm starts change only the iteration path; warm
+// and cold converge to the same root within the Newton tolerance (pinned
+// <= 1e-10/dof by test_ensemble).
 
 #include <cstddef>
 #include <functional>
@@ -39,7 +36,6 @@ namespace mali::ensemble {
 
 struct EnsembleConfig {
   bool warm_start = true;   ///< neighbor warm starts for Newton
-  bool recycle = true;      ///< Chebyshev bound recycling
   bool use_cache = true;    ///< consult/populate the result cache
   std::string cache_dir;    ///< disk cache location (empty = memory only)
   /// Ranks per member velocity solve (> 1 uses the PR-5 in-process SPMD

@@ -174,7 +174,6 @@ SemicoarseningAmg::SemicoarseningAmg(ExtrusionInfo info, AmgConfig cfg)
 SemicoarseningAmg::~SemicoarseningAmg() = default;
 
 void SemicoarseningAmg::compute(const CrsMatrix& A) {
-  fine_op_ = nullptr;
   probe_applies_ = 0;
   fine_operator_assembled_ = false;
   load_fine(A);
@@ -191,7 +190,6 @@ void SemicoarseningAmg::compute(const LinearOperator& A) {
   // built once), or — lacking that capability — it is reconstructed by
   // colored probing, a constant 27 * dofs_per_node operator applies.
   // Either way the assembled hierarchy build is then reused verbatim.
-  fine_op_ = nullptr;
   probe_applies_ = 0;
   fine_operator_assembled_ = false;
   if (!probing_) {
@@ -205,11 +203,6 @@ void SemicoarseningAmg::compute(const LinearOperator& A) {
     probe_applies_ = probing_->n_probes();
   }
   load_fine(fine_);
-  // With the Chebyshev smoother the fine level stays fully matrix-free:
-  // level-0 smoothing and residuals go through the live operator (it must
-  // outlive every apply() until the next compute()); the fine matrix is
-  // then only streamed once per setup, during the Galerkin build.
-  if (cfg_.smoother == AmgSmoother::kChebyshev) fine_op_ = &A;
   setup_smoothers();
 }
 
@@ -444,44 +437,15 @@ void SemicoarseningAmg::setup_smoothers() {
   // The coarsest level is solved, never smoothed: no smoother there.
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
     Level& lvl = levels_[l];
-    if (cfg_.smoother == AmgSmoother::kChebyshev) {
-      ChebyshevConfig ccfg = cfg_.cheb;
-      if (l < cheb_hints_.size() && cheb_hints_[l] > 0.0) {
-        ccfg.lambda_hint = cheb_hints_[l];  // skip this level's power iters
-      }
-      auto cheb = std::make_unique<ChebyshevSmoother>(ccfg);
-      if (l == 0 && fine_op_ != nullptr) {
-        // Matrix-free fine level: operator applies + fine diagonal only.
-        const std::size_t n = lvl.A.n_rows();
-        std::vector<double> diag(n);
-        for (std::size_t i = 0; i < n; ++i) diag[i] = lvl.A.diagonal(i);
-        cheb->compute(*fine_op_, std::move(diag));
-      } else {
-        cheb->compute(lvl.A);
-      }
-      lvl.smoother = std::move(cheb);
-    } else if (lvl.smoother != nullptr) {
+    if (lvl.smoother) {
       // Replayed hierarchy: the coloring and band plan still hold.
-      static_cast<ColumnLineSmoother&>(*lvl.smoother).refactor(lvl.A);
+      lvl.smoother->refactor(lvl.A);
     } else {
-      auto line = std::make_unique<ColumnLineSmoother>(
-          lvl.column_dofs, lvl.column_color, l, cfg_.pre_sweeps);
-      line->compute(lvl.A);
-      lvl.smoother = std::move(line);
+      lvl.smoother.emplace(lvl.column_dofs, lvl.column_color, l,
+                           cfg_.pre_sweeps);
+      lvl.smoother->compute(lvl.A);
     }
   }
-}
-
-std::vector<double> SemicoarseningAmg::chebyshev_lambda_estimates() const {
-  std::vector<double> est;
-  for (const Level& lvl : levels_) {
-    if (lvl.smoother == nullptr) continue;  // the coarsest level
-    const auto* cheb =
-        dynamic_cast<const ChebyshevSmoother*>(lvl.smoother.get());
-    if (cheb == nullptr) return {};  // column-line: nothing to recycle
-    est.push_back(cheb->lambda_estimate());
-  }
-  return est;
 }
 
 void SemicoarseningAmg::level_residual(std::size_t l,
@@ -491,12 +455,6 @@ void SemicoarseningAmg::level_residual(std::size_t l,
   const Level& lvl = levels_[l];
   const std::size_t n = lvl.A.n_rows();
   r.resize(n);
-  if (l == 0 && fine_op_ != nullptr) {
-    fine_op_->apply(z, lvl.tmp);
-    for_rows("amg_residual", n,
-             [&](std::size_t i) { r[i] = b[i] - lvl.tmp[i]; });
-    return;
-  }
   // Fused SpMV + subtraction: the row sum in CrsMatrix::apply's order.
   const auto* rp = lvl.A.row_ptr().data();
   const auto* cs = lvl.A.cols().data();

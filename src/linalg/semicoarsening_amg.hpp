@@ -10,8 +10,8 @@
 // column has collapsed to a single node, then switches to 2x2 horizontal
 // aggregation of columns — exactly the structure-exploiting strategy of the
 // paper's preconditioner.  Galerkin coarse operators (A_c = P^T A P with
-// piecewise-constant P), column-line or Chebyshev smoothing, and a dense LU
-// coarse solve complete the V-cycle.
+// piecewise-constant P), column-line smoothing, and a dense LU coarse solve
+// complete the V-cycle.
 //
 // Setup splits into a symbolic and a numeric half.  The aggregation, each
 // level's Galerkin plan (coarse pattern, inverse aggregation map, one
@@ -21,7 +21,7 @@
 // graph rebuilds them.  Each compute() then runs the numeric Galerkin pass
 // (parallel over coarse rows) and refactors the smoothers.
 //
-// The default smoother is column-line relaxation (ColumnLineSmoother): each
+// The smoother is column-line relaxation (ColumnLineSmoother): each
 // column's in-column block is solved exactly, columns colored by their 2x2
 // lattice parity so one color's columns run in parallel.  The V-cycle's
 // vector loops run on the pk thread pool; every result is independent of
@@ -36,37 +36,28 @@
 //    that capability is *probed* instead, via the structure-aware coloring
 //    of linalg::StructuredProbing (a constant 27 * dofs_per_node applies).
 //    The graph is built once per AMG; the usual Galerkin hierarchy is built
-//    on the resulting matrix.  With the Chebyshev smoother the fine level
-//    then stays fully matrix-free: level-0 smoothing and residuals run
-//    through the operator, and the fine matrix is only streamed during
-//    setup.
+//    on the resulting matrix, and the operator is not kept.
 // See DESIGN.md §10 for the assembly and probing contracts.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "linalg/chebyshev.hpp"
 #include "linalg/crs_matrix.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/preconditioner.hpp"
 
 namespace mali::linalg {
 
-enum class AmgSmoother {
-  kColumnLine,  ///< colored column-line relaxation (needs the level matrix)
-  kChebyshev,   ///< diagonal + operator applies only (matrix-free capable)
-};
-
 struct AmgConfig {
   int max_levels = 12;
   std::size_t coarse_max_dofs = 1200;  ///< switch to the direct coarse solve
+  /// Column-line sweeps per smoother application; the pre- and the
+  /// post-smoother both use it.
   int pre_sweeps = 1;
-  int post_sweeps = 1;
   int coarse_sgs_sweeps = 40;  ///< fallback if the coarsest level stays large
-  AmgSmoother smoother = AmgSmoother::kColumnLine;
-  ChebyshevConfig cheb{};  ///< Chebyshev smoother parameters
 };
 
 /// Mesh structure the semicoarsening (and the operator probing) needs:
@@ -152,10 +143,8 @@ class SemicoarseningAmg final : public Preconditioner {
   /// ExtrusionInfo (see StructuredProbing), built on the first such call
   /// and kept: A.assemble() fills it when A supports that, and colored
   /// probing (probe_applies() operator applies) fills it when A does not.
-  /// Errors from A.assemble (a stale linearization, say) propagate.  When
-  /// the Chebyshev smoother is configured the operator is also kept for
-  /// matrix-free level-0 smoothing/residuals — it must then outlive every
-  /// subsequent apply() until the next compute().
+  /// Errors from A.assemble (a stale linearization, say) propagate.  A is
+  /// not kept: the V-cycle runs on the fine matrix alone.
   void compute(const LinearOperator& A) override;
   void apply(const std::vector<double>& r,
              std::vector<double>& z) const override;
@@ -195,11 +184,9 @@ class SemicoarseningAmg final : public Preconditioner {
   [[nodiscard]] bool fine_operator_assembled() const noexcept {
     return fine_operator_assembled_;
   }
-  /// True when level-0 smoothing/residuals go through the live operator
-  /// instead of the operator's fine matrix.
-  [[nodiscard]] bool fine_matrix_free() const noexcept {
-    return fine_op_ != nullptr;
-  }
+  /// Always false: every level runs on its matrix.  Kept because the
+  /// bench/e2e harness still reads it.
+  [[nodiscard]] bool fine_matrix_free() const noexcept { return false; }
 
   // ---- recycling instrumentation (ensemble engine / tests / bench) ----
   /// compute() calls that derived the hierarchy structure from scratch
@@ -211,19 +198,6 @@ class SemicoarseningAmg final : public Preconditioner {
   /// so only the numeric Galerkin pass and the smoother setups ran.
   [[nodiscard]] std::size_t structure_reuses() const noexcept {
     return structure_reuses_;
-  }
-
-  /// Per-level raw Chebyshev lambda estimates from the last compute(), one
-  /// per smoothed level (the coarsest level has none; empty unless the
-  /// Chebyshev smoother is configured) — feed these back via
-  /// set_chebyshev_lambda_hints to skip the power iterations on a nearby
-  /// parameter point.
-  [[nodiscard]] std::vector<double> chebyshev_lambda_estimates() const;
-  /// Per-level raw lambda hints for the *next* compute(); entries <= 0 or
-  /// beyond the hierarchy depth fall back to the power iteration.  Pass an
-  /// empty vector to clear.
-  void set_chebyshev_lambda_hints(std::vector<double> hints) {
-    cheb_hints_ = std::move(hints);
   }
 
  private:
@@ -242,9 +216,9 @@ class SemicoarseningAmg final : public Preconditioner {
     // Column structure for the column-line smoother.
     std::size_t column_dofs = 0;
     std::vector<std::uint8_t> column_color;
-    std::unique_ptr<Preconditioner> smoother;  ///< null on the coarsest
+    std::optional<ColumnLineSmoother> smoother;  ///< none on the coarsest
     // scratch for the V-cycle
-    mutable std::vector<double> r, z, rc, zc, tmp;
+    mutable std::vector<double> r, z, rc, zc;
   };
 
   /// Refreshes the hierarchy from a new fine matrix: replays the cached
@@ -257,7 +231,7 @@ class SemicoarseningAmg final : public Preconditioner {
   /// Direct LU (or the SGS fallback) for the coarsest level.
   void factor_coarse();
   void setup_smoothers();
-  /// r = b - A_l z, through the live operator on a matrix-free fine level.
+  /// r = b - A_l z.
   void level_residual(std::size_t l, const std::vector<double>& b,
                       const std::vector<double>& z,
                       std::vector<double>& r) const;
@@ -268,9 +242,6 @@ class SemicoarseningAmg final : public Preconditioner {
   AmgConfig cfg_;
   std::vector<Level> levels_;
 
-  /// Live operator for matrix-free level-0 work (Chebyshev + operator
-  /// path only); nullptr on the assembled path.  Not owned.
-  const LinearOperator* fine_op_ = nullptr;
   std::size_t probe_applies_ = 0;
   bool fine_operator_assembled_ = false;
   /// Operator path only, built on its first compute(): the lattice graph
@@ -280,7 +251,6 @@ class SemicoarseningAmg final : public Preconditioner {
 
   std::size_t hierarchy_builds_ = 0;
   std::size_t structure_reuses_ = 0;
-  std::vector<double> cheb_hints_;
 
   // Coarse solve: dense LU, or SGS sweeps when the coarsest level stays
   // above coarse_max_dofs (max_levels reached first).

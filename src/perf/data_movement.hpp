@@ -199,10 +199,8 @@ struct JacobianApplyModel {
 // (27 * dofs/node on the extruded lattice) reconstruct it.  Either way one
 // stream of each level's CRS matrix follows for the Galerkin build; the
 // setup is amortized over every GMRES iteration of the Newton step.  Per
-// V-cycle, each level streams its matrix once per smoother sweep and once
-// per residual — except a matrix-free fine level (Chebyshev smoother),
-// where level-0 work runs through the operator apply and the fine matrix
-// is never streamed after setup.
+// V-cycle, each level streams its matrix twice per smoother application
+// (the forward and the backward color sweep) and once per residual.
 // ---------------------------------------------------------------------------
 
 /// Byte model for the matrix-free AMG setup and V-cycle on the FO Stokes
@@ -225,12 +223,7 @@ struct AmgCycleModel {
   std::vector<std::size_t> level_nnz;  ///< CRS nonzeros per level
   int pre_sweeps = 1;
   int post_sweeps = 1;
-  /// Operator applies per Chebyshev smoother application (column-line
-  /// relaxation streams the level matrix twice per sweep instead).
-  int cheb_degree = 3;
-  /// True when level-0 smoothing/residuals run through the live operator
-  /// (matrix-free operator + Chebyshev mode) instead of streaming the fine
-  /// matrix.
+  /// Read by nothing; kept because the bench/e2e harness still sets it.
   bool fine_matrix_free = false;
   static constexpr std::size_t kIdx = sizeof(std::size_t);
   static constexpr std::size_t kVal = sizeof(double);
@@ -242,25 +235,10 @@ struct AmgCycleModel {
            2 * level_rows[l] * kVal;
   }
 
-  /// Bytes one application of level l's smoother moves.
+  /// Bytes one application of level l's column-line smoother moves: the
+  /// forward and the backward color sweep each stream the matrix once.
   [[nodiscard]] std::size_t smoother_bytes(std::size_t l) const {
-    const std::size_t apply =
-        (l == 0 && fine_matrix_free) ? fine_apply_bytes
-                                     : level_stream_bytes(l);
-    if (fine_matrix_free) {
-      // Chebyshev: degree operator applies + the diagonal/vector work.
-      return static_cast<std::size_t>(cheb_degree) * apply +
-             3 * level_rows[l] * kVal;
-    }
-    // Column-line: the forward and the backward color sweep each stream
-    // the matrix once.
-    return 2 * apply;
-  }
-
-  /// Bytes one apply of level l pays for the residual r = b - A z.
-  [[nodiscard]] std::size_t residual_bytes(std::size_t l) const {
-    return (l == 0 && fine_matrix_free) ? fine_apply_bytes
-                                        : level_stream_bytes(l);
+    return 2 * level_stream_bytes(l);
   }
 
   /// Bytes of the fine matrix's tangent assembly (0 unless
@@ -294,7 +272,7 @@ struct AmgCycleModel {
     for (std::size_t l = 0; l + 1 < level_nnz.size(); ++l) {
       b += static_cast<std::size_t>(pre_sweeps + post_sweeps) *
                smoother_bytes(l) +
-           2 * residual_bytes(l) + 4 * level_rows[l] * kVal;
+           2 * level_stream_bytes(l) + 4 * level_rows[l] * kVal;
     }
     b += level_stream_bytes(level_nnz.size() - 1);
     return b;

@@ -21,6 +21,20 @@ namespace {
   throw SolverFaultError(std::move(f));
 }
 
+/// Throws kNonFiniteJacobian at the row owning A's first NaN/Inf value.
+void check_matrix_finite(const linalg::CrsMatrix& A, FaultSite site,
+                         int newton_step, std::size_t evaluation,
+                         const char* what) {
+  const std::ptrdiff_t bad = linalg::first_non_finite(A.values());
+  if (bad < 0) return;
+  // Report the row owning the offending entry, not the nnz index.
+  const auto nz = static_cast<std::size_t>(bad);
+  std::size_t row = 0;
+  while (row + 1 < A.n_rows() && A.row_ptr()[row + 1] <= nz) ++row;
+  throw_non_finite(FaultType::kNonFiniteJacobian, site, row, A.values()[nz],
+                   newton_step, evaluation, what);
+}
+
 }  // namespace
 
 // ---- GuardedOperator --------------------------------------------------
@@ -48,11 +62,20 @@ void GuardedOperator::apply(const std::vector<double>& x,
       throw_non_finite(FaultType::kNonFiniteOperatorApply,
                        FaultSite::kOperatorApply,
                        static_cast<std::size_t>(bad),
-                       y[static_cast<std::size_t>(bad)],
-                       newton_step_ != nullptr ? *newton_step_ : 0, eval,
+                       y[static_cast<std::size_t>(bad)], newton_step(), eval,
                        "non-finite entry in operator-apply output");
     }
   }
+}
+
+bool GuardedOperator::assemble(linalg::CrsMatrix& A) const {
+  const std::size_t eval = assembles_++;
+  if (!inner_->assemble(A)) return false;
+  if (cfg_.check_finite) {
+    check_matrix_finite(A, FaultSite::kJacobianAssembly, newton_step(), eval,
+                        "non-finite entry in operator-assembled matrix");
+  }
+  return true;
 }
 
 // ---- GuardedProblem ---------------------------------------------------
@@ -108,7 +131,7 @@ void GuardedProblem::residual_and_jacobian(const std::vector<double>& U,
     F[injector_->target_dof(F.size())] = injector_->poison();
   }
   if (cfg_.check_finite) {
-    std::ptrdiff_t bad = linalg::first_non_finite(F);
+    const std::ptrdiff_t bad = linalg::first_non_finite(F);
     if (bad >= 0) {
       throw_non_finite(FaultType::kNonFiniteResidual,
                        FaultSite::kJacobianAssembly,
@@ -116,17 +139,8 @@ void GuardedProblem::residual_and_jacobian(const std::vector<double>& U,
                        F[static_cast<std::size_t>(bad)], newton_step_, eval,
                        "non-finite residual entry in Jacobian assembly");
     }
-    bad = linalg::first_non_finite(J.values());
-    if (bad >= 0) {
-      // Report the row owning the offending entry, not the nnz index.
-      const auto nz = static_cast<std::size_t>(bad);
-      std::size_t row = 0;
-      while (row + 1 < J.n_rows() && J.row_ptr()[row + 1] <= nz) ++row;
-      throw_non_finite(FaultType::kNonFiniteJacobian,
-                       FaultSite::kJacobianAssembly, row, J.values()[nz],
-                       newton_step_, eval,
-                       "non-finite entry in assembled Jacobian values");
-    }
+    check_matrix_finite(J, FaultSite::kJacobianAssembly, newton_step_, eval,
+                        "non-finite entry in assembled Jacobian values");
   }
 }
 

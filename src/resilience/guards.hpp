@@ -7,8 +7,9 @@
 //     offending dof and the evaluation site) and bound-checks the incoming
 //     solution norm; optionally plants the configured injected fault.
 //   * GuardedOperator : LinearOperator   — the same for operator applies
-//     (the matrix-free Jacobian path).  GuardedProblem::jacobian_operator
-//     wraps the inner problem's operator automatically.
+//     and for the matrix the operator assembles for the AMG (the
+//     matrix-free Jacobian path).  GuardedProblem::jacobian_operator wraps
+//     the inner problem's operator automatically.
 //   * GuardedPreconditioner : Preconditioner — forwards to the inner
 //     preconditioner; the kPrecondSetup injection site aborts compute()
 //     with a typed kPrecondSetupFailure.
@@ -39,8 +40,9 @@ struct GuardConfig {
   double max_solution_norm = 1.0e60;
 };
 
-/// LinearOperator decorator: validates apply outputs, optionally plants
-/// the injected kOperatorApply fault.  Owns the inner operator.
+/// LinearOperator decorator: validates apply outputs and assembled
+/// values, optionally plants the injected kOperatorApply fault (applies
+/// only).  Owns the inner operator.
 class GuardedOperator final : public linalg::LinearOperator {
  public:
   GuardedOperator(std::unique_ptr<linalg::LinearOperator> inner,
@@ -57,6 +59,9 @@ class GuardedOperator final : public linalg::LinearOperator {
   bool block_diagonal(int bs, std::vector<double>& blocks) const override {
     return inner_->block_diagonal(bs, blocks);
   }
+  /// Forwards to the inner operator, then throws kNonFiniteJacobian
+  /// (naming the row) on a NaN/Inf value it wrote.
+  bool assemble(linalg::CrsMatrix& A) const override;
   [[nodiscard]] const linalg::CrsMatrix* matrix() const override {
     return inner_->matrix();
   }
@@ -68,11 +73,16 @@ class GuardedOperator final : public linalg::LinearOperator {
   [[nodiscard]] std::size_t applies() const noexcept { return applies_; }
 
  private:
+  [[nodiscard]] int newton_step() const {
+    return newton_step_ != nullptr ? *newton_step_ : 0;
+  }
+
   std::unique_ptr<linalg::LinearOperator> inner_;
   GuardConfig cfg_;
   FaultInjector* injector_;       ///< not owned; may be null
   const int* newton_step_;        ///< not owned; current step for reports
   mutable std::size_t applies_ = 0;
+  mutable std::size_t assembles_ = 0;
 };
 
 /// NonlinearProblem decorator: validates residual / Jacobian evaluations,

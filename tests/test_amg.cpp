@@ -15,6 +15,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "linalg/dense.hpp"
 #include "linalg/gmres.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -473,6 +474,59 @@ TEST(SemicoarseningAmg, VCycleErrorPropagationContracts) {
   EXPECT_LT(rho, 0.7) << "V-cycle convergence factor too weak";
   EXPECT_GT(rho, 0.0);
 }
+
+class AmgTwoLevelCycle : public ::testing::TestWithParam<int> {};
+
+TEST_P(AmgTwoLevelCycle, IsTheHandBuiltComposition) {
+  // Pre-smooth, restrict the residual, solve the coarse level, prolong,
+  // post-smooth: with pre_sweeps column-line sweeps in both smoothers.
+  auto prob = make_extruded_laplacian(6, 6, 8, 100.0);
+  const int sweeps = GetParam();
+  AmgConfig cfg{.max_levels = 2, .coarse_max_dofs = 200, .pre_sweeps = sweeps};
+  SemicoarseningAmg amg(prob.info, cfg);
+  amg.compute(prob.A);
+  ASSERT_EQ(amg.n_levels(), 2u);
+  ASSERT_LE(amg.level_dofs(1), cfg.coarse_max_dofs);  // direct coarse solve
+
+  const CrsMatrix& A = prob.A;
+  const std::size_t n = A.n_rows();
+  ColumnLineSmoother smoother(prob.info.levels, lattice_colors(prob.info), 0,
+                              sweeps);
+  smoother.compute(A);
+  const CrsMatrix& Ac = amg.level_matrix(1);
+  DenseMatrix dense(Ac.n_rows(), Ac.n_rows());
+  for (std::size_t i = 0; i < Ac.n_rows(); ++i) {
+    for (std::size_t k = Ac.row_ptr()[i]; k < Ac.row_ptr()[i + 1]; ++k) {
+      dense(i, Ac.cols()[k]) = Ac.values()[k];
+    }
+  }
+  const DenseLu coarse(std::move(dense));
+  const auto& agg = amg.level_aggregation(0);
+  const auto residual = [&](const std::vector<double>& b,
+                            const std::vector<double>& x) {
+    std::vector<double> Ax;
+    A.apply(x, Ax);
+    for (std::size_t i = 0; i < n; ++i) Ax[i] = b[i] - Ax[i];
+    return Ax;
+  };
+
+  const auto r = random_vec(n, 29);
+  std::vector<double> z, dz;
+  smoother.apply(r, z);
+  const auto res = residual(r, z);
+  std::vector<double> zc(Ac.n_rows(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) zc[agg[i]] += res[i];
+  coarse.solve(zc);
+  for (std::size_t i = 0; i < n; ++i) z[i] += zc[agg[i]];
+  smoother.apply(residual(r, z), dz);
+  for (std::size_t i = 0; i < n; ++i) z[i] += dz[i];
+
+  std::vector<double> z_amg;
+  amg.apply(r, z_amg);
+  EXPECT_TRUE(bitwise_equal(z_amg, z));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweeps, AmgTwoLevelCycle, ::testing::Values(1, 2));
 
 TEST(SemicoarseningAmg, ApplyBeforeComputeThrows) {
   auto prob = make_extruded_laplacian(4, 4, 4, 10.0);

@@ -6,8 +6,8 @@
 // tangent assembly writes that probed matrix bit for bit, without the
 // applies, and fails loudly on a stale cache or a bad target; the AMG
 // built on it preconditions the JFNK Newton run onto the same trajectory
-// as the assembled+AMG reference; and the Chebyshev smoother keeps the fine
-// level matrix-free without giving up the multigrid iteration counts.
+// as the assembled+AMG reference; and the resilience guard around the
+// operator forwards that assembly and validates the values it writes.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +15,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "linalg/chebyshev.hpp"
 #include "linalg/gmres.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/linear_operator.hpp"
@@ -29,6 +30,8 @@
 #include "perf/data_movement.hpp"
 #include "physics/matrix_free_operator.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "resilience/fault_injector.hpp"
+#include "resilience/guards.hpp"
 #include "util/hash.hpp"
 
 using namespace mali;
@@ -286,7 +289,6 @@ TEST(AmgOperator, ComputeUnwrapsAssembledOperator) {
   SemicoarseningAmg wrapped(p.extrusion_info());
   wrapped.compute(AssembledOperator(J));
   EXPECT_EQ(wrapped.probe_applies(), 0u);
-  EXPECT_FALSE(wrapped.fine_matrix_free());
 
   std::vector<double> r(p.n_dofs());
   for (std::size_t i = 0; i < r.size(); ++i) {
@@ -324,9 +326,6 @@ TEST(AmgOperator, ProbedHierarchyReportsItsSetupCost) {
   EXPECT_EQ(amg.probe_applies(), probing.n_probes());
   EXPECT_LE(amg.probe_applies(),
             27 * static_cast<std::size_t>(p.extrusion_info().dofs_per_node));
-  // Column-line smoother (default config): the fine level runs on the
-  // probed matrix, not the live operator.
-  EXPECT_FALSE(amg.fine_matrix_free());
   EXPECT_GE(amg.n_levels(), 1u);
   EXPECT_EQ(amg.level_matrix(0).n_rows(), p.n_dofs());
 
@@ -398,6 +397,144 @@ TEST(AmgOperator, TangentAssemblyRejectsAGraphMissingACoupling) {
 }
 
 // ---------------------------------------------------------------------------
+// The resilience guard forwards the operator's assembly.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Forwards everything, then overwrites nonzero `slot` of every matrix it
+/// assembles with `value`.
+class PoisonedAssembly final : public LinearOperator {
+ public:
+  PoisonedAssembly(const LinearOperator& inner, std::size_t slot,
+                   double value)
+      : inner_(&inner), slot_(slot), value_(value) {}
+  [[nodiscard]] std::size_t rows() const override { return inner_->rows(); }
+  [[nodiscard]] std::size_t cols() const override { return inner_->cols(); }
+  void apply(const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    inner_->apply(x, y);
+  }
+  bool assemble(CrsMatrix& A) const override {
+    if (!inner_->assemble(A)) return false;
+    A.values()[slot_] = value_;
+    return true;
+  }
+  [[nodiscard]] const char* name() const override { return "poisoned"; }
+
+ private:
+  const LinearOperator* inner_;
+  std::size_t slot_;
+  double value_;
+};
+
+bool bitwise_equal(const CrsMatrix& a, const CrsMatrix& b) {
+  return a.row_ptr() == b.row_ptr() && a.cols() == b.cols() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.nnz() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(GuardedOperator, ForwardsAssembleSoTheAmgDoesNotProbe) {
+  // `--guards` wraps the Newton operator in a GuardedOperator; the AMG
+  // behind it must still get its fine matrix from the tangent cache.
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  const auto U = p.analytic_initial_guess();
+  SemicoarseningAmg plain(p.extrusion_info());
+  plain.compute(*p.jacobian_operator(U));
+
+  resilience::GuardedProblem guarded_problem(p);
+  const auto guarded = guarded_problem.jacobian_operator(U);
+  ASSERT_NE(guarded, nullptr);
+  SemicoarseningAmg amg(p.extrusion_info());
+  amg.compute(*guarded);
+  EXPECT_EQ(amg.probe_applies(), 0u);
+  EXPECT_TRUE(amg.fine_operator_assembled());
+  EXPECT_EQ(static_cast<const resilience::GuardedOperator&>(*guarded)
+                .applies(),
+            0u);
+  EXPECT_TRUE(bitwise_equal(amg.level_matrix(0), plain.level_matrix(0)));
+}
+
+TEST(GuardedOperator, WithoutAssembleTheAmgProbesThroughTheGuard) {
+  // An inner operator that cannot assemble keeps the probing fallback; the
+  // probe applies go through the guard, which validates each one.
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  const auto U = p.analytic_initial_guess();
+  const auto op = p.jacobian_operator(U);
+  SemicoarseningAmg assembling(p.extrusion_info());
+  assembling.compute(*op);
+
+  const resilience::GuardedOperator guarded(
+      std::make_unique<ForwardingOperator>(*op), {}, nullptr);
+  SemicoarseningAmg amg(p.extrusion_info());
+  amg.compute(guarded);
+  const StructuredProbing probing(p.extrusion_info());
+  EXPECT_FALSE(amg.fine_operator_assembled());
+  EXPECT_EQ(amg.probe_applies(), probing.n_probes());
+  EXPECT_EQ(guarded.applies(), probing.n_probes());
+  ASSERT_EQ(amg.level_matrix(0).row_ptr(),
+            assembling.level_matrix(0).row_ptr());
+  for (std::size_t k = 0; k < amg.level_nnz(0); ++k) {
+    ASSERT_EQ(amg.level_matrix(0).values()[k],
+              assembling.level_matrix(0).values()[k])
+        << "nonzero " << k;
+  }
+}
+
+TEST(GuardedOperator, OperatorApplyFaultSkipsTheAssemblyAndHitsTheNextApply) {
+  // Injection counts applies only: an assembled fine matrix spends none, so
+  // `operator-apply:0` (0-based) fires on the first apply after the AMG
+  // setup.
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  resilience::FaultInjector injector(
+      resilience::fault_spec_from_string("nan:operator-apply:0"));
+  const resilience::GuardedOperator guarded(
+      p.jacobian_operator(p.analytic_initial_guess()), {}, &injector);
+  SemicoarseningAmg amg(p.extrusion_info());
+  amg.compute(guarded);
+  EXPECT_EQ(injector.fired(), 0);
+  EXPECT_EQ(injector.count(resilience::FaultSite::kOperatorApply), 0u);
+
+  const std::vector<double> x(p.n_dofs(), 1.0);
+  std::vector<double> y;
+  EXPECT_THROW(guarded.apply(x, y), resilience::SolverFaultError);
+  EXPECT_EQ(injector.fired(), 1);
+}
+
+class GuardedAssembly : public ::testing::TestWithParam<double> {};
+
+TEST_P(GuardedAssembly, NonFiniteValueThrowsATypedFaultNamingTheRow) {
+  StokesFOProblem p(mms_config(JacobianMode::kMatrixFree));
+  const auto op = p.jacobian_operator(p.analytic_initial_guess());
+  const ExtrusionInfo info = p.extrusion_info();
+  const CrsMatrix graph = StructuredProbing(info).structure();
+  const std::size_t row = graph.n_rows() / 2;
+  const std::size_t slot = graph.row_ptr()[row] + 1;
+
+  const resilience::GuardedOperator guarded(
+      std::make_unique<PoisonedAssembly>(*op, slot, GetParam()), {},
+      nullptr);
+  SemicoarseningAmg amg(info);
+  try {
+    amg.compute(guarded);
+    FAIL() << "a non-finite assembled value must throw";
+  } catch (const resilience::SolverFaultError& e) {
+    EXPECT_EQ(e.fault().type, resilience::FaultType::kNonFiniteJacobian);
+    EXPECT_EQ(e.fault().site, resilience::FaultSite::kJacobianAssembly);
+    EXPECT_EQ(e.fault().dof, row);
+    EXPECT_FALSE(std::isfinite(e.fault().value));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NaNAndInf, GuardedAssembly,
+    ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()));
+
+// ---------------------------------------------------------------------------
 // JFNK + probed AMG trajectory == assembled + AMG.
 // ---------------------------------------------------------------------------
 
@@ -425,104 +562,6 @@ TEST(AmgOperator, JfnkAmgMatchesAssembledAmgTrajectory) {
   EXPECT_EQ(mf.newton.linear_failures, 0);
 }
 
-TEST(AmgOperator, ChebyshevFineLevelStaysMatrixFreeAndConverges) {
-  // Force a real multilevel hierarchy (coarse_max_dofs below the fine dof
-  // count) so the Chebyshev smoother actually smooths, then check the JFNK
-  // run still lands inside the acceptance band.
-  AmgConfig acfg;
-  acfg.smoother = AmgSmoother::kChebyshev;
-  acfg.coarse_max_dofs = 100;
-
-  StokesFOProblem probe_src(mms_config(JacobianMode::kAssembled));
-  AmgConfig scfg;  // column-line reference on the same shrunken hierarchy
-  scfg.coarse_max_dofs = 100;
-  SemicoarseningAmg amg_asm(probe_src.extrusion_info(), scfg);
-  const auto assembled =
-      run_mms_newton(JacobianMode::kAssembled, amg_asm);
-
-  SemicoarseningAmg amg_cheb(probe_src.extrusion_info(), acfg);
-  const auto mf = run_mms_newton(JacobianMode::kMatrixFree, amg_cheb);
-
-  ASSERT_TRUE(assembled.newton.converged);
-  ASSERT_TRUE(mf.newton.converged);
-  EXPECT_TRUE(amg_cheb.fine_matrix_free())
-      << "Chebyshev + probed path must keep level 0 on the live operator";
-  EXPECT_EQ(mf.newton.iterations, assembled.newton.iterations);
-  EXPECT_NEAR(mf.mean_velocity / assembled.mean_velocity, 1.0, 1e-8);
-  // Chebyshev is a different smoother, so iteration counts differ from the
-  // column-line reference — but the multigrid quality must hold: no more
-  // than a small multiple of the reference, and far below single-level
-  // preconditioning.
-  EXPECT_LE(mf.newton.total_linear_iters,
-            3 * assembled.newton.total_linear_iters + 8);
-}
-
-// ---------------------------------------------------------------------------
-// Chebyshev smoother in isolation.
-// ---------------------------------------------------------------------------
-
-TEST(Chebyshev, PreconditionsSpdSystem) {
-  const std::size_t n = 160;
-  std::vector<std::size_t> rp{0}, cols;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) cols.push_back(i - 1);
-    cols.push_back(i);
-    if (i + 1 < n) cols.push_back(i + 1);
-    rp.push_back(cols.size());
-  }
-  CrsMatrix A(rp, cols);
-  for (std::size_t i = 0; i < n; ++i) {
-    A.set(i, i, 2.5);
-    if (i > 0) A.set(i, i - 1, -1.0);
-    if (i + 1 < n) A.set(i, i + 1, -1.0);
-  }
-
-  ChebyshevSmoother cheb;
-  cheb.compute(A);
-  EXPECT_GT(cheb.lambda_max(), 0.0);
-  EXPECT_GT(cheb.lambda_min(), 0.0);
-  EXPECT_LT(cheb.lambda_min(), cheb.lambda_max());
-
-  std::vector<double> b(n), x_cheb, x_id;
-  for (std::size_t i = 0; i < n; ++i) {
-    b[i] = std::cos(0.21 * static_cast<double>(i));
-  }
-  const ConjugateGradient cg({1e-10, 2000});
-  const auto rc = cg.solve(A, cheb, b, x_cheb);
-  IdentityPreconditioner id;
-  const auto ri = cg.solve(A, id, b, x_id);
-  ASSERT_TRUE(rc.converged);
-  ASSERT_TRUE(ri.converged);
-  EXPECT_LT(rc.iterations, ri.iterations)
-      << "a degree-3 Chebyshev application must beat no preconditioning";
-}
-
-TEST(Chebyshev, OperatorPathMatchesAssembledPath) {
-  const std::size_t n = 40;
-  std::vector<std::size_t> rp(n + 1), cols(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rp[i + 1] = i + 1;
-    cols[i] = i;
-  }
-  CrsMatrix A(rp, cols);
-  for (std::size_t i = 0; i < n; ++i) {
-    A.set(i, i, 1.0 + static_cast<double>(i % 5));
-  }
-
-  ChebyshevSmoother assembled;
-  assembled.compute(A);
-  ChebyshevSmoother wrapped;
-  wrapped.compute(AssembledOperator(A));
-
-  std::vector<double> r(n), z1, z2;
-  for (std::size_t i = 0; i < n; ++i) {
-    r[i] = std::sin(static_cast<double>(i));
-  }
-  assembled.apply(r, z1);
-  wrapped.apply(r, z2);
-  for (std::size_t i = 0; i < n; ++i) ASSERT_DOUBLE_EQ(z1[i], z2[i]);
-}
-
 // ---------------------------------------------------------------------------
 // perf::AmgCycleModel sanity.
 // ---------------------------------------------------------------------------
@@ -534,30 +573,19 @@ TEST(AmgCycleModel, ProbeSetupAndVcycleBytesAreConsistent) {
   m.level_rows = {10000, 2500, 640};
   m.level_nnz = {270000, 67000, 17000};
 
-  // Assembled/column-line mode: no probe applies, fine level streams its
-  // matrix.
+  // Assembled mode: no probe applies, fine level streams its matrix.
   perf::AmgCycleModel assembled = m;
   assembled.probe_applies = 0;
-  assembled.fine_matrix_free = false;
   EXPECT_EQ(assembled.setup_bytes(),
             assembled.level_stream_bytes(0) + assembled.level_stream_bytes(1) +
                 assembled.level_stream_bytes(2));
   EXPECT_GT(assembled.vcycle_bytes(), 0u);
 
-  // Probed/Chebyshev mode: setup pays the probe applies; the fine level's
-  // smoother work goes through the operator apply.
-  perf::AmgCycleModel probed = m;
-  probed.fine_matrix_free = true;
+  // Probed mode: setup pays the probe applies.
+  const perf::AmgCycleModel probed = m;
   EXPECT_EQ(probed.setup_bytes(),
             54 * m.fine_apply_bytes + probed.level_stream_bytes(0) +
                 probed.level_stream_bytes(1) + probed.level_stream_bytes(2));
-  // The fine-level smoother bytes must reference the operator apply, not
-  // the CRS stream.
-  EXPECT_EQ(probed.smoother_bytes(0),
-            static_cast<std::size_t>(probed.cheb_degree) * m.fine_apply_bytes +
-                3 * m.level_rows[0] * sizeof(double));
-  EXPECT_EQ(probed.residual_bytes(0), m.fine_apply_bytes);
-  EXPECT_EQ(probed.residual_bytes(1), probed.level_stream_bytes(1));
 
   // Tangent-assembled mode: no probe applies, so setup must not fall to
   // the Galerkin streams alone — it reads the tangent cache once per local

@@ -8,9 +8,9 @@
 //   - result cache round trips (memory and disk) bit-exact, with the
 //     canonical-string collision guard demoting hash collisions to misses
 //   - engine contracts: cache-served rerun byte-identical members section,
-//     warm vs cold within 1e-10/dof, recycled vs rebuilt AMG equivalence
-//     (structure reuse bitwise at the AMG level, tolerance-level through
-//     the full solve), Chebyshev spectral-bound hint bit-identity
+//     warm vs cold within 1e-10/dof (also on a multilevel shared AMG),
+//     AMG structure reuse bitwise equal to a rebuild, member velocities
+//     against recorded values
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,7 +31,6 @@
 #include "ensemble/result_cache.hpp"
 #include "ensemble/scheduler.hpp"
 #include "ensemble/sweep.hpp"
-#include "linalg/chebyshev.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "portability/common.hpp"
@@ -57,9 +57,9 @@ ensemble::EnsembleManifest small_manifest() {
   m.layers = 3;
   m.years = 0.25;
   m.velocity_every = 1;
-  // Tight absolute Newton tolerance: the warm == cold and recycled ==
-  // rebuilt contracts below compare converged states, so the convergence
-  // target must be well below the 1e-10/dof pin.
+  // Tight absolute Newton tolerance: the warm == cold contract below
+  // compares converged states, so the convergence target must be well
+  // below the 1e-10/dof pin.
   m.newton_max_iters = 40;
   m.newton_tol = 1e-9;
   m.rank_groups = 1;
@@ -462,7 +462,7 @@ TEST(ResultCache, CorruptDiskRecordsAreMisses) {
   EXPECT_EQ(reader2.find(key), nullptr);
 }
 
-// ---- recycled AMG + Chebyshev hints -----------------------------------
+// ---- AMG structure reuse ---------------------------------------------
 
 TEST(EnsembleAmg, StructureReuseIsBitIdenticalToARebuild) {
   // Fine enough that the hierarchy actually coarsens (> 1 level), so the
@@ -476,11 +476,8 @@ TEST(EnsembleAmg, StructureReuseIsBitIdenticalToARebuild) {
   auto A = problem.create_matrix();
   problem.residual_and_jacobian(U, F, A);
 
-  linalg::AmgConfig fresh_cfg;
-  fresh_cfg.smoother = linalg::AmgSmoother::kChebyshev;
-
-  linalg::SemicoarseningAmg fresh(problem.extrusion_info(), fresh_cfg);
-  linalg::SemicoarseningAmg reused(problem.extrusion_info(), fresh_cfg);
+  linalg::SemicoarseningAmg fresh(problem.extrusion_info());
+  linalg::SemicoarseningAmg reused(problem.extrusion_info());
   fresh.compute(A);
   ASSERT_GT(fresh.n_levels(), 1u);  // the replay below is nontrivial
   reused.compute(A);   // first compute: derives and caches the aggregation
@@ -499,45 +496,6 @@ TEST(EnsembleAmg, StructureReuseIsBitIdenticalToARebuild) {
   fresh.apply(r, z_fresh);
   reused.apply(r, z_reused);
   EXPECT_TRUE(bitwise_equal(z_fresh, z_reused));
-}
-
-TEST(EnsembleAmg, ChebyshevHintsSkipPowerIterationBitIdentically) {
-  physics::StokesFOConfig pcfg;
-  pcfg.dx_m = 220.0e3;
-  pcfg.n_layers = 3;
-  physics::StokesFOProblem problem(pcfg);
-  const auto U = problem.analytic_initial_guess();
-  std::vector<double> F;
-  auto A = problem.create_matrix();
-  problem.residual_and_jacobian(U, F, A);
-
-  linalg::AmgConfig acfg;
-  acfg.smoother = linalg::AmgSmoother::kChebyshev;
-  acfg.coarse_max_dofs = 100;  // smoothed levels above the direct solve
-  linalg::SemicoarseningAmg amg(problem.extrusion_info(), acfg);
-  amg.compute(A);
-  ASSERT_GT(amg.n_levels(), 1u);
-  const auto estimates = amg.chebyshev_lambda_estimates();
-  ASSERT_FALSE(estimates.empty());
-  for (const double l : estimates) EXPECT_GT(l, 0.0);
-
-  // Recompute with the harvested estimates as hints: the smoothers must
-  // adopt them (no power iteration) and land on the SAME bounds bitwise,
-  // so the hinted preconditioner applies bit-identically.
-  std::vector<double> r(A.n_rows());
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    r[i] = std::cos(0.07 * static_cast<double>(i));
-  }
-  std::vector<double> z_cold(r.size());
-  amg.apply(r, z_cold);
-
-  amg.set_chebyshev_lambda_hints(estimates);
-  amg.compute(A);
-  const auto hinted = amg.chebyshev_lambda_estimates();
-  ASSERT_TRUE(bitwise_equal(hinted, estimates));
-  std::vector<double> z_hint(r.size());
-  amg.apply(r, z_hint);
-  EXPECT_TRUE(bitwise_equal(z_cold, z_hint));
 }
 
 // ---- engine -----------------------------------------------------------
@@ -598,32 +556,86 @@ TEST(EnsembleEngine, WarmStartMatchesColdWithinTolerancePerDof) {
   }
 }
 
-TEST(EnsembleEngine, RecycledAmgMatchesRebuiltWithinTolerancePerDof) {
-  const auto m = small_manifest();
-  ensemble::EnsembleConfig on;
-  on.use_cache = false;
-  on.warm_start = false;  // isolate the recycling effect
-  on.recycle = true;
-  ensemble::EnsembleConfig off = on;
-  off.recycle = false;
+// ---- engine on a multilevel AMG -----------------------------------------
 
-  const auto recycled = ensemble::EnsembleEngine(m, on).run();
-  const auto rebuilt = ensemble::EnsembleEngine(m, off).run();
-  EXPECT_GT(recycled.stats.amg_reuses, 0u);
-  EXPECT_EQ(recycled.stats.amg_builds, 1u);
-  EXPECT_EQ(rebuilt.stats.amg_builds, 1u);
-  for (std::size_t i = 0; i < recycled.records.size(); ++i) {
-    const auto& ru = recycled.records[i].U;
-    const auto& bu = rebuilt.records[i].U;
-    ASSERT_EQ(ru.size(), bu.size());
-    EXPECT_LE(max_abs_diff(ru, bu) / static_cast<double>(ru.size()), 1e-10)
+namespace {
+
+/// small_manifest() at 64 km / 5 layers, where the shared AMG smooths
+/// several levels (at 220 km / 3 layers it is one direct level).  ||F||
+/// starts near 1e16 and floors between 1e1 and 1e3 here, so 1e3 is the
+/// tightest tolerance every member reaches.
+ensemble::EnsembleManifest multilevel_manifest() {
+  auto m = small_manifest();
+  m.dx_km = 64.0;
+  m.layers = 5;
+  m.newton_tol = 1e3;
+  return m;
+}
+
+}  // namespace
+
+/// One warm-started and one cold run of multilevel_manifest(), shared by
+/// the tests below.
+class EnsembleMultilevel : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ensemble::EnsembleConfig cfg;
+    cfg.use_cache = false;  // both runs compute
+    warm_ = ensemble::EnsembleEngine(multilevel_manifest(), cfg).run();
+    cfg.warm_start = false;
+    cold_ = ensemble::EnsembleEngine(multilevel_manifest(), cfg).run();
+  }
+  static void TearDownTestSuite() {
+    warm_.reset();
+    cold_.reset();
+  }
+
+  static inline std::optional<ensemble::EnsembleEngine::RunOutput> warm_;
+  static inline std::optional<ensemble::EnsembleEngine::RunOutput> cold_;
+};
+
+TEST_F(EnsembleMultilevel, OneHierarchyBuildIsReplayedForEveryMember) {
+  const auto m = multilevel_manifest();
+  physics::StokesFOConfig pcfg;
+  pcfg.dx_m = m.dx_km * 1e3;
+  pcfg.n_layers = m.layers;
+  physics::StokesFOProblem problem(pcfg);
+  std::vector<double> F;
+  auto A = problem.create_matrix();
+  problem.residual_and_jacobian(problem.analytic_initial_guess(), F, A);
+  linalg::SemicoarseningAmg amg(problem.extrusion_info());
+  amg.compute(A);
+  ASSERT_GT(amg.n_levels(), 2u);  // smoothed levels above the direct solve
+
+  EXPECT_EQ(warm_->stats.amg_builds, 1u);
+  EXPECT_GT(warm_->stats.amg_reuses, 0u);
+  EXPECT_EQ(cold_->stats.amg_builds, 1u);
+  EXPECT_GT(warm_->stats.warm_starts, 0u);
+  EXPECT_EQ(cold_->stats.warm_starts, 0u);
+}
+
+TEST_F(EnsembleMultilevel, WarmStartMatchesColdWithinTolerancePerDof) {
+  ASSERT_EQ(warm_->records.size(), cold_->records.size());
+  for (std::size_t i = 0; i < warm_->records.size(); ++i) {
+    const auto& wu = warm_->records[i].U;
+    const auto& cu = cold_->records[i].U;
+    ASSERT_EQ(wu.size(), cu.size());
+    EXPECT_LE(max_abs_diff(wu, cu) / static_cast<double>(wu.size()), 1e-10)
         << "member " << i;
-    // The scalar diagnostics agree too (steps/rejections identical paths
-    // would be too strong — the hinted smoother may change GMRES counts —
-    // but the physics must match).
-    EXPECT_NEAR(recycled.records[i].volume_final,
-                rebuilt.records[i].volume_final,
-                1e-6 * std::fabs(rebuilt.records[i].volume_final));
+  }
+}
+
+TEST_F(EnsembleMultilevel, MemberVelocitiesHoldAgainstRecordedValues) {
+  // Recorded with the engine's former Chebyshev-smoothed AMG (cold run):
+  // the smoother changes the Newton path, not the root.
+  const double recorded[] = {241.28861125778946, 237.1158747513599};
+  for (const auto* out : {&*warm_, &*cold_}) {
+    ASSERT_EQ(out->records.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_NEAR(out->records[i].mean_velocity, recorded[i],
+                  1e-5 * recorded[i])
+          << "member " << i;
+    }
   }
 }
 

@@ -33,6 +33,7 @@
 #include "linalg/krylov.hpp"
 #include "linalg/linear_operator.hpp"
 #include "linalg/preconditioner.hpp"
+#include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/continuation.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -453,6 +454,38 @@ TEST(RecoveryMatrix, EveryFaultKindAndSiteRecoversToTheCleanSolution) {
       }
     }
   }
+}
+
+TEST(RecoveryMatrix, GuardedMatrixFreeAmgRecoversFromAnOperatorApplyFault) {
+  // The `--guards --resilience` matrix-free AMG path: the guard forwards
+  // the operator's assembly, so the AMG setup spends no applies and the
+  // poison lands on a Krylov apply, which the ladder recovers from.
+  const auto solve = [](FaultInjector* injector) {
+    StokesFOProblem p(mms_config(linalg::JacobianMode::kMatrixFree));
+    linalg::SemicoarseningAmg amg(p.extrusion_info());
+    nonlinear::NewtonConfig ncfg;
+    ncfg.jacobian = linalg::JacobianMode::kMatrixFree;
+    ncfg.recovery.enabled = true;
+    ncfg.recovery.injector = injector;
+    GuardedProblem guarded(p, {}, injector);
+    GuardedPreconditioner guarded_amg(amg, injector);
+    std::vector<double> U(p.n_dofs(), 0.0);
+    SolveOutcome out;
+    out.newton = nonlinear::NewtonSolver(ncfg).solve(guarded, guarded_amg, U);
+    out.mean_velocity = p.mean_velocity(U);
+    EXPECT_EQ(amg.probe_applies(), 0u);
+    EXPECT_TRUE(amg.fine_operator_assembled());
+    return out;
+  };
+  const SolveOutcome clean = solve(nullptr);
+  ASSERT_TRUE(clean.newton.converged);
+  FaultInjector inj(fault_spec_from_string("nan:operator-apply:0"));
+  const SolveOutcome hurt = solve(&inj);
+  EXPECT_EQ(inj.fired(), 1);
+  EXPECT_TRUE(hurt.newton.converged);
+  EXPECT_EQ(hurt.newton.recovery.faults_detected, 1);
+  EXPECT_GE(hurt.newton.recovery.steps_recovered, 1);
+  EXPECT_NEAR(hurt.mean_velocity / clean.mean_velocity, 1.0, 1e-5);
 }
 
 TEST(RecoveryMatrix, TriggerAwareStartRungs) {

@@ -685,11 +685,8 @@ TEST(ForecastWarmStart, InitialVelocitySeedsTheDriver) {
   // warm and cold would legitimately stop at different roots.  The AMG
   // (not the weak Jacobi) is needed to actually reach it.
   fcfg.make_precond = [](const physics::StokesFOProblem& p) {
-    linalg::AmgConfig acfg;
-    acfg.smoother = linalg::AmgSmoother::kChebyshev;
     return std::unique_ptr<linalg::Preconditioner>(
-        std::make_unique<linalg::SemicoarseningAmg>(p.extrusion_info(),
-                                                    acfg));
+        std::make_unique<linalg::SemicoarseningAmg>(p.extrusion_info()));
   };
   fcfg.newton.max_iters = 40;
   fcfg.newton.abs_tol = 1e-9;

@@ -125,11 +125,8 @@ physics::StokesFOConfig problem_config(const Args& args) {
 
 /// The preconditioner named by --precond.  All three are consumable from
 /// both Jacobian modes: on the matrix-free path the operator assembles the
-/// AMG's fine matrix from its tangent cache.  The default column-line
-/// smoother runs on that matrix, reproducing the assembled+AMG GMRES counts
-/// exactly; --smoother chebyshev keeps level 0 fully matrix-free instead
-/// (operator applies + the fine diagonal, the fine matrix never streamed
-/// after setup) at a modest iteration-count premium.
+/// AMG's fine matrix from its tangent cache, and the column-line smoother
+/// runs on that matrix, reproducing the assembled+AMG GMRES counts exactly.
 std::unique_ptr<linalg::Preconditioner> make_preconditioner(
     const Args& args, const physics::StokesFOProblem& problem) {
   const std::string precond = args.str("precond", "amg");
@@ -141,16 +138,8 @@ std::unique_ptr<linalg::Preconditioner> make_preconditioner(
   }
   MALI_CHECK_MSG(precond == "amg", "unknown --precond: " + precond +
                                        " (jacobi | block-jacobi | amg)");
-  linalg::AmgConfig acfg;
-  const std::string smoother = args.str("smoother", "line");
-  if (smoother == "chebyshev") {
-    acfg.smoother = linalg::AmgSmoother::kChebyshev;
-  } else {
-    MALI_CHECK_MSG(smoother == "line", "unknown --smoother: " + smoother +
-                                           " (line | chebyshev)");
-  }
-  return std::make_unique<linalg::SemicoarseningAmg>(problem.extrusion_info(),
-                                                     acfg);
+  return std::make_unique<linalg::SemicoarseningAmg>(
+      problem.extrusion_info());
 }
 
 /// perf::JacobianApplyModel filled in from the problem's mesh/graph sizes.
@@ -205,17 +194,15 @@ void print_amg_cycle_model(physics::StokesFOProblem& problem,
   m.probe_applies = amg.probe_applies();
   m.tangent_assembled = amg.fine_operator_assembled();
   m.tangent_cache_bytes = j.n_cells * j.cache_bytes_per_cell();
-  m.fine_matrix_free = amg.fine_matrix_free();
   for (std::size_t l = 0; l < amg.n_levels(); ++l) {
     m.level_rows.push_back(amg.level_dofs(l));
     m.level_nnz.push_back(amg.level_nnz(l));
   }
   std::printf(
-      "modeled AMG traffic (%zu levels, %s fine level):\n"
+      "modeled AMG traffic (%zu levels):\n"
       "  setup  %10.3f MB  (%s fine matrix + Galerkin streams)\n"
       "  V-cycle %9.3f MB per application\n",
-      amg.n_levels(), m.fine_matrix_free ? "matrix-free" : "assembled",
-      m.setup_bytes() / 1e6, fine_matrix_source(amg).c_str(),
+      amg.n_levels(), m.setup_bytes() / 1e6, fine_matrix_source(amg).c_str(),
       m.vcycle_bytes() / 1e6);
 }
 
@@ -694,7 +681,7 @@ int cmd_forecast(const Args& args) {
 }
 
 /// `mali ensemble --manifest FILE`: run a scenario ensemble through the
-/// EnsembleEngine (shared problem, recycled AMG, warm starts, result
+/// EnsembleEngine (shared problem, shared AMG, warm starts, result
 /// cache) and emit the mali-ensemble-results-v1 JSON document.
 /// --expect-cached turns a rerun into an assertion that every member was
 /// served from the cache (the CI smoke uses it: second run must be free).
@@ -714,7 +701,6 @@ int cmd_ensemble(const Args& args) {
 
   ensemble::EnsembleConfig ecfg;
   ecfg.warm_start = !args.has("no-warm-start");
-  ecfg.recycle = !args.has("no-recycle");
   ecfg.use_cache = !args.has("no-cache");
   ecfg.cache_dir = args.str("cache", "");
   ecfg.ranks_per_group = args.integer("ranks-per-group", 1);
@@ -866,7 +852,7 @@ void usage() {
       "                     pipelined variants: one fused allreduce per\n"
       "                     iteration, overlapped with the operator apply\n"
       "                   [--precond jacobi|block-jacobi|amg]\n"
-      "                   [--smoother line|chebyshev] [--mms]\n"
+      "                   [--mms]\n"
       "                   [--thermal] [--weertman] [--workset N]\n"
       "                   [--csv PATH] [--ppm PATH]\n"
       "                   [--resilience] [--guards]\n"
@@ -919,7 +905,7 @@ void usage() {
       "                   [--cache DIR] persist the result cache on disk\n"
       "                   [--rank-groups N] override the manifest's groups\n"
       "                   [--ranks-per-group N] [--no-warm-start]\n"
-      "                   [--no-recycle] [--no-cache] [--no-stats]\n"
+      "                   [--no-cache] [--no-stats]\n"
       "                   [--expect-cached] exit nonzero unless every\n"
       "                     member was served from the cache\n"
       "                   [--member-retries N] [--retry-backoff S]\n"
