@@ -851,8 +851,7 @@ void usage() {
       "                   [--krylov gmres|pipe-gmres|cg|pipe-cg]\n"
       "                     pipelined variants: one fused allreduce per\n"
       "                     iteration, overlapped with the operator apply\n"
-      "                   [--precond jacobi|block-jacobi|amg]\n"
-      "                   [--mms]\n"
+      "                   [--precond jacobi|block-jacobi|amg] [--mms]\n"
       "                   [--thermal] [--weertman] [--workset N]\n"
       "                   [--csv PATH] [--ppm PATH]\n"
       "                   [--resilience] [--guards]\n"
