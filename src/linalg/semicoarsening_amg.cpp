@@ -421,16 +421,7 @@ void SemicoarseningAmg::factor_coarse() {
     return;
   }
   coarse_sgs_.reset();
-  DenseMatrix dense(coarse_n, coarse_n);
-  const auto& rp = Ac.row_ptr();
-  const auto& cs = Ac.cols();
-  const auto& vs = Ac.values();
-  for (std::size_t i = 0; i < coarse_n; ++i) {
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      dense(i, cs[k]) = vs[k];
-    }
-  }
-  coarse_lu_.factor(std::move(dense));
+  coarse_lu_.factor(Ac);
 }
 
 void SemicoarseningAmg::setup_smoothers() {

@@ -10,8 +10,9 @@
 // column has collapsed to a single node, then switches to 2x2 horizontal
 // aggregation of columns — exactly the structure-exploiting strategy of the
 // paper's preconditioner.  Galerkin coarse operators (A_c = P^T A P with
-// piecewise-constant P), column-line smoothing, and a dense LU coarse solve
-// complete the V-cycle.
+// piecewise-constant P), column-line smoothing, and a banded LU coarse
+// solve (the 2D coarsest level factored inside its band) complete the
+// V-cycle.
 //
 // Setup splits into a symbolic and a numeric half.  The aggregation, each
 // level's Galerkin plan (coarse pattern, inverse aggregation map, one
@@ -45,15 +46,16 @@
 #include <optional>
 #include <vector>
 
+#include "linalg/banded_lu.hpp"
 #include "linalg/crs_matrix.hpp"
-#include "linalg/dense.hpp"
 #include "linalg/preconditioner.hpp"
 
 namespace mali::linalg {
 
 struct AmgConfig {
   int max_levels = 12;
-  std::size_t coarse_max_dofs = 1200;  ///< switch to the direct coarse solve
+  /// Coarsest-level size at or below which it is solved by banded LU.
+  std::size_t coarse_max_dofs = 1200;
   /// Column-line sweeps per smoother application; the pre- and the
   /// post-smoother both use it.
   int pre_sweeps = 1;
@@ -228,7 +230,7 @@ class SemicoarseningAmg final : public Preconditioner {
   void build_hierarchy(const CrsMatrix& A_fine);
   /// Coarse values of level l+1 from level l's values and plan.
   void galerkin_values(std::size_t l);
-  /// Direct LU (or the SGS fallback) for the coarsest level.
+  /// Banded LU (or the SGS fallback) for the coarsest level.
   void factor_coarse();
   void setup_smoothers();
   /// r = b - A_l z.
@@ -252,9 +254,10 @@ class SemicoarseningAmg final : public Preconditioner {
   std::size_t hierarchy_builds_ = 0;
   std::size_t structure_reuses_ = 0;
 
-  // Coarse solve: dense LU, or SGS sweeps when the coarsest level stays
+  // Coarse solve: banded LU factored from levels_.back().A into a buffer
+  // every compute() reuses, or SGS sweeps when the coarsest level stays
   // above coarse_max_dofs (max_levels reached first).
-  DenseLu coarse_lu_;
+  BandedLu coarse_lu_;
   bool use_direct_coarse_ = false;
   std::unique_ptr<SymGaussSeidelPreconditioner> coarse_sgs_;
 };

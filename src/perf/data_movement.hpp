@@ -264,8 +264,10 @@ struct AmgCycleModel {
 
   /// One V-cycle: per non-coarsest level, pre/post smoothing plus two
   /// residual computations and the (vector-sized) transfer traffic; the
-  /// coarsest level is one matrix stream (dense solve, or the SGS fallback
-  /// when max_levels stops the hierarchy early).
+  /// coarsest level is modeled as one CRS matrix stream.  The banded LU
+  /// solve actually streams its factors' band (and the SGS fallback, when
+  /// max_levels stops the hierarchy early, its sweeps); the CRS stream is
+  /// kept so that recorded modeled V-cycle bytes stay comparable.
   [[nodiscard]] std::size_t vcycle_bytes() const {
     if (level_nnz.empty()) return 0;
     std::size_t b = 0;

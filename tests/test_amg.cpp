@@ -15,7 +15,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "linalg/dense.hpp"
 #include "linalg/gmres.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -494,13 +493,8 @@ TEST_P(AmgTwoLevelCycle, IsTheHandBuiltComposition) {
                               sweeps);
   smoother.compute(A);
   const CrsMatrix& Ac = amg.level_matrix(1);
-  DenseMatrix dense(Ac.n_rows(), Ac.n_rows());
-  for (std::size_t i = 0; i < Ac.n_rows(); ++i) {
-    for (std::size_t k = Ac.row_ptr()[i]; k < Ac.row_ptr()[i + 1]; ++k) {
-      dense(i, Ac.cols()[k]) = Ac.values()[k];
-    }
-  }
-  const DenseLu coarse(std::move(dense));
+  BandedLu coarse;
+  coarse.factor(Ac);
   const auto& agg = amg.level_aggregation(0);
   const auto residual = [&](const std::vector<double>& b,
                             const std::vector<double>& x) {

@@ -3,17 +3,20 @@
 //   mali solve     [--dx-km F] [--layers N] [--steps N] [--variant NAME]
 //                  [--thermal] [--weertman] [--csv PATH] [--ppm PATH]
 //   mali study     [--cells N] [--scale F] [--out report.md]
-//   mali transport [--dx-km F] [--layers N] [--years F] [--ppm PATH]
+//   mali transport [--dx-km F] [--years F] [--ppm PATH]
 //   mali ensemble  --manifest FILE [--out results.json] [--cache DIR]
 //   mali export-jacobian [--dx-km F] [--layers N] --out PATH.mtx
 //   mali archs
 //
-// Every subcommand exercises the public library API only.
+// Every subcommand exercises the public library API only, and rejects a
+// flag its usage() entry does not list (exit 2, before any work).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,10 +85,61 @@ class Args {
     auto it = values_.find(k);
     return it == values_.end() ? dflt : it->second;
   }
+  /// The first given flag (by name) that `known` does not list, or "".
+  [[nodiscard]] std::string first_unknown(
+      const std::set<std::string>& known) const {
+    for (const auto& kv : values_) {
+      if (known.count(kv.first) == 0) return kv.first;
+    }
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The flags each subcommand takes: exactly those its usage() entry lists.
+/// forecast and export-jacobian build the same problem as solve, so they
+/// take its problem flags too.
+const std::set<std::string>* command_flags(const std::string& cmd) {
+  const std::vector<std::string> problem = {
+      "dx-km", "layers", "variant", "scatter", "jacobian",
+      "simd",  "workset", "thermal", "weertman", "mms"};
+  const std::vector<std::string> dist_comm = {
+      "ranks", "decomp", "comm-guards", "comm-timeout", "max-restarts",
+      "restart-backoff"};
+  const auto join = [](std::initializer_list<std::vector<std::string>> ls) {
+    std::set<std::string> s;
+    for (const auto& l : ls) s.insert(l.begin(), l.end());
+    return s;
+  };
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"solve",
+       join({problem, dist_comm,
+             {"steps", "phases", "krylov", "precond", "csv", "ppm", "vtk",
+              "resilience", "guards", "inject-fault", "checkpoint",
+              "halo-overlap"}})},
+      {"study", {"cells", "scale", "out"}},
+      {"transport", {"dx-km", "years", "ppm"}},
+      {"forecast",
+       join({problem, dist_comm,
+             {"years", "dt-init", "dt-min", "dt-max", "dt-growth",
+              "dt-backoff", "cfl", "forcing", "velocity-every", "no-thermal",
+              "thermal-steady", "flux", "min-thickness", "checkpoint-every",
+              "checkpoint", "restart", "quiet", "ppm", "steps", "krylov",
+              "precond", "inject-fault", "resilience"}})},
+      {"ensemble",
+       {"manifest", "out", "cache", "rank-groups", "ranks-per-group",
+        "no-warm-start", "no-cache", "no-stats", "expect-cached",
+        "member-retries", "retry-backoff", "resilience", "inject-fault",
+        "fault-member", "quiet"}},
+      {"export-jacobian", join({problem, {"out"}})},
+      {"launch-bounds", {"max-threads", "min-blocks", "cells", "scale"}},
+      {"archs", {}},
+  };
+  const auto it = table.find(cmd);
+  return it == table.end() ? nullptr : &it->second;
+}
 
 physics::StokesFOConfig problem_config(const Args& args) {
   physics::StokesFOConfig cfg;
@@ -853,7 +907,7 @@ void usage() {
       "                     iteration, overlapped with the operator apply\n"
       "                   [--precond jacobi|block-jacobi|amg] [--mms]\n"
       "                   [--thermal] [--weertman] [--workset N]\n"
-      "                   [--csv PATH] [--ppm PATH]\n"
+      "                   [--csv PATH] [--ppm PATH] [--vtk PATH]\n"
       "                   [--resilience] [--guards]\n"
       "                   [--inject-fault KIND:SITE[:EVAL][:repeat]]\n"
       "                     kinds: nan|inf|stagnation|precond-fail\n"
@@ -889,11 +943,14 @@ void usage() {
       "                   [--flux upwind|muscl] [--min-thickness F]\n"
       "                   [--checkpoint-every K] [--checkpoint PATH]\n"
       "                   [--restart PATH] [--quiet] [--ppm PATH]\n"
-      "                   plus solve's --jacobian/--krylov/--precond/\n"
-      "                   --steps/--ranks/--decomp/--inject-fault/--resilience\n"
+      "                   plus solve's problem flags (--variant/--scatter/\n"
+      "                   --jacobian/--simd/--workset/--thermal/--weertman/\n"
+      "                   --mms) and its --krylov/--precond/--steps/--ranks/\n"
+      "                   --decomp/--inject-fault/--resilience\n"
       "                   (--ranks > 1 also takes solve's --comm-guards/\n"
-      "                   --comm-timeout/--max-restarts and comm:* fault\n"
-      "                   specs; failed runs print the recovery log tail)\n"
+      "                   --comm-timeout/--max-restarts/--restart-backoff\n"
+      "                   and comm:* fault specs; failed runs print the\n"
+      "                   recovery log tail)\n"
       "  ensemble         batched scenario sweep with amortized setup\n"
       "                   --manifest PATH  (key = value manifest; keys:\n"
       "                     name, dx_km, layers, years, velocity_every,\n"
@@ -916,8 +973,10 @@ void usage() {
       "                   [--quiet]\n"
       "  export-jacobian  assemble and dump the Jacobian as MatrixMarket\n"
       "                   --out PATH.mtx [--dx-km F] [--layers N]\n"
+      "                   plus solve's problem flags\n"
       "  launch-bounds    evaluate a LaunchBounds<T,B> choice on the GCD\n"
       "                   [--max-threads N] [--min-blocks N] [--cells N]\n"
+      "                   [--scale F]\n"
       "  archs            list the modeled GPU architectures\n");
 }
 
@@ -930,6 +989,14 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Args args(argc, argv, 2);
+  if (const auto* known = command_flags(cmd)) {
+    const std::string bad = args.first_unknown(*known);
+    if (!bad.empty()) {
+      std::fprintf(stderr, "unknown flag --%s for 'mali %s'\n", bad.c_str(),
+                   cmd.c_str());
+      return 2;
+    }
+  }
   try {
     if (cmd == "solve") return cmd_solve(args);
     if (cmd == "study") return cmd_study(args);
