@@ -80,6 +80,31 @@ TEST(BandedLu, PivotingSwapsInsideTheBand) {
   }
 }
 
+TEST(BandedLu, FirstRowWinsAPivotTie) {
+  // |a00| == |a10|: the pivot stays on row 0.  On these values the two
+  // pivot choices round differently, so the bits show which one ran.
+  const double a = 5.0, b = 0.9, c = -5.0, d = 1.5, r0 = 0.9, r1 = 1.7;
+  const auto eliminate = [](double p, double q, double s, double t,
+                            double y0, double y1) {
+    // [[p, q], [s, t]] x = [y0, y1] in BandedLu's operation order.
+    const double l = s * (1.0 / p);
+    const double u = t - l * q;
+    double x1 = y1 - l * y0;
+    x1 /= u;
+    double x0 = y0 - q * x1;
+    x0 /= p;
+    return std::vector<double>{x0, x1};
+  };
+  const auto kept = eliminate(a, b, c, d, r0, r1);
+  ASSERT_NE(kept, eliminate(c, d, a, b, r1, r0));  // the tie is visible
+
+  BandedLu lu;
+  lu.factor(to_crs({{a, b}, {c, d}}, false));
+  std::vector<double> x = {r0, r1};
+  lu.solve(x);
+  EXPECT_EQ(x, kept);
+}
+
 TEST(BandedLu, SingularThrows) {
   BandedLu lu;
   EXPECT_THROW(lu.factor(to_crs({{1.0, 2.0}, {2.0, 4.0}}, false)),
