@@ -218,37 +218,6 @@ std::vector<double> CommWorld::allreduce_finish(int rank) {
   return sum;
 }
 
-double CommWorld::allreduce_max(int rank, double local, bool skip_deposit,
-                                bool corrupt) {
-  const auto me = static_cast<std::size_t>(rank);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    check_abort_locked();
-    if (!skip_deposit) {
-      if (guards_.checksums) {
-        reduce_sums_[me] = fnv1a_bytes(&local, 1);
-        ++reduce_gen_[me];
-      }
-      if (corrupt) flip_bit(&local);
-      reduce_slots_[me] = local;
-    }
-  }
-  barrier(rank, resilience::CommSite::kAllreduce);
-  double m = 0.0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    check_abort_locked();
-    check_reduction_locked(rank, /*vector_slots=*/false,
-                           resilience::CommSite::kAllreduce);
-    m = reduce_slots_[0];
-    for (int r = 1; r < size_; ++r) {
-      m = std::max(m, reduce_slots_[static_cast<std::size_t>(r)]);
-    }
-  }
-  barrier(rank, resilience::CommSite::kAllreduce);
-  return m;
-}
-
 void CommWorld::check_reduction_locked(int rank, bool vector_slots,
                                        resilience::CommSite site) {
   if (!guards_.checksums) return;
@@ -372,11 +341,6 @@ void CommWorld::abort_with(const resilience::CommFault& fault) {
   }
   cv_barrier_.notify_all();
   cv_mail_.notify_all();
-}
-
-bool CommWorld::aborted() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return aborted_;
 }
 
 resilience::CommFault CommWorld::fault() const {

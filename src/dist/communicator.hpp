@@ -120,8 +120,6 @@ class CommWorld {
   std::vector<double> allreduce_sum(int rank, const std::vector<double>& local,
                                     bool skip_deposit = false,
                                     bool corrupt = false);
-  double allreduce_max(int rank, double local, bool skip_deposit = false,
-                       bool corrupt = false);
 
   /// Split-phase vector allreduce.  allreduce_post deposits the local
   /// partials and returns WITHOUT synchronizing — the caller overlaps
@@ -153,7 +151,6 @@ class CommWorld {
   /// deterministically: higher-severity fault wins (integrity/injected >
   /// timeout), ties to the lowest detecting rank.
   void abort_with(const resilience::CommFault& fault);
-  [[nodiscard]] bool aborted() const;
   /// The agreed fault record (type kNone when abort() was untyped or the
   /// world is healthy).
   [[nodiscard]] resilience::CommFault fault() const;
@@ -249,13 +246,6 @@ class Communicator {
     ++counters_.allreduces;
     counters_.reduced_values += out.size();
     return out;
-  }
-  [[nodiscard]] double allreduce_max(double v) {
-    ++counters_.allreduces;
-    ++counters_.reduced_values;
-    const Inject a = inject(resilience::CommSite::kAllreduce);
-    return world_->allreduce_max(rank_, v, a == Inject::kSkip,
-                                 a == Inject::kCorrupt);
   }
   void send(int to, int tag, std::vector<double> data) {
     ++counters_.sends;

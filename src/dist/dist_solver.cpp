@@ -115,11 +115,9 @@ void DistStokesOperator::linearize(const std::vector<double>& U) {
     blocks = sub_->partial_node_blocks(Ug);
   }
 
-  // Complete the block diagonal at the owners, agree on the Dirichlet row
+  // Complete the block diagonal at the owners and agree on the Dirichlet row
   // scale collectively (same formula as the serial problem: mean |diag| over
-  // non-Dirichlet dofs), then refresh the ghost blocks.  Only owned blocks
-  // are kept below, so no ghost block is read; ROADMAP item 3 lists
-  // dropping that import.
+  // non-Dirichlet dofs).
   halo_blk_->export_add(blocks);
 
   const fem::DofMap& dm = prob.dof_map();
@@ -137,8 +135,6 @@ void DistStokesOperator::linearize(const std::vector<double>& U) {
   }
   const std::vector<double> g = comm_->allreduce_sum(std::vector<double>{sum, cnt});
   if (g[1] > 0.0 && g[0] > 0.0) ctx_->dirichlet_scale = g[0] / g[1];
-
-  halo_blk_->import_ghosts(blocks);
 
   // Keep the owned nodes' blocks, in owned-dof order.  Dirichlet nodes get
   // scale * I to match the owner's row override (MMS/Dirichlet columns pin

@@ -49,18 +49,6 @@ HaloExchange::HaloExchange(Communicator& comm, const mesh::Partition& part,
   buf_.assign(neighbors_.size(), {});
 }
 
-std::size_t HaloExchange::send_entries() const {
-  std::size_t n = 0;
-  for (const auto& s : send_idx_) n += s.size();
-  return n;
-}
-
-std::size_t HaloExchange::recv_entries() const {
-  std::size_t n = 0;
-  for (const auto& s : recv_idx_) n += s.size();
-  return n;
-}
-
 void HaloExchange::post_import(const std::vector<double>& x) {
   const double t0 = now_s();
   for (std::size_t k = 0; k < neighbors_.size(); ++k) {

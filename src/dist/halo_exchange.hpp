@@ -72,10 +72,6 @@ class HaloExchange {
   [[nodiscard]] std::size_t n_neighbors() const noexcept {
     return neighbors_.size();
   }
-  /// Total vector entries this rank sends per import (ghost entries per
-  /// export); the payload the NetworkModel's halo_bytes models.
-  [[nodiscard]] std::size_t send_entries() const;
-  [[nodiscard]] std::size_t recv_entries() const;
 
  private:
   Communicator* comm_;

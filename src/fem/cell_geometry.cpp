@@ -35,12 +35,9 @@ double invert3(const std::array<std::array<double, 3>, 3>& m,
   return det;
 }
 
-}  // namespace
-
-std::size_t padded_cells(std::size_t n_cells) {
-  return n_cells + static_cast<std::size_t>(pk::kSimdMaxWidth - 1);
-}
-
+/// Fills the ghost rows [n_cells, n_cells_padded) of the per-cell arrays
+/// with copies of the last real cell so full-width pack loads stay on
+/// finite geometry.
 void replicate_ghost_cells(GeometryWorkset& ws) {
   const std::size_t C = ws.n_cells;
   const std::size_t Cp = ws.n_cells_padded;
@@ -62,6 +59,12 @@ void replicate_ghost_cells(GeometryWorkset& ws) {
     }
     for (int q = 0; q < Q; ++q) ws.detJ(c, q) = ws.detJ(src, q);
   }
+}
+
+}  // namespace
+
+std::size_t padded_cells(std::size_t n_cells) {
+  return n_cells + static_cast<std::size_t>(pk::kSimdMaxWidth - 1);
 }
 
 void validate_workset(const GeometryWorkset& ws) {

@@ -18,16 +18,11 @@ namespace mali::fem {
 /// kernels assume: n + (pk::kSimdMaxWidth - 1) ghost rows.
 [[nodiscard]] std::size_t padded_cells(std::size_t n_cells);
 
-/// Fills the ghost rows [n_cells, n_cells_padded) of the per-cell arrays
-/// with copies of the last real cell so full-width pack loads stay on finite
-/// geometry.  Shared by the hex and prism builders.
-void replicate_ghost_cells(GeometryWorkset& ws);
-
 /// Consistency check of a built workset's basal side set: face_nodes /
 /// face_qps must match the extents of the arrays actually built, every
 /// basal_face_cell must be a real cell, and every basal_face_node must be a
 /// node of its owning cell.  Throws mali::Error naming the offending face on
-/// the first mismatch.  Called by the builders; exposed for tests.
+/// the first mismatch.  Called by build_geometry; exposed for tests.
 void validate_workset(const GeometryWorkset& ws);
 
 }  // namespace mali::fem

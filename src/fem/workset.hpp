@@ -40,9 +40,9 @@ struct GeometryWorkset {
   pk::View<double, 2> detJ;
 
   // ---- basal side set (bottom faces of layer-0 cells) ----
-  // face_nodes / face_qps describe the arrays actually built (4/Qf for the
-  // hex path, 3/3 for prisms); validate_workset checks them against the view
-  // extents and the cell connectivity instead of trusting the defaults.
+  // face_nodes / face_qps describe the arrays actually built (4/Qf on the
+  // hex path); validate_workset checks them against the view extents and
+  // the cell connectivity instead of trusting the defaults.
   std::size_t n_basal_faces = 0;
   int face_nodes = 4;
   int face_qps = 4;

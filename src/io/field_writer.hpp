@@ -46,7 +46,7 @@ void write_node_csv(const std::string& path, const mesh::QuadGrid& grid,
 //   bytes  8..11  uint32 version (currently 1)
 //   bytes 12..15  int32  newton_step
 //   bytes 16..23  double residual_norm
-//   bytes 24..31  double continuation parameter (0 when unused)
+//   bytes 24..31  double parameter (the Newton solver writes 0)
 //   bytes 32..39  uint64 n (number of solution dofs)
 //   bytes 40..    n raw little-endian doubles (the solution vector U)
 // Doubles are written bit-for-bit (native IEEE-754 layout), so a

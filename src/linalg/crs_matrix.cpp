@@ -9,7 +9,7 @@ namespace mali::linalg {
 void CrsMatrix::apply(const std::vector<double>& x,
                       std::vector<double>& y) const {
   MALI_CHECK(x.size() == n_rows());
-  y.assign(n_rows(), 0.0);
+  y.resize(n_rows());  // every row is written below
   const auto* rp = row_ptr_.data();
   const auto* cs = cols_.data();
   const auto* vs = vals_.data();

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "portability/common.hpp"
+#include "resilience/checkpoint.hpp"
 
 namespace mali::nonlinear {
 
@@ -81,7 +82,6 @@ NewtonResult NewtonSolver::solve(NonlinearProblem& problem,
     if (!rc.enabled) return;
     last_good.U = Ugood;
     last_good.residual_norm = fn;
-    last_good.parameter = rc.parameter;
     last_good.newton_step = step;
     last_good.valid = true;
     if (!rc.checkpoint_path.empty()) last_good.save(rc.checkpoint_path);
@@ -206,9 +206,8 @@ NewtonResult NewtonSolver::solve(NonlinearProblem& problem,
           problem.residual_and_jacobian(U, F, J);
           Mp->compute(J);
           if (refresh_fnorm) {
-            // A checkpoint restore (possibly with a parameter back-step)
-            // invalidated the cached ||F||; re-anchor it to the state the
-            // linearization just evaluated.
+            // A checkpoint restore invalidated the cached ||F||; re-anchor
+            // it to the state the linearization just evaluated.
             fnorm = ip.norm2(F);
             refresh_fnorm = false;
             if (!std::isfinite(fnorm)) {
@@ -388,22 +387,18 @@ NewtonResult NewtonSolver::solve(NonlinearProblem& problem,
           matrix_free = false;
           action << "matrix-free Jacobian replaced by assembled";
           break;
-        case RecoveryRung::kRestoreCheckpoint: {
-          resilience::SolverCheckpoint ckpt = last_good;
-          if (!ckpt.valid) {
-            ckpt.U = U;  // pre-loop state was never captured (recovery off
-            ckpt.residual_norm = fnorm;  // at entry); fall back to current
-            ckpt.valid = true;
+        case RecoveryRung::kRestoreCheckpoint:
+          // An uncaptured checkpoint (recovery off at entry) restores the
+          // current state.
+          if (last_good.valid) {
+            MALI_CHECK(last_good.U.size() == n);
+            U = last_good.U;
+            fnorm = last_good.residual_norm;
           }
-          if (rc.on_restore) rc.on_restore(ckpt);
-          MALI_CHECK(ckpt.U.size() == n);
-          U = ckpt.U;
-          fnorm = ckpt.residual_norm;
           refresh_fnorm = true;  // re-anchor ||F|| at next linearization
-          action << "restored checkpoint from step " << ckpt.newton_step
-                 << " (||F|| " << ckpt.residual_norm << ")";
+          action << "restored checkpoint from step " << last_good.newton_step
+                 << " (||F|| " << fnorm << ")";
           break;
-        }
       }
 
       resilience::RecoveryAttempt a;

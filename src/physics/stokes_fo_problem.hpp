@@ -226,8 +226,8 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
   /// The manufactured solution sampled at every node (MMS mode only).
   [[nodiscard]] std::vector<double> mms_exact() const;
 
-  /// Sets the strain-rate regularization (eps_reg^2) — the continuation
-  /// parameter Albany's homotopy uses to tame the Glen's-law nonlinearity.
+  /// Sets the strain-rate regularization (eps_reg^2), the parameter
+  /// Albany's homotopy walks to tame the Glen's-law nonlinearity.
   void set_regularization(double eps_reg2) noexcept {
     cfg_.constants.eps_reg2 = eps_reg2;
     ++revision_;

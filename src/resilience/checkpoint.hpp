@@ -1,10 +1,10 @@
 #pragma once
 // SolverCheckpoint — the "last good state" the Newton recovery ladder's
-// final rung restores: the solution vector, its residual norm, the active
-// continuation parameter, and the Newton step it was taken at.  Kept
-// in-memory by the solver; optionally mirrored on disk through
-// io::write_solver_checkpoint (see DESIGN.md §11 for the file format) so a
-// crashed run can restart from the last accepted step.
+// final rung restores: the solution vector, its residual norm, and the
+// Newton step it was taken at.  Kept in-memory by the solver; optionally
+// mirrored on disk through io::write_solver_checkpoint (see DESIGN.md §11
+// for the file format) so a crashed run can restart from the last accepted
+// step.
 
 #include <cstddef>
 #include <string>
@@ -15,7 +15,7 @@ namespace mali::resilience {
 struct SolverCheckpoint {
   std::vector<double> U;        ///< the accepted solution
   double residual_norm = 0.0;   ///< ||F(U)||
-  double parameter = 0.0;       ///< continuation parameter (0 when unused)
+  double parameter = 0.0;       ///< on-disk slot; the Newton solver leaves 0
   int newton_step = 0;          ///< step the checkpoint was taken after
   bool valid = false;           ///< false until first capture
 

@@ -12,9 +12,7 @@
 //                            in `precond_ladder` (jacobi → block-jacobi →
 //                            AMG in the CLI wiring)
 //   4. kAssembledFallback    matrix-free → assembled Jacobian
-//   5. kRestoreCheckpoint    restore the last good SolverCheckpoint and
-//                            invoke `on_restore` (continuation uses it to
-//                            back-step the regularization one notch)
+//   5. kRestoreCheckpoint    restore the last good SolverCheckpoint
 //
 // Strengthening escalations persist for the remainder of the solve (a
 // grown restart stays grown, a climbed preconditioner stays climbed); the
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "linalg/preconditioner.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -68,17 +65,9 @@ struct RecoveryConfig {
   /// AMG here.
   std::vector<std::function<std::unique_ptr<linalg::Preconditioner>()>>
       precond_ladder;
-  /// Invoked by kRestoreCheckpoint with the checkpoint about to be
-  /// restored; may mutate it (continuation back-steps `parameter` one
-  /// notch and re-applies it to the problem).
-  std::function<void(SolverCheckpoint&)> on_restore;
   /// When non-empty, every accepted Newton step also writes the checkpoint
   /// here (io::write_solver_checkpoint format).
   std::string checkpoint_path;
-  /// Continuation parameter stamped into checkpoints (informational; 0
-  /// when no continuation is active).  continuation_solve keeps it in
-  /// sync with the regularization walk.
-  double parameter = 0.0;
   /// Solver-level injection site (forced GMRES stagnation).  The NaN/Inf
   /// poison sites live in the guard decorators instead; see
   /// resilience/guards.hpp.  Not owned.

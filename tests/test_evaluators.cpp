@@ -1,6 +1,5 @@
 // Unit tests for the evaluator chain pieces (gather, velocity gradient,
-// viscosity, body force, basal friction), the continuation solver, and the
-// VTK writer.
+// viscosity, body force, basal friction) and the VTK writer.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +9,6 @@
 #include <random>
 
 #include "io/vtk_writer.hpp"
-#include "linalg/semicoarsening_amg.hpp"
-#include "nonlinear/continuation.hpp"
 #include "physics/evaluators.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "portability/parallel.hpp"
@@ -146,54 +143,6 @@ TEST(BasalFriction, LinearLawContribution) {
   for (int k = 4; k < 8; ++k) {
     EXPECT_EQ(Residual(0, k, 0), 0.0);  // top nodes untouched
   }
-}
-
-// ---- continuation ----
-
-TEST(Continuation, WalksRegularizationToTarget) {
-  physics::StokesFOConfig cfg;
-  cfg.dx_m = 250.0e3;
-  cfg.n_layers = 4;
-  physics::StokesFOProblem p(cfg);
-  linalg::SemicoarseningAmg amg(p.extrusion_info());
-
-  nonlinear::ContinuationConfig ccfg;
-  ccfg.start_parameter = 1e-4;
-  ccfg.target_parameter = 1e-10;
-  ccfg.reduction = 0.01;
-  ccfg.newton.max_iters = 10;
-  ccfg.newton.rel_tol = 1e-6;
-
-  std::vector<double> U(p.n_dofs(), 0.0);
-  const auto r = nonlinear::continuation_solve(
-      p, amg, [&](double eps2) { p.set_regularization(eps2); }, U, ccfg);
-  EXPECT_DOUBLE_EQ(r.final_parameter, 1e-10);
-  EXPECT_GE(r.steps, 3);
-  EXPECT_EQ(r.inner.size(), static_cast<std::size_t>(r.steps));
-  // The continued solve reaches a physical state.
-  const double mean = p.mean_velocity(U);
-  EXPECT_GT(mean, 1.0);
-  EXPECT_LT(mean, 50000.0);
-  // Later steps start from good guesses: the final step's Newton converges
-  // at least as deeply as a cold solve of the same budget.
-  std::vector<double> U_cold(p.n_dofs(), 0.0);
-  nonlinear::NewtonConfig ncfg = ccfg.newton;
-  const auto cold = nonlinear::NewtonSolver(ncfg).solve(p, amg, U_cold);
-  EXPECT_LE(r.residual_norm, cold.residual_norm * 10.0);
-}
-
-TEST(Continuation, RejectsBadConfig) {
-  physics::StokesFOConfig cfg;
-  cfg.dx_m = 300.0e3;
-  cfg.n_layers = 3;
-  physics::StokesFOProblem p(cfg);
-  linalg::JacobiPreconditioner M;
-  std::vector<double> U(p.n_dofs(), 0.0);
-  nonlinear::ContinuationConfig bad;
-  bad.start_parameter = 1e-12;  // below target
-  EXPECT_THROW(nonlinear::continuation_solve(
-                   p, M, [&](double e) { p.set_regularization(e); }, U, bad),
-               mali::Error);
 }
 
 // ---- VTK ----

@@ -1,7 +1,9 @@
 // StokesFOResid kernel tests — the heart of the reproduction: every
 // optimization variant must be numerically identical to the baseline for
 // both evaluation types, and the SFad-computed Jacobian must match finite
-// differences of the residual.
+// differences of the residual.  The PrismKernel tests run the kernel and its
+// recorded trace at MALI's 6-node prism topology, the shape
+// bench_prism_vs_hex models.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,9 @@
 #include <random>
 
 #include "ad/sfad.hpp"
+#include "core/kernel_traces.hpp"
+#include "gpusim/exec_model.hpp"
+#include "perf/data_movement.hpp"
 #include "physics/eval_types.hpp"
 #include "physics/stokes_fo_resid.hpp"
 #include "portability/parallel.hpp"
@@ -347,4 +352,112 @@ TEST(Kernel, JacobianValueEqualsResidual) {
   for (std::size_t i = 0; i < r.size(); ++i) {
     EXPECT_NEAR(j[i * 17], r[i], 1e-13 * std::max(1.0, std::abs(r[i])));
   }
+}
+
+// ---- kernels on the prism topology ----
+
+namespace {
+
+template <class ScalarT>
+struct PrismKernelData {
+  static constexpr std::size_t C = 10, N = 6, Q = 6;
+  pk::View<ScalarT, 4> Ugrad{"Ugrad", C, Q, 2, 3};
+  pk::View<ScalarT, 2> mu{"muLandIce", C, Q};
+  pk::View<ScalarT, 3> force{"force", C, Q, 2};
+  pk::View<double, 4> wGradBF{"wGradBF", C, N, Q, 3};
+  pk::View<double, 3> wBF{"wBF", C, N, Q};
+  pk::View<ScalarT, 3> Residual{"Residual", C, N, 2};
+
+  explicit PrismKernelData(unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t q = 0; q < Q; ++q) {
+        mu(c, q) = ScalarT(1.0 + 0.3 * dist(rng));
+        for (int v = 0; v < 2; ++v) {
+          force(c, q, v) = ScalarT(dist(rng));
+          for (int d = 0; d < 3; ++d) Ugrad(c, q, v, d) = ScalarT(dist(rng));
+        }
+        for (std::size_t k = 0; k < N; ++k) {
+          wBF(c, k, q) = dist(rng);
+          for (int d = 0; d < 3; ++d) wGradBF(c, k, q, d) = dist(rng);
+        }
+      }
+    }
+  }
+
+  physics::StokesFOResid<ScalarT> kernel() const {
+    physics::StokesFOResid<ScalarT> k;
+    k.Ugrad = Ugrad;
+    k.muLandIce = mu;
+    k.force = force;
+    k.wGradBF = wGradBF;
+    k.wBF = wBF;
+    k.Residual = Residual;
+    k.numNodes = N;
+    k.numQPs = Q;
+    return k;
+  }
+};
+
+}  // namespace
+
+TEST(PrismKernel, BaselineAndOptimizedAgreeOnSixNodes) {
+  using Fad12 = ad::SFad<double, 12>;
+  PrismKernelData<Fad12> data(77);
+  auto k = data.kernel();
+  pk::parallel_for("b", pk::RangePolicy<pk::Serial, physics::LandIce_3D_Tag>(
+                            data.C),
+                   k);
+  std::vector<double> base;
+  for (std::size_t c = 0; c < data.C; ++c) {
+    for (std::size_t n = 0; n < data.N; ++n) {
+      for (int v = 0; v < 2; ++v) {
+        base.push_back(data.Residual(c, n, v).val());
+        for (int l = 0; l < 12; ++l) base.push_back(data.Residual(c, n, v).dx(l));
+      }
+    }
+  }
+  pk::parallel_for(
+      "o",
+      pk::RangePolicy<pk::Serial, physics::LandIce_3D_Opt_Tag<6>>(data.C), k);
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < data.C; ++c) {
+    for (std::size_t n = 0; n < data.N; ++n) {
+      for (int v = 0; v < 2; ++v) {
+        EXPECT_NEAR(data.Residual(c, n, v).val(), base[i++], 1e-13);
+        for (int l = 0; l < 12; ++l) {
+          EXPECT_NEAR(data.Residual(c, n, v).dx(l), base[i++], 1e-13);
+        }
+      }
+    }
+  }
+}
+
+TEST(PrismKernel, TraceMinBytesMatchClosedForm) {
+  for (auto kind : {core::KernelKind::kResidual, core::KernelKind::kJacobian}) {
+    const auto rec = core::record_kernel_trace(
+        kind, physics::KernelVariant::kOptimized, 2048, 6, 6);
+    const auto from_trace = gpusim::ExecModel::theoretical_min_bytes(rec, 2048);
+    const auto closed = 2048u * perf::min_bytes_per_cell(
+                                    perf::stokes_fo_resid_arrays(
+                                        6, 6, core::scalar_bytes(kind, 6)));
+    EXPECT_EQ(from_trace, closed) << core::to_string(kind);
+  }
+}
+
+TEST(PrismKernel, JacobianScalarIsThirteenDoubles) {
+  EXPECT_EQ(core::scalar_bytes(core::KernelKind::kJacobian, 6),
+            13u * sizeof(double));
+  EXPECT_EQ(core::scalar_bytes(core::KernelKind::kJacobian, 8),
+            17u * sizeof(double));
+  EXPECT_EQ(core::scalar_bytes(core::KernelKind::kResidual, 6),
+            sizeof(double));
+}
+
+TEST(PrismKernel, UnsupportedTopologyThrows) {
+  EXPECT_THROW(core::record_kernel_trace(core::KernelKind::kResidual,
+                                         physics::KernelVariant::kOptimized,
+                                         64, 4, 4),
+               mali::Error);
 }

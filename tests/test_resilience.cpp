@@ -12,9 +12,6 @@
 //     NaN), and Krylov non-finite breakdown reporting;
 //   * SolverCheckpoint: bit-exact round trip (NaN / -0.0 / denormals) and
 //     a readable on-disk mirror of the last good Newton state;
-//   * continuation back-stepping: an inner divergence restores the
-//     pre-step state and retries at the geometric mean (halved log-space
-//     reduction); a retry that also diverges stops the walk early;
 //   * the clean path is bit-identical with the ladder armed or not.
 
 #include <gtest/gtest.h>
@@ -34,7 +31,6 @@
 #include "linalg/linear_operator.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/semicoarsening_amg.hpp"
-#include "nonlinear/continuation.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "resilience/checkpoint.hpp"
@@ -104,8 +100,8 @@ SolveOutcome run_mms(linalg::JacobianMode mode, FaultInjector* injector,
 
 /// Scalar toy problem F(u) = u - parameter (solution u == parameter) whose
 /// residual is poisoned with NaN whenever the parameter sits inside
-/// (window_lo, window_hi) — the continuation back-step tests walk through
-/// that window.
+/// (window_lo, window_hi) — the typed-exit test poisons every evaluation
+/// with a window around the parameter.
 class ScalarProblem : public nonlinear::NonlinearProblem {
  public:
   double parameter = 1.0;
@@ -550,17 +546,15 @@ TEST(RecoveryMatrix, InitialResidualFaultIsRetried) {
 
 TEST(RecoveryLadder, PersistentStallWalksToCheckpointRestore) {
   // A wrong-sign Jacobian stalls the line search on every attempt; the
-  // ladder must escalate grow-krylov -> (skipped rungs) -> restore, call
-  // on_restore, and finally accept the inexact step when the per-step
-  // budget runs out — bounded, logged, no infinite loop.
+  // ladder must escalate grow-krylov -> (skipped rungs) -> restore, and
+  // finally accept the inexact step when the per-step budget runs out —
+  // bounded, logged, no infinite loop.
   UphillProblem p;
   linalg::JacobiPreconditioner M;
   nonlinear::NewtonConfig ncfg;
   ncfg.max_iters = 1;
   ncfg.recovery.enabled = true;
   ncfg.recovery.max_attempts_per_step = 3;
-  int restores = 0;
-  ncfg.recovery.on_restore = [&](SolverCheckpoint&) { ++restores; };
   std::vector<double> U{1.0};
   const auto r = nonlinear::NewtonSolver(ncfg).solve(p, M, U);
   EXPECT_TRUE(r.line_search_stalled);
@@ -571,7 +565,6 @@ TEST(RecoveryLadder, PersistentStallWalksToCheckpointRestore) {
   // configured and the solve is already assembled.
   EXPECT_FALSE(r.recovery.tried(RecoveryRung::kClimbPreconditioner));
   EXPECT_FALSE(r.recovery.tried(RecoveryRung::kAssembledFallback));
-  EXPECT_GE(restores, 1);
   EXPECT_LE(static_cast<int>(r.recovery.size()),
             ncfg.recovery.max_attempts_per_step);
 }
@@ -658,78 +651,6 @@ TEST(Checkpoint, NewtonMirrorsLastGoodStateToDisk) {
   EXPECT_EQ(c.U.size(),
             StokesFOProblem(mms_config(linalg::JacobianMode::kAssembled))
                 .n_dofs());
-}
-
-// ---------------------------------------------------------------------------
-// Continuation back-stepping
-// ---------------------------------------------------------------------------
-
-TEST(ContinuationBackstep, RetriesAtTheGeometricMeanAndFinishes) {
-  ScalarProblem p;
-  p.window_lo = 8.0e-5;   // the walk's 1e-4 step lands in the window...
-  p.window_hi = 2.0e-4;   // ...but the geometric-mean retry (3.16e-4) not
-  linalg::JacobiPreconditioner M;
-  nonlinear::ContinuationConfig ccfg;
-  ccfg.start_parameter = 1.0e-2;
-  ccfg.target_parameter = 1.0e-5;
-  ccfg.reduction = 0.1;
-  std::vector<double> U{0.0};
-  const auto r = nonlinear::continuation_solve(
-      p, M, [&](double e) { p.parameter = e; }, U, ccfg);
-
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.stopped_early);
-  EXPECT_EQ(r.backsteps, 1);
-  ASSERT_EQ(r.backstep_steps.size(), 1u);
-  ASSERT_EQ(r.parameters.size(), r.inner.size());
-  // The recorded retry ran at sqrt(last_good * failed) — the halved
-  // (log-space) reduction.
-  const auto k = static_cast<std::size_t>(r.backstep_steps[0]);
-  EXPECT_NEAR(r.parameters[k], std::sqrt(1.0e-3 * 1.0e-4),
-              1e-12 * r.parameters[k]);
-  EXPECT_DOUBLE_EQ(r.final_parameter, 1.0e-5);
-  // The walk ends converged at the target with the physical solution.
-  EXPECT_NEAR(U[0], 1.0e-5, 1e-10);
-}
-
-TEST(ContinuationBackstep, StopsEarlyWhenTheRetryAlsoDiverges) {
-  ScalarProblem p;
-  p.window_lo = 5.0e-5;  // swallows both the 1e-4 step and the 3.16e-4
-  p.window_hi = 5.0e-4;  // geometric-mean retry
-  linalg::JacobiPreconditioner M;
-  nonlinear::ContinuationConfig ccfg;
-  ccfg.start_parameter = 1.0e-2;
-  ccfg.target_parameter = 1.0e-6;
-  ccfg.reduction = 0.1;
-  std::vector<double> U{0.0};
-  const auto r = nonlinear::continuation_solve(
-      p, M, [&](double e) { p.parameter = e; }, U, ccfg);
-
-  EXPECT_FALSE(r.converged);
-  EXPECT_TRUE(r.stopped_early);
-  EXPECT_EQ(r.backsteps, 1);
-  // The problem is left at the last good parameter, with the last good
-  // solution restored (the 1e-3 solve's answer, not poisoned garbage).
-  EXPECT_DOUBLE_EQ(p.parameter, 1.0e-3);
-  EXPECT_TRUE(std::isfinite(U[0]));
-  EXPECT_NEAR(U[0], 1.0e-3, 1e-9);
-}
-
-TEST(ContinuationBackstep, StopsWithoutRetryWhenTheFirstStepDiverges) {
-  ScalarProblem p;
-  p.window_lo = 5.0e-3;  // the start parameter itself is poisoned
-  p.window_hi = 5.0e-2;
-  linalg::JacobiPreconditioner M;
-  nonlinear::ContinuationConfig ccfg;
-  ccfg.start_parameter = 1.0e-2;
-  ccfg.target_parameter = 1.0e-6;
-  ccfg.reduction = 0.1;
-  std::vector<double> U{0.0};
-  const auto r = nonlinear::continuation_solve(
-      p, M, [&](double e) { p.parameter = e; }, U, ccfg);
-  EXPECT_FALSE(r.converged);
-  EXPECT_TRUE(r.stopped_early);
-  EXPECT_EQ(r.backsteps, 0);  // nothing good to back-step toward
 }
 
 // ---------------------------------------------------------------------------

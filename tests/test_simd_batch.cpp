@@ -1,22 +1,18 @@
 // SIMD element-batching battery (ctest -L simd): pk::simd pack semantics,
 // the batched range policy, --simd parsing, batched == scalar equivalence
-// for the fused residual chain and the matrix-free tangent (hex8 AND
-// wedge6, every scatter mode, ragged tails), the pow-hoist bitwise pin,
-// the kMaxNodes typed-error guards across the fused kernel family, and the
-// workset basal-side-set validator.
+// for the fused residual chain and the matrix-free tangent (hex8, every
+// scatter mode, ragged tails; the chain also on a synthetic 6-node
+// element), the pow-hoist bitwise pin, the kMaxNodes typed-error guards
+// across the fused kernel family, and the workset basal-side-set validator.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "fem/cell_geometry.hpp"
-#include "fem/prism_geometry.hpp"
-#include "fem/wedge6.hpp"
-#include "mesh/tri_grid.hpp"
 #include "physics/eval_types.hpp"
 #include "physics/fused_chain.hpp"
 #include "physics/fused_chain_batched.hpp"
@@ -364,7 +360,7 @@ TEST(SimdProblemEquivalence, BatchedResultsDoNotDependOnWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Standalone kernel equivalence, including n_cells < W and wedge6
+// Standalone kernel equivalence, including n_cells < W and six nodes
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -493,44 +489,76 @@ TEST(SimdBatchedKernel, SmallCellCountsMatchWidthOne) {
 }
 
 TEST(SimdBatchedKernel, Wedge6BatchedMatchesScalarStreamingChain) {
-  // Prism workset: 6-node wedges, 6 qps, built by build_prism_geometry with
-  // the same padded layout.  The scalar reference is the streaming
-  // FusedStokesChain on the precomputed gradBF/wGradBF/wBF arrays; the
-  // batched chain recomputes geometry from coords + Wedge6 reference data.
-  mesh::IceGeometry geom{};
-  auto quads =
-      std::make_shared<mesh::QuadGrid>(geom, mesh::QuadGridConfig{250.0e3});
-  mesh::TriGrid tris{quads};
-  fem::GeometryWorkset ws = fem::build_prism_geometry(tris, geom, 3);
-  const std::size_t C = ws.n_cells;
-  const std::size_t Cp = ws.n_cells_padded;
-  const int N = ws.num_nodes;
-  const int Q = ws.num_qps;
-  ASSERT_EQ(N, 6);
-  ASSERT_EQ(Q, 6);
-
+  // Synthetic 6-node, 6-qp elements (the wedge's shape) with random nodal
+  // coordinates and random reference basis values and gradients.  The
+  // scalar reference is the streaming FusedStokesChain on gradBF/wGradBF/
+  // wBF computed here by the isoparametric map; the batched chain
+  // recomputes the same geometry from coords + the reference data.
+  constexpr int N = 6;
+  constexpr int Q = 6;
+  constexpr std::size_t C = 13;  // ragged against every width
   BatchedChainData d(C, N, Q, 7);
-  for (std::size_t c = 0; c < Cp; ++c) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t c = 0; c < d.Cp; ++c) {
     for (int k = 0; k < N; ++k) {
-      for (int x = 0; x < 3; ++x) d.coords(c, k, x) = ws.coords(c, k, x);
+      for (int x = 0; x < 3; ++x) d.coords(c, k, x) = dist(rng);
     }
   }
-  const auto qps = fem::gauss_wedge();
   for (int q = 0; q < Q; ++q) {
-    d.qp_weight(q) = qps[static_cast<std::size_t>(q)].weight;
+    d.qp_weight(q) = 0.5 + 0.5 * dist(rng);
     for (int k = 0; k < N; ++k) {
-      const auto& qp = qps[static_cast<std::size_t>(q)];
-      d.ref_val(q, k) = fem::Wedge6Basis::value(k, qp.xi, qp.eta, qp.zeta);
-      const auto g = fem::Wedge6Basis::gradient(k, qp.xi, qp.eta, qp.zeta);
-      for (int x = 0; x < 3; ++x) d.ref_grad(q, k, x) = g[x];
+      d.ref_val(q, k) = dist(rng);
+      for (int x = 0; x < 3; ++x) d.ref_grad(q, k, x) = dist(rng);
+    }
+  }
+
+  pk::View<double, 4> gradBF("gradBF", d.Cp, N, Q, 3);
+  pk::View<double, 4> wGradBF("wGradBF", d.Cp, N, Q, 3);
+  pk::View<double, 3> wBF("wBF", d.Cp, N, Q);
+  for (std::size_t c = 0; c < C; ++c) {
+    for (int q = 0; q < Q; ++q) {
+      double J[3][3] = {};
+      for (int k = 0; k < N; ++k) {
+        for (int i = 0; i < 3; ++i) {
+          for (int j = 0; j < 3; ++j) {
+            J[i][j] += d.coords(c, k, i) * d.ref_grad(q, k, j);
+          }
+        }
+      }
+      const double det = J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
+                         J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
+                         J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
+      ASSERT_GT(std::abs(det), 1e-3) << "ill-conditioned fixture, cell " << c;
+      const double inv_det = 1.0 / det;
+      double inv[3][3];
+      inv[0][0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) * inv_det;
+      inv[0][1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) * inv_det;
+      inv[0][2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) * inv_det;
+      inv[1][0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) * inv_det;
+      inv[1][1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) * inv_det;
+      inv[1][2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) * inv_det;
+      inv[2][0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) * inv_det;
+      inv[2][1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) * inv_det;
+      inv[2][2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) * inv_det;
+      const double w = d.qp_weight(q) * det;
+      for (int k = 0; k < N; ++k) {
+        wBF(c, k, q) = d.ref_val(q, k) * w;
+        for (int x = 0; x < 3; ++x) {
+          double g = 0.0;
+          for (int j = 0; j < 3; ++j) g += inv[j][x] * d.ref_grad(q, k, j);
+          gradBF(c, k, q, x) = g;
+          wGradBF(c, k, q, x) = g * w;
+        }
+      }
     }
   }
 
   physics::FusedStokesChain<double> scalar_chain;
   scalar_chain.UNodal = d.UNodal;
-  scalar_chain.gradBF = ws.gradBF;
-  scalar_chain.wGradBF = ws.wGradBF;
-  scalar_chain.wBF = ws.wBF;
+  scalar_chain.gradBF = gradBF;
+  scalar_chain.wGradBF = wGradBF;
+  scalar_chain.wBF = wBF;
   scalar_chain.force_passive = d.force_passive;
   scalar_chain.Residual = d.R_scalar;
   scalar_chain.numNodes = static_cast<unsigned>(N);
@@ -740,13 +768,6 @@ TEST(KMaxNodesGuard, GuardPropagatesThroughThreadedDispatch) {
 TEST(WorksetValidation, BuiltWorksetsPass) {
   StokesFOProblem problem(small_config(1, ScatterMode::kSerial));
   EXPECT_NO_THROW(fem::validate_workset(problem.workset()));
-
-  mesh::IceGeometry geom{};
-  auto quads =
-      std::make_shared<mesh::QuadGrid>(geom, mesh::QuadGridConfig{250.0e3});
-  mesh::TriGrid tris{quads};
-  const auto prism_ws = fem::build_prism_geometry(tris, geom, 3);
-  EXPECT_NO_THROW(fem::validate_workset(prism_ws));
 }
 
 TEST(WorksetValidation, ReportsFaceWithOutOfRangeCell) {
