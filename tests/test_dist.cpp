@@ -509,6 +509,142 @@ TEST(HaloExchange, ExportAddCompletesPartialSumsAtOwners) {
   }
 }
 
+TEST(HaloExchange, ExportAddLeavesGhostPartialsInPlace) {
+  // export_add only completes owned entries: a ghost keeps the local
+  // partial it held (the linearization reads owned node blocks only, so it
+  // exports without a refreshing import).
+  HaloFixture f;
+  constexpr int kRanks = 4;
+  constexpr std::size_t kLevels = 2;
+  constexpr std::size_t kPerNode = 4;  // the 2x2 node-block plan
+  const auto part = mesh::partition_strips(f.grid, kRanks);
+  const std::size_t n = f.grid.n_nodes() * kLevels * kPerNode;
+  dist::CommWorld world(kRanks);
+  std::vector<std::vector<double>> before(kRanks), after(kRanks);
+  pk::ThreadPool::parallel_tasks(kRanks, [&](std::size_t r) {
+    dist::Communicator comm(world, static_cast<int>(r));
+    dist::HaloExchange halo(comm, part, static_cast<int>(r), kLevels,
+                            kPerNode, 0);
+    std::vector<double> x(n, 0.0);
+    for (const std::size_t col : part.local_columns[r]) {
+      for (std::size_t i = col * kLevels * kPerNode;
+           i < (col + 1) * kLevels * kPerNode; ++i) {
+        x[i] = std::cos(static_cast<double>(i + 7 * r));
+      }
+    }
+    before[r] = x;
+    halo.export_add(x);
+    after[r] = std::move(x);
+  });
+  std::size_t ghosts = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    ghosts += part.ghost_column_ids[rs].size();
+    for (const std::size_t col : part.ghost_column_ids[rs]) {
+      for (std::size_t i = col * kLevels * kPerNode;
+           i < (col + 1) * kLevels * kPerNode; ++i) {
+        EXPECT_EQ(after[rs][i], before[rs][i]) << "rank " << r << " entry " << i;
+      }
+    }
+  }
+  EXPECT_GT(ghosts, 0u);
+}
+
+TEST(HaloExchange, StatsCountExchangesAndBytesAndResetClears) {
+  // An import sends the owned columns each neighbor ghosts; an export sends
+  // the ghost columns back.  Each completed operation counts once.
+  HaloFixture f;
+  constexpr int kRanks = 3;
+  constexpr std::size_t kLevels = 3;
+  constexpr std::size_t kPerNode = 4;
+  const auto part = mesh::partition_strips(f.grid, kRanks);
+  const std::size_t n = f.grid.n_nodes() * kLevels * kPerNode;
+  dist::CommWorld world(kRanks);
+  std::vector<dist::HaloStats> after_import(kRanks), after_export(kRanks),
+      after_reset(kRanks);
+  pk::ThreadPool::parallel_tasks(kRanks, [&](std::size_t r) {
+    dist::Communicator comm(world, static_cast<int>(r));
+    dist::HaloExchange halo(comm, part, static_cast<int>(r), kLevels,
+                            kPerNode, 0);
+    std::vector<double> x(n, 1.0);
+    halo.import_ghosts(x);
+    after_import[r] = halo.stats();
+    halo.export_add(x);
+    after_export[r] = halo.stats();
+    halo.reset_stats();
+    after_reset[r] = halo.stats();
+  });
+  const std::size_t per_column = kLevels * kPerNode * sizeof(double);
+  std::size_t total_send = 0, total_recv = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    std::size_t send_cols = 0, recv_cols = 0;
+    for (const auto& cols : part.send_columns[rs]) send_cols += cols.size();
+    for (const auto& cols : part.recv_columns[rs]) recv_cols += cols.size();
+    total_send += send_cols;
+    total_recv += recv_cols;
+    EXPECT_EQ(after_import[rs].exchanges, 1u);
+    EXPECT_EQ(after_import[rs].bytes_sent, send_cols * per_column);
+    EXPECT_EQ(after_export[rs].exchanges, 2u);
+    EXPECT_EQ(after_export[rs].bytes_sent,
+              (send_cols + recv_cols) * per_column);
+    EXPECT_EQ(after_reset[rs].exchanges, 0u);
+    EXPECT_EQ(after_reset[rs].bytes_sent, 0u);
+    EXPECT_EQ(after_reset[rs].total_s(), 0.0);
+  }
+  // Every column sent by an import is received once.
+  EXPECT_GT(total_send, 0u);
+  EXPECT_EQ(total_send, total_recv);
+}
+
+TEST(HaloExchange, SplitPhaseImportMatchesBlockingImport) {
+  // post_import + finish_import, with a write to the owned entries in
+  // between, assigns the ghosts the values posted, bit for bit the
+  // blocking import's.
+  HaloFixture f;
+  constexpr int kRanks = 4;
+  constexpr std::size_t kLevels = 3;
+  const auto part = mesh::partition_blocks(f.grid, 2, 2);
+  const std::size_t n = f.grid.n_nodes() * kLevels * 2;
+  dist::CommWorld world(kRanks);
+  std::vector<std::vector<double>> blocking(kRanks), split(kRanks);
+  pk::ThreadPool::parallel_tasks(kRanks, [&](std::size_t r) {
+    dist::Communicator comm(world, static_cast<int>(r));
+    dist::HaloExchange halo(comm, part, static_cast<int>(r), kLevels, 2, 0);
+    std::vector<double> x(n, -1.0);
+    for (const std::size_t col : part.owned_column_ids[r]) {
+      for (std::size_t i = col * kLevels * 2; i < (col + 1) * kLevels * 2;
+           ++i) {
+        x[i] = std::sin(0.1 * static_cast<double>(i));
+      }
+    }
+    std::vector<double> y = x;
+    halo.import_ghosts(x);
+    blocking[r] = std::move(x);
+    halo.post_import(y);
+    for (const std::size_t col : part.owned_column_ids[r]) {
+      y[col * kLevels * 2] += 1.0;  // owned work overlapping the exchange
+    }
+    halo.finish_import(y);
+    split[r] = std::move(y);
+  });
+  std::size_t ghosts = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    ghosts += part.ghost_column_ids[rs].size();
+    for (const std::size_t col : part.ghost_column_ids[rs]) {
+      for (std::size_t i = col * kLevels * 2; i < (col + 1) * kLevels * 2;
+           ++i) {
+        EXPECT_EQ(std::memcmp(&split[rs][i], &blocking[rs][i], sizeof(double)),
+                  0)
+            << "rank " << r << " entry " << i;
+        EXPECT_EQ(split[rs][i], std::sin(0.1 * static_cast<double>(i)));
+      }
+    }
+  }
+  EXPECT_GT(ghosts, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Distributed residual protocol
 // ---------------------------------------------------------------------------

@@ -84,6 +84,53 @@ TEST(Quad4, PartitionOfUnity) {
   }
 }
 
+TEST(Quad4, KroneckerPropertyAtNodes) {
+  for (int i = 0; i < 4; ++i) {
+    const auto ci = Quad4Basis::node_coord(i);
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_NEAR(Quad4Basis::value(j, ci[0], ci[1]), i == j ? 1.0 : 0.0,
+                  1e-14);
+    }
+  }
+}
+
+class Quad4RandomPoint : public ::testing::TestWithParam<int> {};
+
+TEST_P(Quad4RandomPoint, PartitionOfUnityAndGradients) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()));
+  std::uniform_real_distribution<double> dist(-0.9, 0.9);
+  const double xi = dist(rng), eta = dist(rng);
+  double sum = 0.0, g[2] = {0, 0};
+  for (int k = 0; k < 4; ++k) {
+    sum += Quad4Basis::value(k, xi, eta);
+    const auto gr = Quad4Basis::gradient(k, xi, eta);
+    g[0] += gr[0];
+    g[1] += gr[1];
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-14);
+  EXPECT_NEAR(g[0], 0.0, 1e-14);
+  EXPECT_NEAR(g[1], 0.0, 1e-14);
+
+  // Gradient vs central differences (exact up to rounding: N_k is linear
+  // in each coordinate separately).
+  const double h = 1e-6;
+  for (int k = 0; k < 4; ++k) {
+    const auto gr = Quad4Basis::gradient(k, xi, eta);
+    EXPECT_NEAR(gr[0],
+                (Quad4Basis::value(k, xi + h, eta) -
+                 Quad4Basis::value(k, xi - h, eta)) /
+                    (2 * h),
+                1e-9);
+    EXPECT_NEAR(gr[1],
+                (Quad4Basis::value(k, xi, eta + h) -
+                 Quad4Basis::value(k, xi, eta - h)) /
+                    (2 * h),
+                1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Quad4RandomPoint, ::testing::Range(0, 6));
+
 // Gauss quadrature integrates polynomials of degree <= 2n-1 exactly.
 class GaussExactness : public ::testing::TestWithParam<int> {};
 
@@ -118,6 +165,84 @@ TEST(GaussHex, IntegratesTrilinearExactly) {
     num += q.weight * (1 + q.xi) * (2 + q.eta) * (3 - q.zeta);
   }
   EXPECT_NEAR(num, 48.0, 1e-12);
+}
+
+namespace {
+
+/// Exact integral of x^p over [-1, 1].
+double monomial_integral(int p) { return (p % 2 == 0) ? 2.0 / (p + 1) : 0.0; }
+
+}  // namespace
+
+TEST(GaussHex, IntegratesTricubicMonomialsExactly) {
+  // The 2-point rule is exact to degree 3 in each direction separately, so
+  // every x^a y^b z^c with a, b, c <= 3 (up to total degree 9) is exact.
+  const auto qps = fem::gauss_hex(2);
+  for (int a = 0; a <= 3; ++a) {
+    for (int b = 0; b <= 3; ++b) {
+      for (int c = 0; c <= 3; ++c) {
+        double num = 0.0;
+        for (const auto& q : qps) {
+          num += q.weight * std::pow(q.xi, a) * std::pow(q.eta, b) *
+                 std::pow(q.zeta, c);
+        }
+        EXPECT_NEAR(num,
+                    monomial_integral(a) * monomial_integral(b) *
+                        monomial_integral(c),
+                    1e-13)
+            << "x^" << a << " y^" << b << " z^" << c;
+      }
+    }
+  }
+}
+
+TEST(GaussHex, ThreePointRuleIsExactToDegreeFivePerDirection) {
+  const auto qps = fem::gauss_hex(3);
+  ASSERT_EQ(qps.size(), 27u);
+  for (int a = 0; a <= 5; ++a) {
+    for (int c = 0; c <= 5; ++c) {
+      double num = 0.0;
+      for (const auto& q : qps) {
+        num += q.weight * std::pow(q.xi, a) * q.eta * q.eta *
+               std::pow(q.zeta, c);
+      }
+      EXPECT_NEAR(num,
+                  monomial_integral(a) * monomial_integral(2) *
+                      monomial_integral(c),
+                  1e-13)
+          << "x^" << a << " y^2 z^" << c;
+    }
+  }
+  // x^6 is beyond the rule: the error is the classic 3-point defect.
+  double num = 0.0;
+  for (const auto& q : qps) num += q.weight * std::pow(q.xi, 6);
+  EXPECT_GT(std::abs(num / 4.0 - monomial_integral(6)), 1e-3);
+}
+
+TEST(GaussQuad, WeightsSumToAreaAndPointsLieInside) {
+  const auto qps = fem::gauss_quad(2);
+  ASSERT_EQ(qps.size(), 4u);  // the basal side set's face_qps
+  double w = 0.0;
+  for (const auto& q : qps) {
+    w += q.weight;
+    EXPECT_LT(std::abs(q.xi), 1.0);
+    EXPECT_LT(std::abs(q.eta), 1.0);
+  }
+  EXPECT_NEAR(w, 4.0, 1e-14);
+}
+
+TEST(GaussQuad, IntegratesBicubicMonomialsExactly) {
+  const auto qps = fem::gauss_quad(2);
+  for (int a = 0; a <= 3; ++a) {
+    for (int b = 0; b <= 3; ++b) {
+      double num = 0.0;
+      for (const auto& q : qps) {
+        num += q.weight * std::pow(q.xi, a) * std::pow(q.eta, b);
+      }
+      EXPECT_NEAR(num, monomial_integral(a) * monomial_integral(b), 1e-14)
+          << "x^" << a << " y^" << b;
+    }
+  }
 }
 
 // ---- geometry workset on a real extruded mesh ----
@@ -168,6 +293,33 @@ TEST_F(GeometryWorksetTest, WbfSumsToCellVolume) {
     for (int q = 0; q < 8; ++q) detvol += ws.detJ(c, q) * qps[static_cast<std::size_t>(q)].weight;
     EXPECT_NEAR(vol, detvol, 1e-6 * std::abs(detvol));
     EXPECT_GT(vol, 0.0);
+  }
+}
+
+TEST_F(GeometryWorksetTest, ColumnVolumesMatchCornerMeanThickness) {
+  // A column of hexes over a dx-by-dx base cell has straight vertical edges
+  // and a bilinear top and bottom, so its volume is dx^2 times the mean of
+  // the four corner thicknesses, and the 2x2x2 rule integrates each detJ
+  // exactly.
+  const auto qps = fem::gauss_hex(2);
+  const std::size_t top = msh.levels() - 1;
+  const auto layers = static_cast<std::size_t>(msh.n_layers());
+  for (std::size_t bc = 0; bc < base->n_cells(); bc += 3) {
+    double vol = 0.0;
+    for (std::size_t l = 0; l < layers; ++l) {
+      const std::size_t c = msh.cell_id(bc, l);
+      for (int q = 0; q < ws.num_qps; ++q) {
+        vol += ws.detJ(c, q) * qps[static_cast<std::size_t>(q)].weight;
+      }
+    }
+    double mean_h = 0.0;
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t col = base->cell_node(bc, k);
+      mean_h += 0.25 * (msh.node_z(msh.node_id(col, top)) -
+                        msh.node_z(msh.node_id(col, 0)));
+    }
+    const double expected = base->dx() * base->dx() * mean_h;
+    EXPECT_NEAR(vol, expected, 1e-9 * expected) << "base cell " << bc;
   }
 }
 

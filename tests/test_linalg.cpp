@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "linalg/crs_matrix.hpp"
@@ -87,6 +88,39 @@ TEST(CrsMatrix, ApplyMatchesDense) {
     for (std::size_t j = 0; j < 4; ++j) e += d[i][j] * x[j];
     EXPECT_NEAR(y[i], e, 1e-14);
   }
+}
+
+TEST(CrsMatrix, ApplyOverwritesStaleOutputOfAnySize) {
+  // apply() sizes y itself and writes every row: whatever y held before
+  // (longer, shorter, NaN) must not leak into the product.
+  const CrsMatrix A = laplacian_1d(6);
+  const std::vector<double> x = {1, -2, 3, 0.5, 4, -1};
+  std::vector<double> ref;
+  A.apply(x, ref);
+  ASSERT_EQ(ref.size(), 6u);
+  for (const std::size_t n0 : {0u, 3u, 6u, 11u}) {
+    std::vector<double> y(n0, std::numeric_limits<double>::quiet_NaN());
+    A.apply(x, y);
+    ASSERT_EQ(y.size(), 6u) << "stale size " << n0;
+    for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(y[i], ref[i]) << i;
+  }
+}
+
+TEST(CrsMatrix, ApplyWritesZeroOnRowsWithoutEntries) {
+  // Rows 1 and 3 hold no entries; their products are exactly +0.
+  CrsMatrix A({0, 2, 2, 3, 3}, {0, 3, 2});
+  ASSERT_EQ(A.n_rows(), 4u);
+  A.set(0, 0, 2.0);
+  A.set(0, 3, -1.0);
+  A.set(2, 2, 5.0);
+  std::vector<double> y(4, std::numeric_limits<double>::quiet_NaN());
+  A.apply({1, 2, 3, 4}, y);
+  EXPECT_EQ(y[0], -2.0);
+  EXPECT_EQ(y[1], 0.0);
+  EXPECT_FALSE(std::signbit(y[1]));
+  EXPECT_EQ(y[2], 15.0);
+  EXPECT_EQ(y[3], 0.0);
+  EXPECT_FALSE(std::signbit(y[3]));
 }
 
 TEST(CrsMatrix, AddSetGetAndIdentityRow) {

@@ -186,6 +186,30 @@ TEST_F(QuadGridTest, MarginNodesExistAndFormBoundary) {
   EXPECT_GT(rmin, 0.2 * geom.config().radius_m);
 }
 
+TEST_F(QuadGridTest, EdgesAreSharedOppositelyAndBoundaryEdgesJoinMargins) {
+  // CCW cells that tile without overlap walk each shared edge in opposite
+  // directions, so no directed edge repeats; an edge only one cell walks
+  // borders an inactive cell, so both its ends are margin nodes.
+  std::set<std::pair<std::size_t, std::size_t>> directed;
+  for (std::size_t c = 0; c < grid.n_cells(); ++c) {
+    for (int k = 0; k < 4; ++k) {
+      const auto e = std::make_pair(grid.cell_node(c, k),
+                                    grid.cell_node(c, (k + 1) % 4));
+      EXPECT_TRUE(directed.insert(e).second)
+          << "edge " << e.first << "->" << e.second << " walked twice";
+    }
+  }
+  std::size_t boundary = 0;
+  for (const auto& [a, b] : directed) {
+    if (directed.count({b, a}) != 0) continue;
+    ++boundary;
+    EXPECT_TRUE(grid.is_margin_node(a)) << "node " << a;
+    EXPECT_TRUE(grid.is_margin_node(b)) << "node " << b;
+  }
+  EXPECT_GT(boundary, 0u);
+  EXPECT_LT(boundary, directed.size());
+}
+
 TEST_F(QuadGridTest, CellCentroidsHaveIce) {
   for (std::size_t c = 0; c < grid.n_cells(); ++c) {
     double x, y;

@@ -10,8 +10,9 @@
 //     loudly with the matching SolverFault — never a silent NaN;
 //   * typed non-finite Newton exits (satellite: no iterating to the cap on
 //     NaN), and Krylov non-finite breakdown reporting;
-//   * SolverCheckpoint: bit-exact round trip (NaN / -0.0 / denormals) and
-//     a readable on-disk mirror of the last good Newton state;
+//   * SolverCheckpoint: bit-exact round trip (NaN / -0.0 / denormals),
+//     truncated files rejected, and a readable on-disk mirror of the last
+//     good Newton state;
 //   * the clean path is bit-identical with the ladder armed or not.
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -569,6 +572,30 @@ TEST(RecoveryLadder, PersistentStallWalksToCheckpointRestore) {
             ncfg.recovery.max_attempts_per_step);
 }
 
+TEST(RecoveryLadder, RestoreRungPutsBackTheInitialCapture) {
+  // No step is ever accepted cleanly, so the only capture is the initial
+  // state (step 0, ||F|| = |u0|); the restore rung must name it.
+  UphillProblem p;
+  linalg::JacobiPreconditioner M;
+  nonlinear::NewtonConfig ncfg;
+  ncfg.max_iters = 1;
+  ncfg.recovery.enabled = true;
+  ncfg.recovery.max_attempts_per_step = 3;
+  std::vector<double> U{2.0};
+  const auto r = nonlinear::NewtonSolver(ncfg).solve(p, M, U);
+  int restores = 0;
+  for (const auto& a : r.recovery.attempts) {
+    EXPECT_EQ(a.newton_step, 1);
+    if (a.rung != RecoveryRung::kRestoreCheckpoint) continue;
+    ++restores;
+    EXPECT_NE(a.action.find("restored checkpoint from step 0"),
+              std::string::npos)
+        << a.action;
+    EXPECT_NE(a.action.find("(||F|| 2)"), std::string::npos) << a.action;
+  }
+  EXPECT_GE(restores, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Clean-path bit-identity
 // ---------------------------------------------------------------------------
@@ -630,6 +657,45 @@ TEST(Checkpoint, LoadRejectsMissingAndMalformedFiles) {
   std::fclose(f);
   EXPECT_THROW(load_checkpoint(path), Error);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRejectsTruncatedHeaderAndPayload) {
+  SolverCheckpoint c;
+  c.U = {1.0, 2.0, 3.0, 4.0, 5.0};
+  c.residual_norm = 0.5;
+  c.newton_step = 2;
+  c.valid = true;
+  const std::string path = "test_resilience_trunc_ckpt.bin";
+  c.save(path);
+  std::ifstream is(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  is.close();
+  // The header is 8 magic + 4 version + 4 step + 8 norm + 8 parameter +
+  // 8 length bytes, followed by the payload.
+  ASSERT_EQ(bytes.size(), 40u + c.U.size() * sizeof(double));
+  const auto write_prefix = [&](std::size_t len) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(len));
+  };
+  write_prefix(bytes.size() - sizeof(double));  // payload one value short
+  EXPECT_THROW(static_cast<void>(load_checkpoint(path)), Error);
+  write_prefix(30);  // cut inside the header
+  EXPECT_THROW(static_cast<void>(load_checkpoint(path)), Error);
+  write_prefix(bytes.size());  // the intact file still loads
+  EXPECT_EQ(load_checkpoint(path).U, c.U);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, NewtonWritesTheParameterSlotAsPositiveZero) {
+  const std::string path = "test_resilience_param_ckpt.bin";
+  const auto out =
+      run_mms(linalg::JacobianMode::kAssembled, nullptr, false, true, path);
+  ASSERT_TRUE(out.newton.converged);
+  const SolverCheckpoint c = load_checkpoint(path);
+  std::remove(path.c_str());
+  const double zero = 0.0;
+  EXPECT_EQ(std::memcmp(&c.parameter, &zero, sizeof(double)), 0);
 }
 
 TEST(Checkpoint, NewtonMirrorsLastGoodStateToDisk) {
