@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   const bool no_applies = rows[1].setup_applies == 0 &&
                           rows[0].setup_applies == probing.n_probes();
   std::printf("AMG fine matrix (%zu nonzeros), median of %d:\n",
-              probing.graph_nnz(), reps);
+              assembled.nnz(), reps);
   perf::Table bt({"fine matrix", "build (ms)", "AMG compute (ms)",
                   "operator applies"});
   for (const BuildRow& r : rows) {
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     w.key("layers").value(cfg.n_layers);
     w.key("cells").value(problem.mesh().n_cells());
     w.key("dofs").value(n);
-    w.key("fine_nnz").value(probing.graph_nnz());
+    w.key("fine_nnz").value(assembled.nnz());
     w.key("threads").value(pk::ThreadPool::instance().size());
     w.key("reps").value(reps);
     w.end_object();
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
   // ---- byte model: what the probe costs, what each V-cycle streams ----
   perf::JacobianApplyModel jm;
   jm.n_rows = n;
-  jm.nnz = problem.create_matrix().nnz();
+  jm.nnz = problem.dof_map().graph()->cols.size();
   jm.n_cells = problem.mesh().n_cells();
   jm.n_nodes = problem.mesh().n_nodes();
   jm.num_nodes = problem.workset().num_nodes;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Unlinked-code gate: lists the mali:: functions defined in libmali.a that
 # no shipped executable contains (tools/, bench/, examples/ and bench/e2e's
-# bench_e2e) and fails on any that scripts/unlinked_allow.txt does not name.
+# bench_e2e) and fails on any that scripts/unlinked_allow.txt does not name,
+# and on any allow-list line that matches none of them.
 #
 #   scripts/check_unlinked.sh [WORK_DIR]     (default: build-unlinked)
 #
@@ -54,14 +55,28 @@ comm -23 "$tmp/lib" "$tmp/exe" | c++filt | sort -u > "$tmp/unlinked"
 sed -E -e '/^[[:space:]]*(#|$)/d' -e 's/[[:space:]]+\|[[:space:]]+[^|]*$//' \
   "$allow" > "$tmp/patterns"
 grep -Ev -f "$tmp/patterns" "$tmp/unlinked" > "$tmp/bad" || true
+# A line that matches nothing is stale: its function was deleted, or a
+# shipped executable links it now.
+while IFS= read -r pattern; do
+  grep -Eq -e "$pattern" "$tmp/unlinked" || echo "$pattern"
+done < "$tmp/patterns" > "$tmp/stale"
 
 echo "check_unlinked: ${#exes[@]} executables," \
      "$(wc -l < "$tmp/lib") library functions," \
      "$(wc -l < "$tmp/unlinked") unlinked," \
-     "$(wc -l < "$tmp/bad") not allowed"
+     "$(wc -l < "$tmp/bad") not allowed," \
+     "$(wc -l < "$tmp/stale") stale allow-list lines"
+status=0
 if [ -s "$tmp/bad" ]; then
   echo "mali:: functions no shipped executable links (delete them, or list"
   echo "them in scripts/unlinked_allow.txt with the test that calls them):"
   cat "$tmp/bad"
-  exit 1
+  status=1
 fi
+if [ -s "$tmp/stale" ]; then
+  echo "scripts/unlinked_allow.txt lines that match no unlinked function"
+  echo "(delete them):"
+  cat "$tmp/stale"
+  status=1
+fi
+exit "$status"

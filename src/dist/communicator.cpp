@@ -325,10 +325,9 @@ void CommWorld::abort_with(const resilience::CommFault& fault) {
     if (!aborted_) {
       fault_ = fault;
     } else {
-      // Deterministic agreement among racing reporters: root-cause faults
-      // beat induced timeouts; within a severity the lowest detecting rank
-      // wins.  Every interleaving of abort_with calls converges to the same
-      // record.
+      // Agreement among the ranks that report: root-cause faults beat
+      // induced timeouts; within a severity the lowest reporting rank wins,
+      // whatever order those abort_with calls arrive in.
       const int sn = severity(fault.type);
       const int so = severity(fault_.type);
       if (sn > so ||

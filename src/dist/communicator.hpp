@@ -18,10 +18,11 @@
 // Failure contract: abort() poisons the world — every blocked or future
 // collective/recv throws CommAborted instead of deadlocking, so one
 // throwing rank cannot strand the others in a barrier.  abort_with()
-// additionally records a typed resilience::CommFault; when several ranks
-// race to poison the world, the record kept is deterministic: integrity
-// and injected faults outrank derived timeouts, ties go to the lowest
-// detecting rank — the "collective fault agreement" of DESIGN.md §16.
+// additionally records a typed resilience::CommFault: the highest severity
+// among the faults reported (integrity/injected > timeout), ties to the
+// lowest reporting rank.  Which ranks report depends on timing — a rank that
+// wakes in a poisoned world throws CommAborted without verifying — so a
+// fault several ranks could see may be recorded from any of them.
 //
 // Guard contract (CommGuardConfig): with a timeout configured, every
 // blocking wait (barrier arrival, mailbox receive, reduction completion)
@@ -147,9 +148,9 @@ class CommWorld {
   /// Poison the world: wakes every blocked call, which then throws
   /// CommAborted; all future blocking calls throw immediately.
   void abort();
-  /// abort() plus a typed fault record.  Racing records resolve
-  /// deterministically: higher-severity fault wins (integrity/injected >
-  /// timeout), ties to the lowest detecting rank.
+  /// abort() plus a typed fault record.  Of the records reported, the
+  /// higher-severity fault wins (integrity/injected > timeout), ties to the
+  /// lowest reporting rank.
   void abort_with(const resilience::CommFault& fault);
   /// The agreed fault record (type kNone when abort() was untyped or the
   /// world is healthy).

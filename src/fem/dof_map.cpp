@@ -37,25 +37,27 @@ DofMap::DofMap(const mesh::ExtrudedMesh& mesh, bool all_boundaries)
   }
 
   // Expand node adjacency into the 2x2 dof blocks.
-  row_ptr_.assign(n_dofs() + 1, 0);
+  std::vector<std::size_t> row_ptr(n_dofs() + 1, 0);
   for (std::size_t n = 0; n < n_nodes_; ++n) {
     const std::size_t nnz = nbrs[n].size() * dofs_per_node;
-    row_ptr_[dof(n, 0) + 1] = nnz;
-    row_ptr_[dof(n, 1) + 1] = nnz;
+    row_ptr[dof(n, 0) + 1] = nnz;
+    row_ptr[dof(n, 1) + 1] = nnz;
   }
-  for (std::size_t r = 0; r < n_dofs(); ++r) row_ptr_[r + 1] += row_ptr_[r];
+  for (std::size_t r = 0; r < n_dofs(); ++r) row_ptr[r + 1] += row_ptr[r];
 
-  cols_.resize(row_ptr_.back());
+  std::vector<std::size_t> cols(row_ptr.back());
   for (std::size_t n = 0; n < n_nodes_; ++n) {
     for (int c = 0; c < dofs_per_node; ++c) {
-      std::size_t p = row_ptr_[dof(n, c)];
+      std::size_t p = row_ptr[dof(n, c)];
       for (std::size_t m : nbrs[n]) {
-        cols_[p++] = dof(m, 0);
-        cols_[p++] = dof(m, 1);
+        cols[p++] = dof(m, 0);
+        cols[p++] = dof(m, 1);
       }
-      MALI_ASSERT(p == row_ptr_[dof(n, c) + 1]);
+      MALI_ASSERT(p == row_ptr[dof(n, c) + 1]);
     }
   }
+  graph_ = std::make_shared<const linalg::CrsGraph>(
+      linalg::CrsGraph{std::move(row_ptr), std::move(cols)});
 }
 
 }  // namespace mali::fem

@@ -1,11 +1,14 @@
 #pragma once
 // DOF management for the 2-component velocity solve: node n carries global
 // dofs (2n, 2n+1) for (u, v); lateral-margin nodes are homogeneous
-// Dirichlet.  Also builds the Jacobian's CRS sparsity from node adjacency.
+// Dirichlet.  Also builds the Jacobian's CRS sparsity graph from node
+// adjacency, once: every velocity matrix of the problem shares it.
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "linalg/crs_matrix.hpp"
 #include "mesh/extruded_mesh.hpp"
 
 namespace mali::fem {
@@ -37,21 +40,18 @@ class DofMap {
     return dirichlet_list_;
   }
 
-  /// CRS sparsity of the velocity Jacobian: row_ptr/cols over dofs.
-  /// Built from node-to-node adjacency through shared cells.
-  [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept {
-    return row_ptr_;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& cols() const noexcept {
-    return cols_;
+  /// CRS sparsity graph of the velocity Jacobian over dofs, built from
+  /// node-to-node adjacency through shared cells.
+  [[nodiscard]] const std::shared_ptr<const linalg::CrsGraph>& graph()
+      const noexcept {
+    return graph_;
   }
 
  private:
   std::size_t n_nodes_;
   std::vector<bool> dirichlet_;
   std::vector<std::size_t> dirichlet_list_;
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> cols_;
+  std::shared_ptr<const linalg::CrsGraph> graph_;
 };
 
 }  // namespace mali::fem

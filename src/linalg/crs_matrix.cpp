@@ -10,8 +10,8 @@ void CrsMatrix::apply(const std::vector<double>& x,
                       std::vector<double>& y) const {
   MALI_CHECK(x.size() == n_rows());
   y.resize(n_rows());  // every row is written below
-  const auto* rp = row_ptr_.data();
-  const auto* cs = cols_.data();
+  const auto* rp = row_ptr().data();
+  const auto* cs = cols().data();
   const auto* vs = vals_.data();
   pk::parallel_for("crs_apply", n_rows(), [&, rp, cs, vs](int ri) {
     const auto r = static_cast<std::size_t>(ri);

@@ -1,11 +1,10 @@
 #pragma once
-// Compressed-row sparse matrix with a fixed sparsity graph (built once from
-// the FE connectivity, as Trilinos' Tpetra graphs are) plus the dense-vector
-// helpers the Krylov solvers need.
+// Compressed-row sparse matrix on a shared, immutable sparsity graph (built
+// once from the FE connectivity, as Trilinos' Tpetra graphs are) plus the
+// dense-vector helpers the Krylov solvers need.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,41 +13,51 @@
 
 namespace mali::linalg {
 
+/// CRS sparsity graph, column indices sorted within a row.  Held as
+/// shared_ptr<const CrsGraph>: immutable once built, so its address names it
+/// and a structure built for it (CRS slot tables, the AMG hierarchy) serves
+/// every matrix that shares the pointer.
+struct CrsGraph {
+  std::vector<std::size_t> row_ptr;
+  std::vector<std::size_t> cols;
+};
+
+/// Values over a shared graph: a copy shares the graph and copies the values.
 class CrsMatrix {
  public:
-  CrsMatrix() = default;
+  CrsMatrix() : graph_(std::make_shared<const CrsGraph>()) {}
 
-  /// Takes a prebuilt graph; column indices within a row must be sorted.
+  explicit CrsMatrix(std::shared_ptr<const CrsGraph> graph)
+      : graph_(std::move(graph)) {
+    MALI_CHECK(graph_ != nullptr && !graph_->row_ptr.empty());
+    MALI_CHECK(graph_->row_ptr.back() == graph_->cols.size());
+    vals_.assign(graph_->cols.size(), 0.0);
+  }
+
+  /// A matrix on a new graph made from the two arrays.
   CrsMatrix(std::vector<std::size_t> row_ptr, std::vector<std::size_t> cols)
-      : row_ptr_(std::move(row_ptr)),
-        cols_(std::move(cols)),
-        graph_id_(next_graph_id()) {
-    MALI_CHECK(!row_ptr_.empty());
-    MALI_CHECK(row_ptr_.back() == cols_.size());
-    vals_.assign(cols_.size(), 0.0);
+      : CrsMatrix(std::make_shared<const CrsGraph>(
+            CrsGraph{std::move(row_ptr), std::move(cols)})) {}
+
+  [[nodiscard]] const std::shared_ptr<const CrsGraph>& graph() const noexcept {
+    return graph_;
   }
 
   [[nodiscard]] std::size_t n_rows() const noexcept {
-    return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;
+    return row_ptr().empty() ? 0 : row_ptr().size() - 1;
   }
-  [[nodiscard]] std::size_t nnz() const noexcept { return cols_.size(); }
+  [[nodiscard]] std::size_t nnz() const noexcept { return cols().size(); }
 
   [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept {
-    return row_ptr_;
+    return graph_->row_ptr;
   }
   [[nodiscard]] const std::vector<std::size_t>& cols() const noexcept {
-    return cols_;
+    return graph_->cols;
   }
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return vals_;
   }
   [[nodiscard]] std::vector<double>& values() noexcept { return vals_; }
-
-  /// Identifies the sparsity graph: unique to each constructed graph and
-  /// shared by the copies of a matrix (the graph is immutable), so a
-  /// structure precomputed for one graph id (such as the assembly's CRS slot
-  /// tables) is valid for every matrix carrying it.  0 for an empty matrix.
-  [[nodiscard]] std::uint64_t graph_id() const noexcept { return graph_id_; }
 
   /// Index into values() of entry (r, c); throws mali::Error when the graph
   /// lacks the entry.
@@ -83,8 +92,8 @@ class CrsMatrix {
 
   /// Replaces row r with the identity row (Dirichlet rows).
   void set_identity_row(std::size_t r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      vals_[k] = cols_[k] == r ? 1.0 : 0.0;
+    for (std::size_t k = row_ptr()[r]; k < row_ptr()[r + 1]; ++k) {
+      vals_[k] = cols()[k] == r ? 1.0 : 0.0;
     }
   }
 
@@ -110,28 +119,21 @@ class CrsMatrix {
 
   /// Binary search for column c in row r.
   [[nodiscard]] std::size_t find(std::size_t r, std::size_t c) const {
-    std::size_t lo = row_ptr_[r];
-    std::size_t hi = row_ptr_[r + 1];
+    std::size_t lo = row_ptr()[r];
+    std::size_t hi = row_ptr()[r + 1];
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (cols_[mid] < c) {
+      if (cols()[mid] < c) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    return (lo < row_ptr_[r + 1] && cols_[lo] == c) ? lo : npos;
+    return (lo < row_ptr()[r + 1] && cols()[lo] == c) ? lo : npos;
   }
 
-  static std::uint64_t next_graph_id() noexcept {
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> cols_;
+  std::shared_ptr<const CrsGraph> graph_;
   std::vector<double> vals_;
-  std::uint64_t graph_id_ = 0;
 };
 
 // ---- dense vector helpers ----

@@ -79,7 +79,7 @@ StructuredProbing::StructuredProbing(const ExtrusionInfo& info) {
   for (const auto& m : members_) n_probes_ += m.empty() ? 0 : 1;
 
   // ---- structural graph: 3x3x3 lattice stencil expanded to dof blocks ----
-  row_ptr_.assign(n_dofs + 1, 0);
+  std::vector<std::size_t> row_ptr(n_dofs + 1, 0), cols;
   std::vector<std::size_t> nbr_nodes;  // per-node scratch
   // First pass counts, second pass fills (identical enumeration order).
   for (int pass = 0; pass < 2; ++pass) {
@@ -109,24 +109,26 @@ StructuredProbing::StructuredProbing(const ExtrusionInfo& info) {
         for (std::size_t comp = 0; comp < dpn; ++comp) {
           const std::size_t row = node * dpn + comp;
           if (pass == 0) {
-            row_ptr_[row + 1] = row_nnz;
+            row_ptr[row + 1] = row_nnz;
           } else {
-            std::size_t p = row_ptr_[row];
+            std::size_t p = row_ptr[row];
             for (const std::size_t m : nbr_nodes) {
               for (std::size_t cc = 0; cc < dpn; ++cc) {
-                cols_[p++] = m * dpn + cc;
+                cols[p++] = m * dpn + cc;
               }
             }
-            MALI_ASSERT(p == row_ptr_[row + 1]);
+            MALI_ASSERT(p == row_ptr[row + 1]);
           }
         }
       }
     }
     if (pass == 0) {
-      for (std::size_t r = 0; r < n_dofs; ++r) row_ptr_[r + 1] += row_ptr_[r];
-      cols_.resize(row_ptr_.back());
+      for (std::size_t r = 0; r < n_dofs; ++r) row_ptr[r + 1] += row_ptr[r];
+      cols.resize(row_ptr.back());
     }
   }
+  graph_ = std::make_shared<const CrsGraph>(
+      CrsGraph{std::move(row_ptr), std::move(cols)});
 }
 
 void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
@@ -134,9 +136,10 @@ void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
   MALI_CHECK_MSG(A.rows() == n && A.cols() == n,
                  "StructuredProbing: operator size does not match the "
                  "extrusion structure");
-  MALI_CHECK_MSG(P.row_ptr() == row_ptr_ && P.cols() == cols_,
+  MALI_CHECK_MSG(P.graph() == graph_,
                  "StructuredProbing: target is not on the structural graph");
   auto& vals = P.values();
+  const CrsGraph& g = *graph_;
 
   std::vector<double> e(n), y(n);
   for (std::size_t color = 0; color < members_.size(); ++color) {
@@ -148,8 +151,8 @@ void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
     // y[r] = sum over in-color columns j of A(r, j); the coloring admits at
     // most one such j per row, so y[r] is that entry verbatim.
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        if (color_of_[cols_[k]] == color) vals[k] = y[r];
+      for (std::size_t k = g.row_ptr[r]; k < g.row_ptr[r + 1]; ++k) {
+        if (color_of_[g.cols[k]] == color) vals[k] = y[r];
       }
     }
   }

@@ -21,6 +21,7 @@
 // graph is also the target such operators assemble onto.
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "linalg/crs_matrix.hpp"
@@ -46,25 +47,22 @@ class StructuredProbing {
     return color_of_.size();
   }
 
-  /// Structural nonzeros of the probing graph (a superset of the true
-  /// sparsity; entries absent from the operator probe to 0).
-  [[nodiscard]] std::size_t graph_nnz() const noexcept { return cols_.size(); }
+  /// A zero matrix sharing the structural graph (a superset of the true
+  /// sparsity; entries absent from the operator probe to 0): the target
+  /// probe() fills, and the graph an operator with the
+  /// LinearOperator::assemble capability writes its own entries onto.
+  [[nodiscard]] CrsMatrix structure() const { return CrsMatrix(graph_); }
 
-  /// A zero matrix on the structural graph: the target probe() fills, and
-  /// the graph an operator with the LinearOperator::assemble capability
-  /// writes its own entries onto.
-  [[nodiscard]] CrsMatrix structure() const { return {row_ptr_, cols_}; }
-
-  /// Reconstructs A entrywise into P, which must be on the structural graph
-  /// (structure()): one apply per non-empty color, each recovering all
-  /// columns of that color exactly.  A must be square with rows() ==
-  /// n_dofs().
+  /// Reconstructs A entrywise into P, which must share the structural graph
+  /// (come from structure()): one apply per non-empty color, each
+  /// recovering all columns of that color exactly.  A must be square with
+  /// rows() == n_dofs().
   void probe(const LinearOperator& A, CrsMatrix& P) const;
 
  private:
   std::vector<std::size_t> color_of_;             ///< dof -> color
   std::vector<std::vector<std::size_t>> members_; ///< color -> dofs
-  std::vector<std::size_t> row_ptr_, cols_;       ///< structural dof graph
+  std::shared_ptr<const CrsGraph> graph_;         ///< structural dof graph
   std::size_t n_probes_ = 0;
 };
 

@@ -209,16 +209,10 @@ void SemicoarseningAmg::compute(const LinearOperator& A) {
 void SemicoarseningAmg::load_fine(const CrsMatrix& A) {
   // The hierarchy structure (aggregation, Galerkin plans, coarse patterns)
   // is a pure function of the ExtrusionInfo and the fine graph — never of
-  // matrix values — so an unchanged graph replays it exactly and only the
-  // numeric pass runs against the new values.  Level 0 is a copy of the
-  // fine matrix it was built from, so a shared graph id settles it in O(1);
-  // a matrix with another id (a freshly created one, as each forecast solve
-  // makes) may still carry an equal graph, which the O(nnz) compare finds.
-  const auto same_graph = [&](const CrsMatrix& L0) {
-    return L0.graph_id() == A.graph_id() ||
-           (L0.row_ptr() == A.row_ptr() && L0.cols() == A.cols());
-  };
-  if (!levels_.empty() && same_graph(levels_.front().A)) {
+  // matrix values — so the graph level 0 shares (it is a copy of the fine
+  // matrix it was built from) replays it exactly and only the numeric pass
+  // runs against the new values.
+  if (!levels_.empty() && levels_.front().A.graph() == A.graph()) {
     ++structure_reuses_;
     levels_.front().A.values() = A.values();
   } else {

@@ -18,8 +18,8 @@
 // level's Galerkin plan (coarse pattern, inverse aggregation map, one
 // coarse slot per fine nonzero) and the smoother coloring depend only on
 // the ExtrusionInfo and the fine graph, so they are built on the first
-// compute() and replayed by every later one on the same graph; a changed
-// graph rebuilds them.  Each compute() then runs the numeric Galerkin pass
+// compute() and replayed by every later one whose matrix shares that graph
+// object (CrsMatrix::graph); any other graph rebuilds them.  Each compute() then runs the numeric Galerkin pass
 // (parallel over coarse rows) and refactors the smoothers.
 //
 // The smoother is column-line relaxation (ColumnLineSmoother): each
@@ -192,12 +192,12 @@ class SemicoarseningAmg final : public Preconditioner {
 
   // ---- recycling instrumentation (ensemble engine / tests / bench) ----
   /// compute() calls that derived the hierarchy structure from scratch
-  /// (the first one, and any whose fine graph differs from the cached one).
+  /// (the first one, and any whose fine graph is not level 0's).
   [[nodiscard]] std::size_t hierarchy_builds() const noexcept {
     return hierarchy_builds_;
   }
-  /// compute() calls that replayed the cached structure: same fine graph,
-  /// so only the numeric Galerkin pass and the smoother setups ran.
+  /// compute() calls that replayed the cached structure: same fine graph
+  /// object, so only the numeric Galerkin pass and the smoother setups ran.
   [[nodiscard]] std::size_t structure_reuses() const noexcept {
     return structure_reuses_;
   }
@@ -224,7 +224,7 @@ class SemicoarseningAmg final : public Preconditioner {
   };
 
   /// Refreshes the hierarchy from a new fine matrix: replays the cached
-  /// plans when the fine graph is unchanged, rebuilds them otherwise; then
+  /// plans when A shares level 0's graph, rebuilds them otherwise; then
   /// runs the numeric Galerkin pass and the coarse factorization.
   void load_fine(const CrsMatrix& A);
   void build_hierarchy(const CrsMatrix& A_fine);

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,17 +77,17 @@ enum class ScatterMode {
 /// graph: slots(c, kNumLocalDofs i + l) indexes J.values() at (row of local
 /// dof i, column of local dof l) of cell c, local dof = 2 node + comp.  Built
 /// once per (cell range, graph) by build_slot_table; it serves exactly the
-/// matrices that carry its graph (CrsMatrix::graph_id).
+/// matrices that share its graph object (CrsMatrix::graph).  Holding the
+/// graph keeps it alive, so its address cannot be reused by another graph.
 struct CrsSlotTable {
   static constexpr int kSlotsPerCell = kNumLocalDofs * kNumLocalDofs;
 
-  std::uint64_t graph_id = 0;
-  std::size_t nnz = 0;
+  std::shared_ptr<const linalg::CrsGraph> graph;
   /// (C, kSlotsPerCell), each cell's slots contiguous
   pk::View<std::uint32_t, 2, pk::LayoutRight> slots;
 
   [[nodiscard]] bool serves(const linalg::CrsMatrix& J) const noexcept {
-    return slots.allocated() && graph_id == J.graph_id() && nnz == J.nnz();
+    return slots.allocated() && graph == J.graph();
   }
 };
 
@@ -102,8 +103,7 @@ template <class Exec = pk::DefaultExec>
   MALI_CHECK_MSG(J.nnz() <= std::numeric_limits<std::uint32_t>::max(),
                  "CRS slot table: the graph has more than 2^32 - 1 values");
   CrsSlotTable t;
-  t.graph_id = J.graph_id();
-  t.nnz = J.nnz();
+  t.graph = J.graph();
   t.slots = pk::View<std::uint32_t, 2, pk::LayoutRight>(
       "crs_slots", count, CrsSlotTable::kSlotsPerCell);
   pk::parallel_for("crs_slot_table", pk::RangePolicy<Exec>(count),

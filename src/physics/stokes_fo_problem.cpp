@@ -185,7 +185,7 @@ void StokesFOProblem::set_basal_friction_scale(double scale) {
 }
 
 linalg::CrsMatrix StokesFOProblem::create_matrix() const {
-  return linalg::CrsMatrix(dof_map_->row_ptr(), dof_map_->cols());
+  return linalg::CrsMatrix(dof_map_->graph());
 }
 
 linalg::ExtrusionInfo StokesFOProblem::extrusion_info() const {

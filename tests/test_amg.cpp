@@ -583,26 +583,35 @@ TEST(AmgGalerkinPlan, ChangedFineGraphRebuildsThePlan) {
   EXPECT_TRUE(bitwise_equal(z, z_fresh));
 }
 
-TEST(AmgGalerkinPlan, EqualGraphReplaysWhetherOrNotItsIdMatches) {
-  // A copy shares the fine graph's id; a matrix built anew on an equal
-  // graph (as each forecast solve's create_matrix() is) has another id.
-  // Both must replay the hierarchy rather than rebuild it.
+TEST(AmgGalerkinPlan, SharedGraphReplaysAndEqualArraysRebuild) {
+  // A matrix that shares the fine graph (as each forecast solve's
+  // create_matrix() does) replays the hierarchy.  A matrix rebuilt from
+  // copied arrays is a new graph and rebuilds it, to the same bits: the
+  // hierarchy is a pure function of the graph.
   auto base = make_extruded_laplacian(10, 10, 8, 100.0);
   AmgConfig cfg;
   cfg.coarse_max_dofs = 50;
   SemicoarseningAmg amg(base.info, cfg);
   amg.compute(base.A);
 
-  const CrsMatrix copy = base.A;
-  ASSERT_EQ(copy.graph_id(), base.A.graph_id());
-  amg.compute(copy);
+  CrsMatrix shared(base.A.graph());
+  shared.values() = base.A.values();
+  amg.compute(shared);
+  EXPECT_EQ(amg.hierarchy_builds(), 1u);
+  EXPECT_EQ(amg.structure_reuses(), 1u);
+  expect_plan_matches_hash_map(amg);
+  const auto r = random_vec(base.A.n_rows(), 5);
+  std::vector<double> z_replayed, z_rebuilt;
+  amg.apply(r, z_replayed);
+
   CrsMatrix rebuilt(base.A.row_ptr(), base.A.cols());
   rebuilt.values() = base.A.values();
-  ASSERT_NE(rebuilt.graph_id(), base.A.graph_id());
+  ASSERT_NE(rebuilt.graph(), base.A.graph());
   amg.compute(rebuilt);
-  EXPECT_EQ(amg.hierarchy_builds(), 1u);
-  EXPECT_EQ(amg.structure_reuses(), 2u);
-  expect_plan_matches_hash_map(amg);
+  EXPECT_EQ(amg.hierarchy_builds(), 2u);
+  EXPECT_EQ(amg.structure_reuses(), 1u);
+  amg.apply(r, z_rebuilt);
+  EXPECT_TRUE(bitwise_equal(z_replayed, z_rebuilt));
 }
 
 TEST(SemicoarseningAmg, NonDirectCoarseLevelAppliesBitwiseAsBefore) {

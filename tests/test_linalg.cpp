@@ -155,6 +155,19 @@ TEST(CrsMatrix, SetZeroAndDiagonal) {
   EXPECT_EQ(A.nnz(), 10u);  // graph unchanged
 }
 
+TEST(CrsMatrix, CopySharesTheGraphAndCopiesTheValues) {
+  const CrsMatrix A = laplacian_1d(4);
+  CrsMatrix B = A;
+  EXPECT_EQ(B.graph(), A.graph());
+  B.set(1, 1, 9.0);
+  B.add(1, 2, 3.0);
+  EXPECT_EQ(A.get(1, 1), 2.0);
+  EXPECT_EQ(A.get(1, 2), -1.0);
+  EXPECT_EQ(B.get(1, 2), 2.0);
+  // Equal arrays make a new graph.
+  EXPECT_NE(CrsMatrix(A.row_ptr(), A.cols()).graph(), A.graph());
+}
+
 TEST(VectorOps, DotNormAxpyScale) {
   std::vector<double> a = {1, 2, 3}, b = {4, -5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 12.0);

@@ -346,6 +346,20 @@ TEST(CrsSlotTable, ChunkedAssemblyMatchesStagedAddScatter) {
   }
 }
 
+TEST(CrsSlotTable, ServesEveryMatrixTheProblemCreates) {
+  // The problem's matrices share its DofMap's graph, so a table built for
+  // one serves the next: a forecast's per-solve matrix reuses it.
+  StokesFOProblem p(antarctica_config(ScatterMode::kSerial));
+  const auto first = p.create_matrix();
+  const auto second = p.create_matrix();
+  EXPECT_EQ(first.graph(), second.graph());
+  EXPECT_EQ(first.graph(), p.dof_map().graph());
+  const auto table =
+      physics::build_slot_table(p.workset().cell_nodes, p.workset().n_cells,
+                                first);
+  EXPECT_TRUE(table.serves(second));
+}
+
 TEST(CrsSlotTable, GraphMissingACouplingThrows) {
   StokesFOProblem p(antarctica_config(ScatterMode::kSerial));
   const auto& ws = p.workset();

@@ -201,7 +201,7 @@ perf::JacobianApplyModel jacobian_apply_model(
     physics::StokesFOProblem& problem) {
   perf::JacobianApplyModel m;
   m.n_rows = problem.n_dofs();
-  m.nnz = problem.create_matrix().nnz();  // graph only, never assembled
+  m.nnz = problem.dof_map().graph()->cols.size();
   m.n_cells = problem.mesh().n_cells();
   m.n_nodes = problem.mesh().n_nodes();
   m.num_nodes = problem.workset().num_nodes;
