@@ -6,8 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 #include <random>
+#include <utility>
 
 #include "gpusim/cache_sim.hpp"
 #include "linalg/gmres.hpp"
@@ -24,10 +26,10 @@ struct SolverFixture {
   std::vector<double> U, F, x, b;
   std::unique_ptr<linalg::SemicoarseningAmg> amg;
 
-  SolverFixture() {
+  SolverFixture(int dx_km, int layers) {
     physics::StokesFOConfig cfg;
-    cfg.dx_m = 64.0e3;
-    cfg.n_layers = 10;
+    cfg.dx_m = dx_km * 1.0e3;
+    cfg.n_layers = layers;
     problem = std::make_unique<physics::StokesFOProblem>(cfg);
     // Assemble at the first Newton iterate (U = 0): the system every solve
     // in the paper's test starts from.
@@ -45,15 +47,26 @@ struct SolverFixture {
   }
 };
 
-SolverFixture& fixture() {
-  static SolverFixture f;
-  return f;
+/// The fixture at dx_km / layers, built on first use and kept.  The
+/// default, 64 km / 10 layers, is the one every benchmark runs; the SpMV
+/// and the V-cycle also run at forecast size, 100 km / 5 layers, whose
+/// AMG levels are small (4380 rows down to 1460).
+SolverFixture& fixture(int dx_km = 64, int layers = 10) {
+  static std::map<std::pair<int, int>, std::unique_ptr<SolverFixture>> built;
+  auto& f = built[{dx_km, layers}];
+  if (!f) f = std::make_unique<SolverFixture>(dx_km, layers);
+  return *f;
+}
+
+SolverFixture& sized_fixture(const benchmark::State& state) {
+  return fixture(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1)));
 }
 
 }  // namespace
 
 static void BM_SpMV(benchmark::State& state) {
-  auto& f = fixture();
+  auto& f = sized_fixture(state);
   for (auto _ : state) {
     f.J.apply(f.b, f.x);
     benchmark::DoNotOptimize(f.x.data());
@@ -62,16 +75,26 @@ static void BM_SpMV(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.J.nnz() * 16));
 }
-BENCHMARK(BM_SpMV)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SpMV)
+    ->ArgNames({"dx_km", "layers"})
+    ->Args({64, 10})
+    ->Args({100, 5})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_AmgVCycle(benchmark::State& state) {
-  auto& f = fixture();
+  auto& f = sized_fixture(state);
   for (auto _ : state) {
     f.amg->apply(f.b, f.x);
     benchmark::DoNotOptimize(f.x.data());
   }
 }
-BENCHMARK(BM_AmgVCycle)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_AmgVCycle)
+    ->ArgNames({"dx_km", "layers"})
+    ->Args({64, 10})
+    ->Args({100, 5})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_GmresSolveAmg(benchmark::State& state) {
   auto& f = fixture();

@@ -1,6 +1,7 @@
 #include "linalg/semicoarsening_amg.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -15,20 +16,32 @@ namespace mali::linalg {
 
 namespace {
 
-/// Loops over fewer than this many rows run inline: a pool dispatch costs
-/// more than the loop.
-constexpr std::size_t kParallelRows = 4096;
+/// Loops that touch fewer than this many matrix entries (a vector loop
+/// counts one per row) run inline.  A pool dispatch costs little more than
+/// the loop it runs (DESIGN.md §8), so the bar sits at a few thousand
+/// entries: one color of a forecast-size level's sweep (12k-48k entries)
+/// threads, a transfer over a 4380-row vector does not.  Picked by a sweep
+/// at 1, 2 and 4 threads, flat from 2048 to 16384
+/// (BENCH_vcycle_threads.json).
+constexpr std::size_t kParallelWork = 8192;
 
-/// f(i) for i in [0, n), where item i covers `rows_each` matrix rows.
+/// f(i) for i in [0, n), where item i touches `work_each` entries; inline
+/// below kParallelWork in all, on the pool otherwise.  Each item writes its
+/// own outputs in a fixed order, so the result is the same either way.
 template <class F>
-void for_rows(const char* label, std::size_t n, const F& f,
-              std::size_t rows_each = 1) {
-  if (n * rows_each < kParallelRows) {
+void for_rows(const char* label, std::size_t n, std::size_t work_each,
+              const F& f) {
+  if (n * work_each < kParallelWork) {
     for (std::size_t i = 0; i < n; ++i) f(i);
   } else {
     pk::parallel_for(label, n,
                      [&f](int i) { f(static_cast<std::size_t>(i)); });
   }
+}
+
+/// The mean work of one item, total / items, at least 1.
+std::size_t per_item(std::size_t total, std::size_t items) {
+  return std::max<std::size_t>(1, total / std::max<std::size_t>(1, items));
 }
 
 }  // namespace
@@ -54,14 +67,21 @@ void ColumnLineSmoother::compute(const CrsMatrix& A) {
                  "column-line smoother: matrix rows != columns x column dofs");
   const auto& rp = A.row_ptr();
   const auto& cs = A.cols();
-  band_ = 0;
+  // Planned into locals: a throw leaves the last plan whole.
+  std::size_t band = 0;
+  std::vector<Run> runs(A.n_rows());
   for (std::size_t i = 0; i < A.n_rows(); ++i) {
     const std::size_t c = i / m_;
+    // [lo, hi) spans the row's in-column entries, in_column counts them.
+    std::size_t lo = rp[i + 1], hi = rp[i], in_column = 0;
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
       const std::size_t j = cs[k];
       const std::size_t cj = j / m_;
       if (cj == c) {
-        band_ = std::max(band_, i > j ? i - j : j - i);
+        band = std::max(band, i > j ? i - j : j - i);
+        lo = std::min(lo, k);
+        hi = k + 1;
+        ++in_column;
       } else if (color_[cj] == color_[c]) {
         throw Error("AMG level " + std::to_string(level_) +
                     ": columns " + std::to_string(c) + " and " +
@@ -70,25 +90,45 @@ void ColumnLineSmoother::compute(const CrsMatrix& A) {
                     "needs a 27-point extruded stencil");
       }
     }
+    if (in_column == 0) lo = hi = rp[i];
+    if (hi - lo != in_column) {
+      throw Error("AMG level " + std::to_string(level_) +
+                  ": the in-column entries of row " + std::to_string(i) +
+                  " do not form one run; the column-line sweep needs "
+                  "sorted rows");
+    }
+    runs[i] = {static_cast<std::uint32_t>(lo - rp[i]),
+               static_cast<std::uint32_t>(hi - rp[i])};
   }
+  band_ = band;
+  runs_ = std::move(runs);
+  graph_ = A.graph();
   refactor(A);
 }
 
 void ColumnLineSmoother::refactor(const CrsMatrix& A) {
-  MALI_CHECK(A.n_rows() == color_.size() * m_);
+  MALI_CHECK_MSG(A.graph() == graph_,
+                 "column-line smoother: refactor() on a graph compute() did "
+                 "not plan");
   A_ = &A;
   const std::size_t m = m_, b = band_, w = 2 * band_ + 1;
   lu_.assign(color_.size() * m * w, 0.0);
   const auto* rp = A.row_ptr().data();
   const auto* cs = A.cols().data();
   const auto* vs = A.values().data();
-  for_rows("column_line_factor", color_.size(), [&](std::size_t c) {
+  const Run* runs = runs_.data();
+  // The lowest level row at a singular pivot, so the error names the same
+  // column whichever thread reaches which column first.
+  std::atomic<std::size_t> singular{CrsMatrix::npos};
+  for_rows("column_line_factor", color_.size(),
+           per_item(A.nnz(), color_.size()),
+           [&](std::size_t c) {
     const std::size_t base = c * m;
     double* band = lu_.data() + c * m * w;  // (t, s) at band[t*w + s-t+b]
     for (std::size_t t = 0; t < m; ++t) {
-      for (std::size_t k = rp[base + t]; k < rp[base + t + 1]; ++k) {
-        const std::size_t s = cs[k] - base;
-        if (s < m) band[t * w + s + b - t] = vs[k];
+      const std::size_t i = base + t;
+      for (std::size_t k = rp[i] + runs[i].lo; k < rp[i] + runs[i].hi; ++k) {
+        band[t * w + cs[k] - base + b - t] = vs[k];
       }
     }
     // Doolittle LU without pivoting, confined to the band.
@@ -96,9 +136,11 @@ void ColumnLineSmoother::refactor(const CrsMatrix& A) {
       const double* row_t = band + t * w + b - t;  // row_t[s] = (t, s)
       const double pivot = row_t[t];
       if (pivot == 0.0 || !std::isfinite(pivot)) {
-        throw Error("AMG level " + std::to_string(level_) + ": column " +
-                    std::to_string(c) + " has a singular in-column pivot " +
-                    "at row " + std::to_string(t));
+        std::size_t seen = singular.load();
+        while (base + t < seen &&
+               !singular.compare_exchange_weak(seen, base + t)) {
+        }
+        return;
       }
       const std::size_t last = std::min(t + b, m - 1);
       for (std::size_t i = t + 1; i <= last; ++i) {
@@ -108,7 +150,12 @@ void ColumnLineSmoother::refactor(const CrsMatrix& A) {
         for (std::size_t s = t + 1; s <= last; ++s) row_i[s] -= l * row_t[s];
       }
     }
-  }, m);
+  });
+  if (const std::size_t i = singular.load(); i != CrsMatrix::npos) {
+    throw Error("AMG level " + std::to_string(level_) + ": column " +
+                std::to_string(i / m) + " has a singular in-column pivot " +
+                "at row " + std::to_string(i % m));
+  }
 }
 
 void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
@@ -117,17 +164,25 @@ void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
   const auto* rp = A_->row_ptr().data();
   const auto* cs = A_->cols().data();
   const auto* vs = A_->values().data();
+  const Run* runs = runs_.data();
   const auto& columns = by_color_[color];
-  for_rows("column_line_relax", columns.size(), [&](std::size_t n) {
+  for_rows("column_line_relax", columns.size(),
+           per_item(A_->nnz(), A_->n_rows()) * m,
+           [&](std::size_t n) {
     const std::size_t c = columns[n];
     const std::size_t base = c * m;
     double* x = z.data() + base;
     // Right-hand side: r minus the couplings to other (other-color)
-    // columns.  In-column entries are skipped, so x can take it in place.
+    // columns, the entries before and after the row's in-column run, in
+    // row order.  The run is skipped, so x can take the sum in place.
     for (std::size_t t = 0; t < m; ++t) {
-      double acc = r[base + t];
-      for (std::size_t k = rp[base + t]; k < rp[base + t + 1]; ++k) {
-        if (cs[k] - base >= m) acc -= vs[k] * z[cs[k]];
+      const std::size_t i = base + t;
+      double acc = r[i];
+      for (std::size_t k = rp[i]; k < rp[i] + runs[i].lo; ++k) {
+        acc -= vs[k] * z[cs[k]];
+      }
+      for (std::size_t k = rp[i] + runs[i].hi; k < rp[i + 1]; ++k) {
+        acc -= vs[k] * z[cs[k]];
       }
       x[t] = acc;
     }
@@ -148,7 +203,7 @@ void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
       for (std::size_t s = t + 1; s <= last; ++s) acc -= row_t[s] * x[s];
       x[t] = acc / row_t[t];
     }
-  }, m);
+  });
 }
 
 void ColumnLineSmoother::apply(const std::vector<double>& r,
@@ -395,7 +450,9 @@ void SemicoarseningAmg::galerkin_values(std::size_t l) {
   CrsMatrix& Ac = levels_[l + 1].A;
   const auto* crp = Ac.row_ptr().data();
   double* cv = Ac.values().data();
-  for_rows("amg_galerkin", fine.n_coarse, [&](std::size_t I) {
+  for_rows("amg_galerkin", fine.n_coarse,
+           per_item(fine.A.nnz(), fine.n_coarse),
+           [&](std::size_t I) {
     for (std::size_t p = crp[I]; p < crp[I + 1]; ++p) cv[p] = 0.0;
     for (std::size_t m = mp[I]; m < mp[I + 1]; ++m) {
       const std::size_t i = members[m];
@@ -444,7 +501,7 @@ void SemicoarseningAmg::level_residual(std::size_t l,
   const auto* rp = lvl.A.row_ptr().data();
   const auto* cs = lvl.A.cols().data();
   const auto* vs = lvl.A.values().data();
-  for_rows("amg_residual", n, [&](std::size_t i) {
+  for_rows("amg_residual", n, per_item(lvl.A.nnz(), n), [&](std::size_t i) {
     double acc = 0.0;
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) acc += vs[k] * z[cs[k]];
     r[i] = b[i] - acc;
@@ -472,7 +529,8 @@ void SemicoarseningAmg::vcycle(std::size_t l, const std::vector<double>& r,
   // Residual and restriction (P^T = sum over aggregate members, ascending).
   level_residual(l, r, z, lvl.r);
   lvl.rc.resize(lvl.n_coarse);
-  for_rows("amg_restrict", lvl.n_coarse, [&](std::size_t I) {
+  for_rows("amg_restrict", lvl.n_coarse, per_item(n, lvl.n_coarse),
+           [&](std::size_t I) {
     double acc = 0.0;
     for (std::size_t m = lvl.member_ptr[I]; m < lvl.member_ptr[I + 1]; ++m) {
       acc += lvl.r[lvl.members[m]];
@@ -480,17 +538,16 @@ void SemicoarseningAmg::vcycle(std::size_t l, const std::vector<double>& r,
     lvl.rc[I] = acc;
   });
 
-  // Coarse correction and prolongation.
-  lvl.zc.assign(lvl.n_coarse, 0.0);
+  // Coarse correction (the next level writes all of zc) and prolongation.
   vcycle(l + 1, lvl.rc, lvl.zc);
-  for_rows("amg_prolong", n,
+  for_rows("amg_prolong", n, 1,
            [&](std::size_t i) { z[i] += lvl.zc[lvl.agg[i]]; });
 
   // Post-smooth: one more smoother pass on the residual equation.
   level_residual(l, r, z, lvl.r);
   lvl.z.resize(n);
   lvl.smoother->apply(lvl.r, lvl.z);
-  for_rows("amg_correct", n, [&](std::size_t i) { z[i] += lvl.z[i]; });
+  for_rows("amg_correct", n, 1, [&](std::size_t i) { z[i] += lvl.z[i]; });
 }
 
 void SemicoarseningAmg::apply(const std::vector<double>& r,

@@ -24,9 +24,18 @@
 //
 // The smoother is column-line relaxation (ColumnLineSmoother): each
 // column's in-column block is solved exactly, columns colored by their 2x2
-// lattice parity so one color's columns run in parallel.  The V-cycle's
-// vector loops run on the pk thread pool; every result is independent of
-// the thread count.
+// lattice parity so one color's columns run in parallel.
+//
+// Threading: each color sweep, residual, restriction, prolongation and
+// correction of every smoothed level, the smoother factorization and the
+// numeric Galerkin pass run on the pk thread pool when the loop touches
+// at least a few thousand matrix entries (a vector loop counts one per
+// row), and inline below that.  A pool dispatch costs little more than its
+// loop, so at forecast size (levels of 4380 down to 1460 rows) every level
+// threads; what stays on one thread is a small level's short vector loops
+// and the banded coarse solve.  Each item of a loop writes only its own
+// outputs, in a fixed order, so every result is independent of the thread
+// count.
 //
 // The preconditioner is consumable from either side of the Jacobian split:
 //  * compute(const CrsMatrix&) — the classic assembled path;
@@ -90,10 +99,14 @@ struct ExtrusionInfo {
 /// is the parity of its 2x2 lattice position.  On the 27-point extruded
 /// stencil two columns of one color never couple, so one color's columns
 /// relax concurrently and the result does not depend on the thread count.
-/// compute() checks the coloring against the matrix graph and factors each
-/// column's in-column block: banded (block-tridiagonal in 2x2 node blocks
-/// on an extruded mesh), LU without pivoting.  One sweep relaxes the colors
-/// forward (0 -> 3), then back (3 -> 0), from z = 0.
+/// compute() checks the coloring against the matrix graph, records where
+/// each row's in-column entries start and end (sorted rows make them one
+/// run; a row whose in-column entries are split throws mali::Error naming
+/// the level and row), and factors each column's in-column block: banded
+/// (block-tridiagonal in 2x2 node blocks on an extruded mesh), LU without
+/// pivoting.  One sweep relaxes the colors forward (0 -> 3), then back
+/// (3 -> 0), from z = 0; a row's relaxation subtracts the entries before
+/// its run, then those after it, in row order.
 class ColumnLineSmoother final : public Preconditioner {
  public:
   /// `level` only names the hierarchy level in error messages.
@@ -103,10 +116,12 @@ class ColumnLineSmoother final : public Preconditioner {
 
   using Preconditioner::compute;  // operator form: requires A.matrix()
   /// Plans on A's graph — throws mali::Error naming the level when two
-  /// same-color columns couple — then factors.  A must outlive the applies.
+  /// same-color columns couple, or a row's in-column entries are not one
+  /// run — then factors.  A must outlive the applies.
   void compute(const CrsMatrix& A) override;
   /// Refactors the in-column blocks from new values on the graph the last
-  /// compute() planned on (throws mali::Error on a zero pivot).
+  /// compute() planned on, replaying its plan (band and in-column runs);
+  /// throws mali::Error on a zero pivot, naming the lowest such column.
   void refactor(const CrsMatrix& A);
   void apply(const std::vector<double>& r,
              std::vector<double>& z) const override;
@@ -126,6 +141,14 @@ class ColumnLineSmoother final : public Preconditioner {
   int sweeps_;
   std::vector<std::size_t> by_color_[4];  ///< column ids per color
   std::size_t band_ = 0;
+  /// Per row i, its in-column entries [rp[i] + lo, rp[i] + hi): one run,
+  /// since rows are sorted and a column's dofs are contiguous.  The sweep
+  /// reads the entries on either side of it.
+  struct Run {
+    std::uint32_t lo, hi;
+  };
+  std::vector<Run> runs_;
+  std::shared_ptr<const CrsGraph> graph_;  ///< the graph planned on
   const CrsMatrix* A_ = nullptr;
   /// Per column, an m x (2 band + 1) row-major band holding the unit-lower
   /// L (below the diagonal) and U (diagonal and above).

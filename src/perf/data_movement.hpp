@@ -235,8 +235,14 @@ struct AmgCycleModel {
            2 * level_rows[l] * kVal;
   }
 
-  /// Bytes one application of level l's column-line smoother moves: the
-  /// forward and the backward color sweep each stream the matrix once.
+  /// Bytes one application of level l's column-line smoother is modeled to
+  /// move: the forward and the backward color sweep each stream the matrix
+  /// once.  The sweep as run makes 4 + 3 = 7 color passes (the backward one
+  /// starts at color 2), each reading the off-column entries of a quarter
+  /// of the columns, so it reads 7/4 of the level's off-column entries per
+  /// application, plus the in-column band factors.  The modeled number stays
+  /// as it is on purpose, so recorded modeled V-cycle bytes (and the
+  /// gbps_computed they feed) stay comparable across commits.
   [[nodiscard]] std::size_t smoother_bytes(std::size_t l) const {
     return 2 * level_stream_bytes(l);
   }

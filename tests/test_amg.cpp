@@ -1,8 +1,9 @@
 // Semicoarsening AMG tests: hierarchy structure on extruded graphs,
 // Galerkin coarse-operator properties, and V-cycle/GMRES convergence on an
 // anisotropic model problem (the regime MDSC-AMG targets); the cached
-// Galerkin plan against a hash-map product on the FO Stokes Jacobians; and
-// the colored column-line smoother against a serial reference sweep.
+// Galerkin plan against a hash-map product on the FO Stokes Jacobians; the
+// colored column-line smoother against a serial reference sweep, on every
+// smoothed level; and one V-cycle at forecast size, pinned bitwise.
 
 #include <gtest/gtest.h>
 
@@ -298,6 +299,21 @@ CrsMatrix with_couplings(
   CrsMatrix B(std::move(rp), std::move(cols));
   B.values() = std::move(vals);
   return B;
+}
+
+/// The assembled Jacobian at forecast size (100 km / 5 layers) at the
+/// analytic initial guess.  AmgConfig{} builds four levels on it; the three
+/// smoothed ones have 12, 6 and 4 dofs per column.
+ExtrudedProblem forecast_size_jacobian() {
+  StokesFOConfig pcfg;
+  pcfg.dx_m = 100.0e3;
+  pcfg.n_layers = 5;
+  StokesFOProblem problem(pcfg);
+  const auto U = problem.analytic_initial_guess();
+  std::vector<double> F;
+  auto A = problem.create_matrix();
+  problem.residual_and_jacobian(U, F, A);
+  return {std::move(A), problem.extrusion_info()};
 }
 
 std::string error_of(const std::function<void()>& f) {
@@ -686,4 +702,94 @@ TEST(ColumnLineSmoother, SingularInColumnPivotThrows) {
   ColumnLineSmoother line(4, lattice_colors(prob.info));
   const std::string msg = error_of([&] { line.compute(prob.A); });
   EXPECT_NE(msg.find("singular in-column pivot"), std::string::npos) << msg;
+
+  // Two singular columns, at the two ends of a level large enough to
+  // factor on the pool: the error names the lower one on every compute(),
+  // whichever thread reaches its column first.
+  auto big = make_extruded_laplacian(30, 30, 8, 50.0);
+  const std::size_t last = big.A.n_rows() - 8;  // column 899's first row
+  big.A.set(0, 0, 0.0);
+  big.A.set(last, last, 0.0);
+  ColumnLineSmoother big_line(8, lattice_colors(big.info));
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::string m = error_of([&] { big_line.compute(big.A); });
+    ASSERT_NE(m.find("column 0 has"), std::string::npos) << m;
+  }
+}
+
+TEST(ColumnLineSmoother, EverySmoothedLevelMatchesSerialReverseOrderSweep) {
+  // The vertical levels keep the fine columns and their colors, so the
+  // serial reference applies to each level's Galerkin matrix as it is.
+  const auto prob = forecast_size_jacobian();
+  SemicoarseningAmg amg(prob.info, AmgConfig{});
+  amg.compute(prob.A);
+  const auto color = lattice_colors(prob.info);
+  std::vector<std::size_t> column_dofs;
+  for (std::size_t l = 0; l + 1 < amg.n_levels(); ++l) {
+    const CrsMatrix& A = amg.level_matrix(l);
+    const std::size_t m = A.n_rows() / color.size();
+    column_dofs.push_back(m);
+    ColumnLineSmoother line(m, color, l);
+    line.compute(A);
+    const auto r = random_vec(A.n_rows(), 53 + static_cast<unsigned>(l));
+    std::vector<double> z;
+    line.apply(r, z);
+    EXPECT_TRUE(bitwise_equal(z, serial_column_line_sweep(A, m, color, r)))
+        << "level " << l;
+  }
+  EXPECT_EQ(column_dofs, (std::vector<std::size_t>{12, 6, 4}));
+}
+
+TEST(ColumnLineSmoother, InColumnEntriesOutsideOneRunThrowNamingTheLevel) {
+  // Row 1 (column 0) lists its column-1 coupling, dof 5, before its
+  // in-column coupling to dof 2, against the sorted-row contract: its
+  // in-column entries no longer form one run.
+  const auto prob = make_extruded_laplacian(4, 4, 4, 50.0);
+  std::vector<std::size_t> rp = prob.A.row_ptr(), cols = prob.A.cols();
+  const auto row1 = cols.begin() + static_cast<std::ptrdiff_t>(rp[1]);
+  const auto row1_end = cols.begin() + static_cast<std::ptrdiff_t>(rp[2]);
+  ASSERT_EQ(std::vector<std::size_t>(row1, row1_end),
+            (std::vector<std::size_t>{0, 1, 2, 5, 17}));
+  std::swap(*(row1 + 2), *(row1 + 3));
+  std::vector<double> vals = prob.A.values();
+  std::swap(vals[rp[1] + 2], vals[rp[1] + 3]);
+  CrsMatrix A(std::move(rp), std::move(cols));
+  A.values() = std::move(vals);
+
+  ColumnLineSmoother line(4, lattice_colors(prob.info), 3);
+  const std::string msg = error_of([&] { line.compute(A); });
+  EXPECT_NE(msg.find("level 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("row 1 "), std::string::npos) << msg;
+  EXPECT_NE(msg.find("one run"), std::string::npos) << msg;
+}
+
+TEST(ColumnLineSmoother, RefactorOnAnotherGraphThrows) {
+  // refactor() replays the in-column runs compute() recorded, so it takes
+  // only the graph they were recorded on; equal arrays make another graph.
+  const auto prob = make_extruded_laplacian(4, 4, 4, 50.0);
+  ColumnLineSmoother line(4, lattice_colors(prob.info));
+  line.compute(prob.A);
+  CrsMatrix same_graph(prob.A.graph());
+  same_graph.values() = prob.A.values();
+  EXPECT_NO_THROW(line.refactor(same_graph));
+  CrsMatrix rebuilt(prob.A.row_ptr(), prob.A.cols());
+  rebuilt.values() = prob.A.values();
+  EXPECT_THROW(line.refactor(rebuilt), mali::Error);
+}
+
+// ---------------------------------------------------------------------------
+// V-cycle pin.
+// ---------------------------------------------------------------------------
+
+TEST(AmgVCyclePin, ForecastSizeHierarchy) {
+  // One V-cycle over the forecast-size hierarchy (smoothed levels of 4380,
+  // 2190 and 1460 rows, a 730-row banded coarse solve), pinned bitwise.
+  const auto prob = forecast_size_jacobian();
+  SemicoarseningAmg amg(prob.info, AmgConfig{});
+  amg.compute(prob.A);
+  ASSERT_EQ(amg.n_levels(), 4u);
+  const auto r = random_vec(prob.A.n_rows(), 47);
+  std::vector<double> z;
+  amg.apply(r, z);
+  EXPECT_EQ(digest(z), 0x99ca77f00af23d25ull) << std::hex << digest(z);
 }
