@@ -11,6 +11,7 @@
 //   - forcing-spec parser round trips
 //   - injected Newton fault mid-transient: the dt-backoff path (recovery
 //     off) and the recovery ladder (recovery on) both finish the run
+//   - bitwise pins of a coupled thermal forecast, transient and steady
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -38,6 +39,7 @@
 #include "timestepping/forecast_driver.hpp"
 #include "timestepping/step_controller.hpp"
 #include "util/fp_format.hpp"
+#include "util/hash.hpp"
 
 using namespace mali;
 using timestepping::ForecastConfig;
@@ -828,4 +830,58 @@ TEST(ForecastLedger, RowsAreMonotoneAndWithinControllerBounds) {
   EXPECT_NEAR(t_prev, cfg.years, 1e-10);
   // Adaptive growth actually happened (0.25 -> ... -> 1.0 cap).
   EXPECT_GT(res.ledger.back().dt, res.ledger.front().dt);
+}
+
+// ---- bitwise pins of the coupled thermal forecast ---------------------
+
+namespace {
+
+/// fnv1a64 of the values with -0 canonicalized to +0, as the other pins do.
+std::uint64_t canonical_hash(std::vector<double> v) {
+  for (double& x : v) {
+    if (x == 0.0) x = 0.0;
+  }
+  return util::fnv1a64(v.data(), v.size() * sizeof(double));
+}
+
+/// A short velocity + transport + thermal forecast on the default AMG,
+/// checkpoints off; returns its final U, T and H digests.
+void expect_thermal_forecast_digests(bool steady, std::uint64_t u_hash,
+                                     std::uint64_t t_hash,
+                                     std::uint64_t h_hash) {
+  physics::StokesFOConfig pcfg;
+  pcfg.dx_m = 150.0e3;
+  pcfg.n_layers = 4;
+  physics::StokesFOProblem problem(pcfg);
+  ForecastConfig cfg;
+  cfg.years = 3.0;
+  cfg.thermal_steady = steady;
+  cfg.checkpoint_every = 0;
+  const ForecastResult res = ForecastDriver(problem, cfg).run();
+  ASSERT_TRUE(res.completed);
+  ASSERT_FALSE(res.T.empty());
+  EXPECT_EQ(canonical_hash(res.U), u_hash)
+      << "U 0x" << std::hex << canonical_hash(res.U);
+  EXPECT_EQ(canonical_hash(res.T), t_hash)
+      << "T 0x" << std::hex << canonical_hash(res.T);
+  EXPECT_EQ(canonical_hash(res.H), h_hash)
+      << "H 0x" << std::hex << canonical_hash(res.H);
+}
+
+}  // namespace
+
+// The A(T) coupling reads each quadrature point's nearest column: these
+// pins hold the whole velocity -> transport -> thermal -> A(T) loop to the
+// bit at every thread count.  Recorded with the column found by a scan
+// over every column, before the lattice lookup replaced it.
+TEST(ForecastPin, ThermalTransient) {
+  expect_thermal_forecast_digests(false, 0x47b4334a7fe7d02eull,
+                                  0x7b1e72c55f37f349ull,
+                                  0xaa7e56acfb8009faull);
+}
+
+TEST(ForecastPin, ThermalSteady) {
+  expect_thermal_forecast_digests(true, 0xb770d4c521fb5f53ull,
+                                  0xf5114d5f5b52d6a6ull,
+                                  0x7cd8e2668cdba84cull);
 }
