@@ -1,8 +1,8 @@
 // Component benchmarks (google-benchmark): the substrate pieces the solve
 // spends its time in — sparse matrix-vector products, preconditioner
-// applications, AMG V-cycles, residual/Jacobian assembly, and the cache
-// simulator's probe throughput (which sets the cost of full-scale modeled
-// replays).
+// applications, AMG V-cycles, residual/Jacobian assembly, the thermal
+// model's A(T) coupling, and the cache simulator's probe throughput (which
+// sets the cost of full-scale modeled replays).
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include "linalg/gmres.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "physics/thermal_model.hpp"
 
 using namespace mali;
 
@@ -129,6 +130,30 @@ static void BM_JacobianAssembly(benchmark::State& state) {
   state.counters["cells"] = static_cast<double>(f.problem->workset().n_cells);
 }
 BENCHMARK(BM_JacobianAssembly)->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(10);
+
+// One A(T) coupling: every quadrature point reads its nearest column's
+// temperature from a ThermalModel, as each forecast thermal phase does.
+static void BM_TemperatureCoupling(benchmark::State& state) {
+  physics::StokesFOConfig cfg;
+  cfg.dx_m = static_cast<double>(state.range(0)) * 1.0e3;
+  cfg.n_layers = static_cast<int>(state.range(1));
+  physics::StokesFOProblem problem(cfg);
+  const physics::ThermalModel thermal(problem.mesh(), problem.geometry());
+  for (auto _ : state) {
+    problem.set_temperature_field([&](double x, double y, double sigma) {
+      return thermal.temperature_at(x, y, sigma);
+    });
+    benchmark::ClobberMemory();
+  }
+  state.counters["cells"] = static_cast<double>(problem.workset().n_cells);
+  state.counters["columns"] = static_cast<double>(thermal.n_columns());
+}
+BENCHMARK(BM_TemperatureCoupling)
+    ->ArgNames({"dx_km", "layers"})
+    ->Args({100, 5})
+    ->Args({32, 10})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_CacheSimProbe(benchmark::State& state) {
   gpusim::CacheSim cache(8 << 20, 64, 16, gpusim::CacheSim::Replacement::kRandom);

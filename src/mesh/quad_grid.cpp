@@ -1,7 +1,6 @@
 #include "mesh/quad_grid.hpp"
 
 #include <cmath>
-#include <unordered_map>
 
 namespace mali::mesh {
 
@@ -29,10 +28,9 @@ QuadGrid::QuadGrid(const IceGeometry& geom, QuadGridConfig cfg) : cfg_(cfg) {
     y0 = -half;
   }
   // Lattice cell (i, j) spans [x0 + i dx, x0 + (i+1) dx] x [...].
-
-  auto lattice_node = [ni](long i, long j) -> std::size_t {
-    return static_cast<std::size_t>(j * (ni + 1) + i);
-  };
+  x0_ = x0;
+  y0_ = y0;
+  ni_ = ni;
 
   // Pass 1: find active cells (ice at the centroid).
   std::vector<std::pair<long, long>> active;
@@ -50,16 +48,17 @@ QuadGrid::QuadGrid(const IceGeometry& geom, QuadGridConfig cfg) : cfg_(cfg) {
   }
   MALI_CHECK_MSG(!active.empty(), "ice geometry produced no active cells");
 
-  // Pass 2: compact node numbering over nodes referenced by active cells.
-  std::unordered_map<std::size_t, std::size_t> node_id;
+  // Pass 2: compact node numbering, in first-touch order over the active
+  // cells' corners.
+  lattice_.assign(lattice_index(ni, ni) + 1, kNoNode);
   auto get_node = [&](long i, long j) -> std::size_t {
-    const std::size_t key = lattice_node(i, j);
-    auto [it, inserted] = node_id.try_emplace(key, xs_.size());
-    if (inserted) {
+    std::size_t& id = lattice_[lattice_index(i, j)];
+    if (id == kNoNode) {
+      id = xs_.size();
       xs_.push_back(x0 + static_cast<double>(i) * cfg.dx_m);
       ys_.push_back(y0 + static_cast<double>(j) * cfg.dx_m);
     }
-    return it->second;
+    return id;
   };
 
   cells_.reserve(active.size() * 4);
@@ -78,13 +77,54 @@ QuadGrid::QuadGrid(const IceGeometry& geom, QuadGridConfig cfg) : cfg_(cfg) {
     if (i < 0 || j < 0 || i >= ni || j >= ni) return false;
     return cell_active[static_cast<std::size_t>(j * ni + i)] != 0;
   };
-  for (const auto& [key, id] : node_id) {
-    const long i = static_cast<long>(key % static_cast<std::size_t>(ni + 1));
-    const long j = static_cast<long>(key / static_cast<std::size_t>(ni + 1));
-    const bool interior = active_at(i, j) && active_at(i - 1, j) &&
-                          active_at(i, j - 1) && active_at(i - 1, j - 1);
-    margin_[id] = !interior;
+  for (long j = 0; j <= ni; ++j) {
+    for (long i = 0; i <= ni; ++i) {
+      const std::size_t id = lattice_[lattice_index(i, j)];
+      if (id == kNoNode) continue;
+      const bool interior = active_at(i, j) && active_at(i - 1, j) &&
+                            active_at(i, j - 1) && active_at(i - 1, j - 1);
+      margin_[id] = !interior;
+    }
   }
+}
+
+std::size_t QuadGrid::nearest_node(double x, double y) const {
+  const double fi = std::floor((x - x0_) / cfg_.dx_m);
+  const double fj = std::floor((y - y0_) / cfg_.dx_m);
+  const auto n = static_cast<double>(ni_);
+  // Negated so a NaN coordinate falls through to the scan.
+  if (!(fi >= 0.0 && fi < n && fj >= 0.0 && fj < n)) {
+    return scan_nearest_node(x, y);
+  }
+  const auto i = static_cast<long>(fi);
+  const auto j = static_cast<long>(fj);
+  const std::size_t corners[4] = {
+      lattice_[lattice_index(i, j)], lattice_[lattice_index(i + 1, j)],
+      lattice_[lattice_index(i, j + 1)], lattice_[lattice_index(i + 1, j + 1)]};
+  std::size_t best = kNoNode;
+  double best_d = 0.0;
+  for (const std::size_t c : corners) {
+    if (c == kNoNode) return scan_nearest_node(x, y);
+    const double d = std::hypot(xs_[c] - x, ys_[c] - y);
+    if (best == kNoNode || d < best_d || (d == best_d && c < best)) {
+      best = c;
+      best_d = d;
+    }
+  }
+  return best;
+}
+
+std::size_t QuadGrid::scan_nearest_node(double x, double y) const {
+  std::size_t best = 0;
+  double best_d = 1e300;
+  for (std::size_t n = 0; n < xs_.size(); ++n) {
+    const double d = std::hypot(xs_[n] - x, ys_[n] - y);
+    if (d < best_d) {
+      best_d = d;
+      best = n;
+    }
+  }
+  return best;
 }
 
 }  // namespace mali::mesh

@@ -6,7 +6,9 @@
 // is what we build: cells of a structured lattice are kept where the ice
 // geometry has ice at the cell centroid, and nodes/cells are compactly
 // renumbered.  Lateral-margin nodes (touching a missing cell) form the
-// Dirichlet side set of the velocity solve.
+// Dirichlet side set of the velocity solve.  The grid keeps its lattice (a
+// dense node table over every lattice point) so a point finds its nearest
+// node in O(1).
 
 #include <cstddef>
 #include <vector>
@@ -45,6 +47,14 @@ class QuadGrid {
     return k;
   }
 
+  /// The node nearest to (x, y): the lowest-index node at the minimal
+  /// std::hypot distance, exactly as a scan over every node would pick.
+  /// O(1) when all four corners of the lattice cell holding (x, y) are
+  /// nodes (every point of an active cell): any other node is at least dx
+  /// away, the nearest corner at most dx/sqrt(2).  Elsewhere (outside the
+  /// mask or the lattice box) it scans every node.
+  [[nodiscard]] std::size_t nearest_node(double x, double y) const;
+
   void cell_centroid(std::size_t c, double& x, double& y) const noexcept {
     x = y = 0.0;
     for (int k = 0; k < 4; ++k) {
@@ -56,7 +66,20 @@ class QuadGrid {
   }
 
  private:
+  static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
+
+  [[nodiscard]] std::size_t lattice_index(long i, long j) const noexcept {
+    return static_cast<std::size_t>(j * (ni_ + 1) + i);
+  }
+  [[nodiscard]] std::size_t scan_nearest_node(double x, double y) const;
+
   QuadGridConfig cfg_;
+  /// Lattice point (i, j), 0 <= i, j <= ni, sits at (x0 + i dx, y0 + j dx).
+  double x0_ = 0.0, y0_ = 0.0;
+  long ni_ = 0;
+  /// Node id of lattice point (i, j) at j * (ni + 1) + i, kNoNode where no
+  /// active cell touches it.
+  std::vector<std::size_t> lattice_;
   std::vector<std::size_t> cells_;  ///< 4 node ids per cell
   std::vector<double> xs_, ys_;
   std::vector<bool> margin_;

@@ -36,24 +36,8 @@ ThermalModel::ThermalModel(const mesh::ExtrudedMesh& mesh,
   }
 }
 
-std::size_t ThermalModel::nearest_column(double x, double y) const {
-  // Columns sit on the base lattice: a linear scan is only needed once per
-  // unique target in practice, but keep it robust for arbitrary points.
-  std::size_t best = 0;
-  double best_d = 1e300;
-  for (std::size_t col = 0; col < n_cols_; ++col) {
-    const double d = std::hypot(mesh_.base().node_x(col) - x,
-                                mesh_.base().node_y(col) - y);
-    if (d < best_d) {
-      best_d = d;
-      best = col;
-    }
-  }
-  return best;
-}
-
 double ThermalModel::temperature_at(double x, double y, double sigma) const {
-  const std::size_t col = nearest_column(x, y);
+  const std::size_t col = mesh_.base().nearest_node(x, y);
   const double pos =
       std::clamp(sigma, 0.0, 1.0) * static_cast<double>(levels_ - 1);
   const auto lev = std::min(levels_ - 2, static_cast<std::size_t>(pos));

@@ -29,9 +29,10 @@ class ThermalModel {
     return T_[column][level];
   }
 
-  /// Temperature at an arbitrary point: nearest column (O(1) via the grid
-  /// lattice), linear in sigma.  The signature matches
-  /// StokesFOProblem::set_temperature_field.
+  /// Temperature at an arbitrary point: the nearest column, linear in
+  /// sigma.  The column is QuadGrid::nearest_node — O(1) on the base
+  /// lattice for any point of an active cell, ties to the lowest column
+  /// index.  The signature matches StokesFOProblem::set_temperature_field.
   [[nodiscard]] double temperature_at(double x, double y, double sigma) const;
 
   /// Strain heating per column node from the vertical shear of a global
@@ -60,7 +61,6 @@ class ThermalModel {
  private:
   [[nodiscard]] ColumnForcing forcing_for(
       std::size_t col, const std::vector<std::vector<double>>& heating) const;
-  [[nodiscard]] std::size_t nearest_column(double x, double y) const;
 
   const mesh::ExtrudedMesh& mesh_;
   const mesh::IceGeometry& geom_;

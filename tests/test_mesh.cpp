@@ -1,12 +1,18 @@
 // Mesh substrate tests: synthetic Antarctica geometry properties, quad base
-// grid invariants, and extruded hexahedral mesh topology.
+// grid invariants, extruded hexahedral mesh topology, and the base grid's
+// nearest-node lookup.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "fem/hex8.hpp"
+#include "fem/quadrature.hpp"
 #include "mesh/extruded_mesh.hpp"
 #include "mesh/ice_geometry.hpp"
 #include "mesh/quad_grid.hpp"
@@ -322,4 +328,102 @@ TEST_F(ExtrudedMeshTest, BasalCellsAreLayerZero) {
   const auto cells = mesh.basal_cells();
   EXPECT_EQ(cells.size(), base->n_cells());
   for (std::size_t c : cells) EXPECT_EQ(mesh.layer_of(c), 0u);
+}
+
+// ---- QuadGrid::nearest_node ----
+
+namespace {
+
+/// The reference: scan every node, strict <, so the lowest index wins a tie.
+std::size_t brute_nearest(const QuadGrid& g, double x, double y) {
+  std::size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (std::size_t n = 0; n < g.n_nodes(); ++n) {
+    const double d = std::hypot(g.node_x(n) - x, g.node_y(n) - y);
+    if (d < best_d) {
+      best_d = d;
+      best = n;
+    }
+  }
+  return best;
+}
+
+/// Every distinct (x, y) of the mesh's hex quadrature points, computed with
+/// the arithmetic StokesFOProblem::set_temperature_field uses.
+std::set<std::pair<double, double>> quadrature_points(const ExtrudedMesh& m) {
+  const auto qps = mali::fem::gauss_hex(2);
+  std::set<std::pair<double, double>> pts;
+  for (std::size_t c = 0; c < m.n_cells(); ++c) {
+    for (const auto& qp : qps) {
+      double x = 0.0, y = 0.0;
+      for (int k = 0; k < mali::fem::Hex8Basis::num_nodes; ++k) {
+        const double bf =
+            mali::fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
+        x += bf * m.node_x(m.cell_node(c, k));
+        y += bf * m.node_y(m.cell_node(c, k));
+      }
+      pts.emplace(x, y);
+    }
+  }
+  return pts;
+}
+
+/// Nodes, cell centroids (4-way ties), edge midpoints (2-way ties), and a
+/// sweep past the lattice box at a step that never lands on the lattice.
+std::vector<std::pair<double, double>> probe_points(const QuadGrid& g,
+                                                    double half_width) {
+  std::vector<std::pair<double, double>> pts;
+  for (std::size_t n = 0; n < g.n_nodes(); ++n) {
+    pts.emplace_back(g.node_x(n), g.node_y(n));
+  }
+  for (std::size_t c = 0; c < g.n_cells(); ++c) {
+    double cx, cy;
+    g.cell_centroid(c, cx, cy);
+    pts.emplace_back(cx, cy);
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t a = g.cell_node(c, k), b = g.cell_node(c, (k + 1) % 4);
+      pts.emplace_back(0.5 * (g.node_x(a) + g.node_x(b)),
+                       0.5 * (g.node_y(a) + g.node_y(b)));
+    }
+  }
+  const double step = 0.37 * g.dx();
+  for (double y = -1.3 * half_width; y <= 1.3 * half_width; y += step) {
+    for (double x = -1.3 * half_width; x <= 1.3 * half_width; x += step) {
+      pts.emplace_back(x, y);
+    }
+  }
+  pts.emplace_back(1e12, -1e12);
+  pts.emplace_back(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  return pts;
+}
+
+}  // namespace
+
+TEST(QuadGrid, NearestNodeMatchesBruteForceScan) {
+  struct Case {
+    double dx_m;
+    int layers;
+    bool square;
+  };
+  for (const Case& k : {Case{100.0e3, 5, false}, Case{64.0e3, 10, false},
+                        Case{100.0e3, 3, true}}) {
+    IceGeometryConfig gcfg;
+    gcfg.square_mask = k.square;
+    const IceGeometry geom(gcfg);
+    const auto base = std::make_shared<QuadGrid>(geom, QuadGridConfig{k.dx_m});
+    const ExtrudedMesh mesh(base, geom, ExtrudedMeshConfig{k.layers});
+    const double half = gcfg.radius_m * (1.0 + gcfg.lobe_amplitude) * 1.1;
+    std::size_t checked = 0;
+    for (const auto& [x, y] : quadrature_points(mesh)) {
+      ASSERT_EQ(base->nearest_node(x, y), brute_nearest(*base, x, y))
+          << "dx " << k.dx_m << ", quadrature point (" << x << ", " << y
+          << ")";
+      ++checked;
+    }
+    EXPECT_GE(checked, 4 * base->n_cells());
+    for (const auto& [x, y] : probe_points(*base, half)) {
+      ASSERT_EQ(base->nearest_node(x, y), brute_nearest(*base, x, y))
+          << "dx " << k.dx_m << ", point (" << x << ", " << y << ")";
+    }
+  }
 }

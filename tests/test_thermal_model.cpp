@@ -1,12 +1,18 @@
 // ThermalModel (mesh-wide thermal state) tests: initialization from the
-// geometry, steady solves, interpolation hook, strain heating from a
-// velocity field, and the full thermo-mechanical coupling loop.
+// geometry, steady solves, interpolation hook and the column it reads,
+// strain heating from a velocity field, and the full thermo-mechanical
+// coupling loop.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "fem/hex8.hpp"
+#include "fem/quadrature.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "nonlinear/newton.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -79,6 +85,70 @@ TEST(ThermalModel, TemperatureAtInterpolates) {
   }
   EXPECT_GE(mid, lo - 1e-12);
   EXPECT_LE(mid, hi + 1e-12);
+}
+
+TEST(ThermalModel, TemperatureAtReadsTheNearestColumn) {
+  // Column c holds c at the bed, so temperature_at(x, y, 0) names the column
+  // it read; it must be the lowest-index column at the minimal hypot
+  // distance, the one a scan over every column picks.
+  for (const bool square : {false, true}) {
+    physics::StokesFOConfig cfg;
+    cfg.dx_m = 250.0e3;
+    cfg.n_layers = 4;
+    cfg.geometry.square_mask = square;
+    const physics::StokesFOProblem p(cfg);
+    const auto& mesh = p.mesh();
+    const auto& base = mesh.base();
+    ThermalModel thermal(mesh, p.geometry());
+    std::vector<double> flat(thermal.n_columns() * thermal.levels(), 250.0);
+    for (std::size_t col = 0; col < thermal.n_columns(); ++col) {
+      flat[col * thermal.levels()] = static_cast<double>(col);
+    }
+    thermal.set_temperatures_flat(flat);
+
+    // Quadrature points, cell centroids (4-way ties) and edge midpoints
+    // (2-way ties), plus a point far outside the lattice.
+    std::vector<std::pair<double, double>> pts;
+    const auto qps = fem::gauss_hex(2);
+    for (std::size_t c = 0; c < mesh.n_cells(); ++c) {
+      for (const auto& qp : qps) {
+        double x = 0.0, y = 0.0;
+        for (int k = 0; k < fem::Hex8Basis::num_nodes; ++k) {
+          const double bf = fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
+          x += bf * mesh.node_x(mesh.cell_node(c, k));
+          y += bf * mesh.node_y(mesh.cell_node(c, k));
+        }
+        pts.emplace_back(x, y);
+      }
+    }
+    for (std::size_t c = 0; c < base.n_cells(); ++c) {
+      double cx, cy;
+      base.cell_centroid(c, cx, cy);
+      pts.emplace_back(cx, cy);
+      for (int k = 0; k < 4; ++k) {
+        const std::size_t a = base.cell_node(c, k);
+        const std::size_t b = base.cell_node(c, (k + 1) % 4);
+        pts.emplace_back(0.5 * (base.node_x(a) + base.node_x(b)),
+                         0.5 * (base.node_y(a) + base.node_y(b)));
+      }
+    }
+    pts.emplace_back(-3.0e6, 2.5e6);
+
+    for (const auto& [x, y] : pts) {
+      std::size_t best = 0;
+      double best_d = std::numeric_limits<double>::infinity();
+      for (std::size_t col = 0; col < thermal.n_columns(); ++col) {
+        const double d = std::hypot(base.node_x(col) - x, base.node_y(col) - y);
+        if (d < best_d) {
+          best_d = d;
+          best = col;
+        }
+      }
+      ASSERT_EQ(thermal.temperature_at(x, y, 0.0), static_cast<double>(best))
+          << (square ? "square" : "lobed") << " mask, point (" << x << ", "
+          << y << ")";
+    }
+  }
 }
 
 TEST(ThermalModel, StrainHeatingPositiveAndShearDriven) {
