@@ -109,17 +109,10 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
     }
   }
 
-  // Temperature-dependent flow factor at quadrature points (thermal mode),
-  // from the geometry's temperature field.
-  if (cfg_.thermal_viscosity) {
-    set_temperature_field([this](double x, double y, double sigma) {
-      return geom_.temperature(x, y, sigma);
-    });
-  }
-
   // Reference HEX8 values/gradients + quadrature weights for the kernels
   // that rebuild the cell geometry in registers (matrix-free tangent and
-  // the batched fused chains).
+  // the batched fused chains), and for set_temperature_field's
+  // quadrature-point positions.
   elems_.ref_grad = pk::View<double, 3>("ref_grad", Q, N, 3);
   elems_.ref_val = pk::View<double, 2>("ref_val", Q, N);
   elems_.qp_weights = pk::View<double, 1>("qp_weights", Q);
@@ -131,6 +124,14 @@ StokesFOProblem::StokesFOProblem(StokesFOConfig cfg)
       const auto grad = fem::Hex8Basis::gradient(k, qp.xi, qp.eta, qp.zeta);
       for (int d = 0; d < 3; ++d) elems_.ref_grad(q, k, d) = grad[d];
     }
+  }
+
+  // Temperature-dependent flow factor at quadrature points (thermal mode),
+  // from the geometry's temperature field.
+  if (cfg_.thermal_viscosity) {
+    set_temperature_field([this](double x, double y, double sigma) {
+      return geom_.temperature(x, y, sigma);
+    });
   }
 
   // Reference QUAD4 basis values at the face quadrature points.
@@ -425,14 +426,13 @@ void StokesFOProblem::set_temperature_field(
   if (!flow_factor.allocated()) {
     flow_factor = pk::View<double, 2>("flow_factor", ws_.n_cells_padded, Q);
   }
-  const auto qps = fem::gauss_hex(2);
+  const auto& ref_val = elems_.ref_val;
   pk::parallel_for("set_temperature", C, [&](int ci) {
     const auto c = static_cast<std::size_t>(ci);
     for (int q = 0; q < Q; ++q) {
       double x = 0.0, y = 0.0, z = 0.0;
       for (int k = 0; k < N; ++k) {
-        const auto& qp = qps[static_cast<std::size_t>(q)];
-        const double bf = fem::Hex8Basis::value(k, qp.xi, qp.eta, qp.zeta);
+        const double bf = ref_val(q, k);
         x += bf * ws_.coords(c, k, 0);
         y += bf * ws_.coords(c, k, 1);
         z += bf * ws_.coords(c, k, 2);
