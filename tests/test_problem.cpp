@@ -359,7 +359,9 @@ std::uint64_t hash_of(const std::vector<double>& v) {
 // residual values fall into two bit-groups: kOptimized and kFusedOnly sum
 // the stress and force terms in one fused quadrature loop, kBaseline,
 // kLoopOptOnly and kLocalAccumOnly in separate loops.  The SFad chain
-// always runs scalar, so the configured SIMD width must not move a bit.
+// always runs scalar, so the configured SIMD width must not move a bit:
+// widths 4 and 8 run explicitly, because auto (0) picks 8 on an AVX-512
+// build and 4 on a baseline one, and each build pins both.
 TEST(JacobianPin, AssembledSfadBytesEveryVariant) {
   struct Pin {
     bool thermal;
@@ -388,7 +390,7 @@ TEST(JacobianPin, AssembledSfadBytesEveryVariant) {
       {true, KernelVariant::kLocalAccumOnly, 0x7adf82020350986full,
        0x87a76e353c6d7cc9ull, 0x26c96ff8ef2af90dull},
   };
-  for (const int width : {1, 0}) {
+  for (const int width : {1, 4, 8, 0}) {
     for (const Pin& pin : pins) {
       StokesFOConfig cfg;
       cfg.dx_m = 100.0e3;
