@@ -5,7 +5,7 @@
 // StokesFOTangentApply<W> over its StokesFOTangentLinearize<W> cache (built
 // once per arm, outside the timed loop, as the solver builds it once per
 // linearization) at W = 1 (the scalar reference the solver runs at
-// `--simd off`) vs the native width.  Reports per-element time
+// `--simd off`) vs W = 2, 4 and 8.  Reports per-element time
 // and the achieved bandwidth against the perf:: byte models, and GATES on
 // the fused-residual speedup: the native-width batched kernel must be
 // >= 1.5x the scalar chain (the tentpole claim of the SIMD PR).
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   run_batched_resid.template operator()<8>();
   if (native_speedup == 0.0) native_speedup = arms.back().speedup;
 
-  // ---- matrix-free tangent: width 1 vs native-width batched ----
+  // ---- matrix-free tangent: width 1 vs batched W in {2, 4, 8} ----
   const std::size_t n = problem.n_dofs();
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -265,11 +265,9 @@ int main(int argc, char** argv) {
     arms.push_back(a);
   };
   run_tan.template operator()<1>();
-  if (pk::kSimdNativeWidth == 8) {
-    run_tan.template operator()<8>();
-  } else {
-    run_tan.template operator()<4>();
-  }
+  run_tan.template operator()<2>();
+  run_tan.template operator()<4>();
+  run_tan.template operator()<8>();
 
   std::printf("%-26s %5s %12s %10s %9s %10s\n", "kernel", "W", "ns/cell",
               "GB/s", "speedup", "max rel");

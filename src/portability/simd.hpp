@@ -31,9 +31,13 @@ namespace mali::pk {
 // ---------------------------------------------------------------------------
 // kSimdMaxWidth bounds the padding the workset layer must provide (allocate
 // kSimdMaxWidth - 1 ghost rows past the last cell).  kSimdNativeWidth is the
-// default picked by `--simd auto`; 4 doubles is the measured sweet spot for
-// the fused-chain kernels on x86-64 (W=8 gains little and spills under
-// baseline SSE2 codegen) and maps to one NEON pair on aarch64.
+// default picked by `--simd auto`.  The library is built for the host's ISA
+// (DESIGN.md §18), so under AVX-512 a W=8 pack fills 256- or 512-bit
+// registers, of which there are 32, and W=8 beats W=4 on the fused
+// residual, the matrix-free tangent and the 4-rank matrix-free solve
+// (BENCH_host_isa.json).  Without AVX-512, 4 doubles is two xmm (or one ymm)
+// registers on x86-64, where W=8 gains nothing over W=4, and one NEON pair
+// on aarch64.
 inline constexpr int kSimdMaxWidth = 8;
 
 inline constexpr int kSimdNativeWidth =
