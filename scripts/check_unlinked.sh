@@ -11,6 +11,12 @@
 # functions something in it can reach.  The tests are not built: a function
 # only a test calls is unlinked.  bench/e2e is configured as its own project
 # in a separate build directory; no file under the source tree is written.
+#
+# Blind spot: the gate sees only symbols that libmali.a defines.  A header-
+# only template that nothing in the library instantiates emits no symbol,
+# so it never reaches libmali.a and the gate cannot flag it, even when only
+# tests call it.  Check such headers by grepping for callers in src/,
+# tools/, bench/ and examples/.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)

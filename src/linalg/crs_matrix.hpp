@@ -3,12 +3,12 @@
 // once from the FE connectivity, as Trilinos' Tpetra graphs are) plus the
 // dense-vector helpers the Krylov solvers need.
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "portability/atomic.hpp"
 #include "portability/common.hpp"
 
 namespace mali::linalg {
@@ -70,14 +70,6 @@ class CrsMatrix {
   /// Adds v at (r, c); throws mali::Error when the graph lacks the entry.
   void add(std::size_t r, std::size_t c, double v) {
     vals_[find_existing(r, c)] += v;
-  }
-
-  /// Adds v at (r, c) with an atomic read-modify-write on the stored value —
-  /// the lock-free scatter path used when concurrent cells may share rows
-  /// (ScatterMode::kAtomic).  The graph itself is immutable, so only the
-  /// value update needs to be atomic.
-  void add_atomic(std::size_t r, std::size_t c, double v) {
-    pk::atomic_add(&vals_[find_existing(r, c)], v);
   }
 
   /// Sets (r, c) = v; throws mali::Error when the graph lacks the entry.

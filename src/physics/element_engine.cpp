@@ -322,8 +322,7 @@ void ElementEngine::assemble(const CellBlock& b, const pk::View<double, 1>& U,
   auto& f = evaluate<EvalT, Exec>(b, U);
   pk::Timer phase_timer;
   // Element residuals/Jacobians into the global F / CRS matrix (rows are
-  // shared between cells, so the parallel modes rely on the coloring or on
-  // atomics).
+  // shared between cells, so the colored mode relies on the coloring).
   const CrsSlotTable* slots = nullptr;
   if constexpr (ad::is_fad_v<typename EvalT::ScalarT>) {
     if (J != nullptr) slots = &slot_table<Exec>(b, *J);

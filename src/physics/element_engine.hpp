@@ -229,12 +229,6 @@ class ElementEngine {
   void accumulate_node_blocks(const CellBlock& b, const pk::View<double, 1>& U,
                               std::vector<double>& blocks);
 
-  /// Element residuals of the last residual evaluation, (C, N, 2) relative
-  /// to that block's offset.
-  [[nodiscard]] const pk::View<double, 3>& element_residual() const noexcept {
-    return res_fields_.Residual;
-  }
-
   /// The field set of one evaluation type (double or SFad<double,16>), with
   /// the fields the engine's paths have allocated so far.
   template <class ScalarT>

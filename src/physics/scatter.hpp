@@ -3,7 +3,7 @@
 //
 // The FE scatter is the one assembly phase that cannot naively run in
 // parallel: neighbouring cells share nodes, so their element contributions
-// add into the same global rows.  Three strategies are provided, selected by
+// add into the same global rows.  Two strategies are provided, selected by
 // ScatterMode:
 //
 //  * kSerial  — the historical single-thread loop (reference semantics).
@@ -13,14 +13,11 @@
 //               Deterministic: every global row receives its contributions
 //               in a fixed (color-major, then cell) order regardless of the
 //               thread count or schedule.
-//  * kAtomic  — lock-free parallelism over all cells at once using
-//               pk::atomic_add / CrsMatrix::add_atomic.  Race-free but the
-//               per-row addition order depends on thread interleaving, so
-//               results are reproducible only to FP-associativity.
 //
-// All three produce the same values up to floating-point reassociation;
-// tests/test_scatter_parallel.cpp pins the equivalence on both the Serial
-// and the thread-pool exec spaces.
+// Both produce the same values up to floating-point reassociation (the
+// colored order differs from the serial cell order); neither order depends
+// on the schedule.  tests/test_scatter_parallel.cpp pins the equivalence on
+// both the Serial and the thread-pool exec spaces.
 //
 // The matrix half writes each element entry either through a CrsSlotTable
 // (the entry's index into the CRS values, looked up once per cell range and
@@ -39,7 +36,6 @@
 #include "linalg/crs_matrix.hpp"
 #include "mesh/coloring.hpp"
 #include "physics/eval_types.hpp"
-#include "portability/atomic.hpp"
 #include "portability/parallel.hpp"
 #include "portability/view.hpp"
 
@@ -48,7 +44,6 @@ namespace mali::physics {
 enum class ScatterMode {
   kSerial,   ///< single-thread reference loop
   kColored,  ///< parallel over conflict-free color classes (deterministic)
-  kAtomic,   ///< parallel over all cells with atomic adds
 };
 
 [[nodiscard]] inline const char* to_string(ScatterMode m) {
@@ -57,8 +52,6 @@ enum class ScatterMode {
       return "serial";
     case ScatterMode::kColored:
       return "colored";
-    case ScatterMode::kAtomic:
-      return "atomic";
   }
   return "unknown";
 }
@@ -67,10 +60,7 @@ enum class ScatterMode {
     const std::string& s) {
   if (s == "serial") return ScatterMode::kSerial;
   if (s == "colored") return ScatterMode::kColored;
-  if (s == "atomic") return ScatterMode::kAtomic;
-  MALI_CHECK_MSG(false, "unknown scatter mode: " + s +
-                            " (expected serial|colored|atomic)");
-  return ScatterMode::kSerial;  // unreachable
+  throw Error("unknown scatter mode: " + s + " (expected serial|colored)");
 }
 
 /// Where every element coupling of a range of 8-node cells sits in one CRS
@@ -125,12 +115,11 @@ template <class Exec = pk::DefaultExec>
 namespace detail {
 
 /// Scatters one cell's element residual (and, for SFad scalars, its element
-/// Jacobian) into the global F vector / CRS matrix.  `Atomic` selects the
-/// lock-free update path; with Atomic = false the caller must guarantee the
-/// cell's rows are not concurrently updated (serial loop or color class).
-/// `slots` is the cell's row of a CrsSlotTable that serves J, or null to
-/// locate each entry with CrsMatrix::add.
-template <bool Atomic, class ScalarT>
+/// Jacobian) into the global F vector / CRS matrix.  The caller must
+/// guarantee the cell's rows are not concurrently updated (serial loop or
+/// color class).  `slots` is the cell's row of a CrsSlotTable that serves
+/// J, or null to locate each entry with CrsMatrix::add.
+template <class ScalarT>
 MALI_INLINE void scatter_cell(std::size_t c,
                               const pk::View<std::size_t, 2>& cell_nodes,
                               const pk::View<ScalarT, 3>& Residual,
@@ -142,11 +131,7 @@ MALI_INLINE void scatter_cell(std::size_t c,
     for (int comp = 0; comp < 2; ++comp) {
       const std::size_t row = fem::DofMap::dof(gnode, comp);
       const ScalarT& R = Residual(c, node, comp);
-      if constexpr (Atomic) {
-        pk::atomic_add(&F[row], ad::value_of(R));
-      } else {
-        F[row] += ad::value_of(R);
-      }
+      F[row] += ad::value_of(R);
       if constexpr (ad::is_fad_v<ScalarT>) {
         if (J == nullptr) continue;
         if (slots != nullptr) {
@@ -154,22 +139,14 @@ MALI_INLINE void scatter_cell(std::size_t c,
           const std::uint32_t* row_slots =
               slots + (2 * node + comp) * kNumLocalDofs;
           for (int l = 0; l < kNumLocalDofs; ++l) {
-            if constexpr (Atomic) {
-              pk::atomic_add(&vals[row_slots[l]], R.dx(l));
-            } else {
-              vals[row_slots[l]] += R.dx(l);
-            }
+            vals[row_slots[l]] += R.dx(l);
           }
           continue;
         }
         for (int l = 0; l < kNumLocalDofs; ++l) {
           const std::size_t col =
               fem::DofMap::dof(cell_nodes(c, l / 2), l % 2);
-          if constexpr (Atomic) {
-            J->add_atomic(row, col, R.dx(l));
-          } else {
-            J->add(row, col, R.dx(l));
-          }
+          J->add(row, col, R.dx(l));
         }
       }
     }
@@ -181,7 +158,7 @@ MALI_INLINE void scatter_cell(std::size_t c,
 /// Scatter-adds the element residuals of cells [0, count) into F (and J for
 /// SFad scalars).  `coloring` must cover exactly the same local cell range
 /// and is only consulted for ScatterMode::kColored.  Exec selects the pk
-/// execution space for the parallel modes (the serial mode ignores it).
+/// execution space for the colored mode (the serial mode ignores it).
 /// `slots` is a slot table of the same cell range; the matrix entries go
 /// through it when it serves J, else through CrsMatrix::add, which throws
 /// mali::Error when J's graph misses a coupling.
@@ -206,8 +183,8 @@ void scatter_add(ScatterMode mode, const mesh::CellColoring& coloring,
   switch (mode) {
     case ScatterMode::kSerial: {
       for (std::size_t c = 0; c < count; ++c) {
-        detail::scatter_cell<false>(c, cell_nodes, Residual, num_nodes, Fp, J,
-                                    cell_slots(c));
+        detail::scatter_cell(c, cell_nodes, Residual, num_nodes, Fp, J,
+                             cell_slots(c));
       }
       break;
     }
@@ -221,21 +198,10 @@ void scatter_add(ScatterMode mode, const mesh::CellColoring& coloring,
         pk::parallel_for(
             "scatter_color", pk::RangePolicy<Exec>(coloring.color_size(k)),
             [&, cells](int i) {
-              detail::scatter_cell<false>(cells[i], cell_nodes, Residual,
-                                          num_nodes, Fp, J,
-                                          cell_slots(cells[i]));
+              detail::scatter_cell(cells[i], cell_nodes, Residual,
+                                   num_nodes, Fp, J, cell_slots(cells[i]));
             });
       }
-      break;
-    }
-    case ScatterMode::kAtomic: {
-      pk::parallel_for("scatter_atomic", pk::RangePolicy<Exec>(count),
-                       [&](int i) {
-                         const auto c = static_cast<std::size_t>(i);
-                         detail::scatter_cell<true>(c, cell_nodes, Residual,
-                                                    num_nodes, Fp, J,
-                                                    cell_slots(c));
-                       });
       break;
     }
   }

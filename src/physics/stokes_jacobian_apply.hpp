@@ -41,8 +41,8 @@
 // (tests/test_operator_equivalence.cpp).
 //
 // The per-cell tangent is written to a plain double Tangent(C, N, 2) view
-// and scattered into the global result with scatter_add (serial / colored /
-// atomic — the double path, J == nullptr).
+// and scattered into the global result with scatter_add (serial / colored —
+// the double path, J == nullptr).
 
 #include <cmath>
 #include <cstddef>

@@ -3,7 +3,7 @@
 //
 // The pk layer is a from-scratch stand-in for the Kokkos programming model:
 // multidimensional views, execution policies with tag dispatch, and
-// parallel_for / parallel_reduce over serial or thread-pool backends.
+// parallel_for over serial or thread-pool backends.
 // Kernels written against it look like the Albany kernels in the paper.
 
 #include <cstddef>

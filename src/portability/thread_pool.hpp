@@ -1,6 +1,6 @@
 #pragma once
 // The thread pool behind the pk "Threads" backend: every threaded
-// parallel_for, SIMD batch loop and parallel_reduce is one parallel_range.
+// parallel_for and SIMD batch loop is one parallel_range.
 //
 // Dispatch model.  A pool of T threads starts T - 1 workers; the thread that
 // calls parallel_range is the T-th and runs chunks like any worker.  A

@@ -141,10 +141,27 @@ TEST(CrsMatrix, WritesOutsideTheGraphThrow) {
   // every build type rather than store out of bounds.
   CrsMatrix A = laplacian_1d(5);
   EXPECT_THROW(A.add(0, 4, 1.0), mali::Error);
-  EXPECT_THROW(A.add_atomic(4, 0, 1.0), mali::Error);
   EXPECT_THROW(A.set(2, 4, 1.0), mali::Error);
   EXPECT_THROW(A.add(5, 0, 1.0), mali::Error);  // row out of range
   EXPECT_EQ(A.get(2, 2), 2.0);  // nothing was written
+}
+
+TEST(CrsMatrix, SlotIndexesTheEntryAddWrites) {
+  // The scatter's slot tables write values()[slot(r, c)] in place of
+  // add(r, c, v); both must reach the same entry, and slot() must throw
+  // where add() does.
+  CrsMatrix A = laplacian_1d(5);
+  for (std::size_t r = 0; r < A.n_rows(); ++r) {
+    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
+      const std::size_t c = A.cols()[k];
+      EXPECT_EQ(A.slot(r, c), k) << r << ", " << c;
+      const double before = A.values()[k];
+      A.add(r, c, 0.5);
+      EXPECT_EQ(A.values()[k], before + 0.5) << r << ", " << c;
+    }
+  }
+  EXPECT_THROW((void)A.slot(0, 4), mali::Error);
+  EXPECT_THROW((void)A.slot(5, 0), mali::Error);
 }
 
 TEST(CrsMatrix, SetZeroAndDiagonal) {

@@ -12,7 +12,7 @@
 // suite pinned for entrywise Jacobian reassociation (observed worst case
 // here is ~1e-13).
 //
-// Runs under TSan in CI: the threaded tangent + colored/atomic scatter is
+// Runs under TSan in CI: the threaded tangent + colored scatter is
 // exercised on both exec spaces.
 
 #include <gtest/gtest.h>
@@ -101,6 +101,27 @@ void expect_apply_matches(const std::vector<double>& y_asm,
   }
 }
 
+/// Linearizes p at U on pk::Serial and on the thread pool and expects the
+/// tangent apply and the assembled tangent of the two to agree bit for bit:
+/// every cell's tangent is computed alone, and neither scatter order depends
+/// on the threads that run it.
+void expect_exec_spaces_give_the_same_bits(StokesFOProblem& p,
+                                           const std::vector<double>& U) {
+  physics::TangentCache lin_ser, lin_thr;
+  p.linearize_tangent<pk::Serial>(U, lin_ser);
+  p.linearize_tangent<pk::Threads>(U, lin_thr);
+  const auto x = random_vector(p.n_dofs(), 23u);
+  std::vector<double> y_ser, y_thr;
+  p.apply_tangent<pk::Serial>(lin_ser, x, y_ser);
+  p.apply_tangent<pk::Threads>(lin_thr, x, y_thr);
+  EXPECT_EQ(y_ser, y_thr);
+  auto J_ser = p.create_matrix();
+  auto J_thr = p.create_matrix();
+  p.assemble_tangent<pk::Serial>(lin_ser, J_ser);
+  p.assemble_tangent<pk::Threads>(lin_thr, J_thr);
+  EXPECT_EQ(J_ser.values(), J_thr.values());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -133,13 +154,18 @@ TEST_P(OperatorEquivalence, ApplyMatchesAssembledSpmv) {
   }
 }
 
+TEST_P(OperatorEquivalence, ExecSpacesGiveTheSameBits) {
+  const auto [kind, mode] = GetParam();
+  StokesFOProblem p(make_config(kind, mode));
+  expect_exec_spaces_give_the_same_bits(p, p.analytic_initial_guess());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ConfigsAndModes, OperatorEquivalence,
     ::testing::Combine(::testing::Values(Config::kMms, Config::kAntarctica,
                                          Config::kThermal, Config::kWeertman),
                        ::testing::Values(ScatterMode::kSerial,
-                                         ScatterMode::kColored,
-                                         ScatterMode::kAtomic)),
+                                         ScatterMode::kColored)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              physics::to_string(std::get<1>(info.param));
@@ -170,6 +196,15 @@ TEST_P(OperatorMeshSweep, ApplyMatchesAcrossMeshSizes) {
   J.apply(x, y_asm);
   p.apply_jacobian(U, x, y_mf);
   expect_apply_matches(y_asm, y_mf, s, kApplyTol, "mesh sweep");
+}
+
+TEST_P(OperatorMeshSweep, ExecSpacesGiveTheSameBits) {
+  const auto [dx_km, layers] = GetParam();
+  StokesFOConfig cfg;
+  cfg.dx_m = dx_km * 1e3;
+  cfg.n_layers = layers;
+  StokesFOProblem p(cfg);
+  expect_exec_spaces_give_the_same_bits(p, p.analytic_initial_guess());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, OperatorMeshSweep,

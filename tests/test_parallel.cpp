@@ -1,12 +1,10 @@
-// Tests for the pk execution layer: parallel_for/reduce on both backends,
-// tag dispatch, launch-bounds plumbing and the thread pool.
+// Tests for the pk execution layer: parallel_for on both backends, tag
+// dispatch, launch-bounds plumbing and the thread pool.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -199,6 +197,16 @@ TEST(ParallelFor, ThreadsBackend) {
   for (int i = 0; i < 257; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)].load(), i);
 }
 
+TEST(ParallelFor, EmptyRangeRunsNothing) {
+  std::atomic<int> calls{0};
+  const auto count = [&](int) { calls.fetch_add(1); };
+  pk::parallel_for("s", pk::RangePolicy<pk::Serial>(0), count);
+  pk::parallel_for("t", pk::RangePolicy<pk::Threads>(0), count);
+  pk::parallel_for("o", pk::RangePolicy<pk::Threads>(40, 40), count);
+  pk::parallel_for("f", 0, count);
+  EXPECT_EQ(calls.load(), 0);
+}
+
 TEST(ParallelFor, RangeWithOffset) {
   std::vector<int> touched(20, 0);
   pk::parallel_for("t", pk::RangePolicy<pk::Serial>(5, 15),
@@ -226,6 +234,9 @@ TEST(ParallelFor, TagDispatchSelectsOverload) {
   EXPECT_EQ(b.load(), 0);
   pk::parallel_for("b", pk::RangePolicy<pk::Serial, TagB>(10), f);
   EXPECT_EQ(b.load(), 30);
+  pk::parallel_for("bt", pk::RangePolicy<pk::Threads, TagB>(1000), f);
+  EXPECT_EQ(a.load(), 10);
+  EXPECT_EQ(b.load(), 3030);
 }
 
 TEST(ParallelFor, ThreadsRangeWithOffsetVisitsEachIndexOnce) {
@@ -247,139 +258,6 @@ TEST(ParallelFor, FlatRangeOverloadCoversZeroToN) {
   EXPECT_EQ(hits[256].load(), 0);
 }
 
-TEST(ParallelReduce, SumSerial) {
-  double sum = 0.0;
-  pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(100),
-                      [](int i, double& acc) { acc += i; }, sum);
-  EXPECT_DOUBLE_EQ(sum, 4950.0);
-}
-
-TEST(ParallelReduce, SumThreads) {
-  long sum = 0;
-  pk::parallel_reduce("s", pk::RangePolicy<pk::Threads>(1000),
-                      [](int i, long& acc) { acc += i; }, sum);
-  EXPECT_EQ(sum, 499500);
-}
-
-TEST(ParallelReduce, EmptyRangeGivesIdentity) {
-  // The result is overwritten with the identity, not left at its old value.
-  double serial = 7.0, threaded = 7.0;
-  auto f = [](int, double& acc) { acc += 1.0; };
-  pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(0), f, serial);
-  pk::parallel_reduce("t", pk::RangePolicy<pk::Threads>(0), f, threaded);
-  EXPECT_EQ(serial, 0.0);
-  EXPECT_EQ(threaded, 0.0);
-  long offset_empty = 3;
-  pk::parallel_reduce("o", pk::RangePolicy<pk::Threads>(40, 40),
-                      [](int, long& acc) { acc += 1; }, offset_empty);
-  EXPECT_EQ(offset_empty, 0);
-}
-
-TEST(ParallelReduce, ThreadsRangeWithOffset) {
-  long sum = 0;
-  pk::parallel_reduce("t", pk::RangePolicy<pk::Threads>(100, 1100),
-                      [](int i, long& acc) { acc += i; }, sum);
-  EXPECT_EQ(sum, (100L + 1099L) * 1000L / 2);
-}
-
-struct TaggedSum {
-  void operator()(const TagA&, int i, long& acc) const { acc += i; }
-  void operator()(const TagB&, int i, long& acc) const { acc += 2L * i; }
-};
-
-TEST(ParallelReduce, TagDispatchSelectsOverload) {
-  long a = 0, b = 0, bt = 0;
-  pk::parallel_reduce("a", pk::RangePolicy<pk::Serial, TagA>(10), TaggedSum{},
-                      a);
-  pk::parallel_reduce("b", pk::RangePolicy<pk::Serial, TagB>(10), TaggedSum{},
-                      b);
-  pk::parallel_reduce("bt", pk::RangePolicy<pk::Threads, TagB>(1000),
-                      TaggedSum{}, bt);
-  EXPECT_EQ(a, 45);
-  EXPECT_EQ(b, 90);
-  EXPECT_EQ(bt, 999000);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism contract for reductions.
-//
-// The threaded parallel_reduce merges thread-local partials in completion
-// order, so its result is reproducible only to FP-associativity relative to
-// the serial reduction — that tolerance contract is pinned here.  For
-// bitwise-reproducible CI runs, parallel_reduce_deterministic fixes the
-// reduction tree with a chunk size independent of the thread schedule.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// An ill-conditioned-enough summand: wide dynamic range so reassociation is
-// visible at the ulp level but bounded.
-double summand(int i) {
-  return std::sin(0.1 * i) * std::exp2((i % 64) - 32);
-}
-
-}  // namespace
-
-TEST(ParallelReduce, ThreadedMatchesSerialToAssociativityTolerance) {
-  const std::size_t n = 100000;
-  double serial = 0.0, threaded = 0.0;
-  auto f = [](int i, double& acc) { acc += summand(i); };
-  pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(n), f, serial);
-  pk::parallel_reduce("t", pk::RangePolicy<pk::Threads>(n), f, threaded);
-  // Contract: agreement to ~n*eps *relative to the sum's condition* Σ|x_i|
-  // — NOT bitwise, and NOT relative to the (cancellation-shrunk) result;
-  // the partition of the range into thread chunks is schedule-dependent.
-  double abs_scale = 0.0;
-  pk::parallel_reduce(
-      "a", pk::RangePolicy<pk::Serial>(n),
-      [](int i, double& acc) { acc += std::abs(summand(i)); }, abs_scale);
-  const double tol = 1e-12 * std::max(1.0, abs_scale);
-  EXPECT_NEAR(threaded, serial, tol);
-}
-
-TEST(ParallelReduceDeterministic, BitwiseReproducibleAcrossRuns) {
-  const std::size_t n = 100000;
-  auto f = [](int i, double& acc) { acc += summand(i); };
-  double first = 0.0;
-  pk::parallel_reduce_deterministic("d", n, f, first, 512);
-  for (int rep = 0; rep < 10; ++rep) {
-    double again = 0.0;
-    pk::parallel_reduce_deterministic("d", n, f, again, 512);
-    EXPECT_EQ(again, first) << "rep " << rep;  // bitwise, not approximate
-  }
-}
-
-TEST(ParallelReduceDeterministic, MatchesSerialToTolerance) {
-  const std::size_t n = 50000;
-  auto f = [](int i, double& acc) { acc += summand(i); };
-  double serial = 0.0, det = 0.0;
-  pk::parallel_reduce("s", pk::RangePolicy<pk::Serial>(n), f, serial);
-  pk::parallel_reduce_deterministic("d", n, f, det);
-  double abs_scale = 0.0;
-  pk::parallel_reduce(
-      "a", pk::RangePolicy<pk::Serial>(n),
-      [](int i, double& acc) { acc += std::abs(summand(i)); }, abs_scale);
-  EXPECT_NEAR(det, serial, 1e-12 * std::max(1.0, abs_scale));
-}
-
-TEST(ParallelReduceDeterministic, ExactForIntegers) {
-  const std::size_t n = 12345;
-  long sum = 0;
-  pk::parallel_reduce_deterministic(
-      "i", n, [](int i, long& acc) { acc += i; }, sum, 128);
-  EXPECT_EQ(sum, static_cast<long>(n) * (static_cast<long>(n) - 1) / 2);
-}
-
-TEST(ParallelReduceDeterministic, HandlesEmptyAndTinyRanges) {
-  double sum = 1.0;
-  pk::parallel_reduce_deterministic(
-      "e", 0, [](int, double& acc) { acc += 1.0; }, sum);
-  EXPECT_EQ(sum, 0.0);
-  pk::parallel_reduce_deterministic(
-      "one", 1, [](int i, double& acc) { acc += i + 3.0; }, sum);
-  EXPECT_EQ(sum, 3.0);
-}
-
 TEST(LaunchBounds, CompileTimeToRuntime) {
   using LB = pk::LaunchBounds<128, 2>;
   constexpr auto cfg = pk::to_launch_config<LB>();
@@ -392,17 +270,20 @@ TEST(LaunchBounds, CompileTimeToRuntime) {
 
 TEST(LaunchBounds, PolicyCarriesBoundsWithoutChangingResult) {
   // On the CPU backends launch bounds are a hint carried by the policy
-  // type: the reduction result must not depend on them.
+  // type: what a parallel_for writes must not depend on them.
   using Bounded = pk::RangePolicy<pk::Threads, void, pk::LaunchBounds<256, 4>>;
   static_assert(pk::to_launch_config<Bounded::launch_bounds>() ==
                 pk::LaunchConfig{256, 4});
   static_assert(
       pk::to_launch_config<pk::RangePolicy<>::launch_bounds>().is_default());
-  long plain = 0, bounded = 0;
-  auto f = [](int i, long& acc) { acc += 3L * i - 1; };
-  pk::parallel_reduce("p", pk::RangePolicy<pk::Threads>(5000), f, plain);
-  pk::parallel_reduce("b", Bounded(5000), f, bounded);
+  std::vector<long> plain(5000, 0), bounded(5000, 0);
+  auto fill = [](std::vector<long>& out) {
+    return [&out](int i) { out[static_cast<std::size_t>(i)] = 3L * i - 1; };
+  };
+  pk::parallel_for("p", pk::RangePolicy<pk::Threads>(5000), fill(plain));
+  pk::parallel_for("b", Bounded(5000), fill(bounded));
   EXPECT_EQ(bounded, plain);
+  EXPECT_EQ(plain[4999], 3L * 4999 - 1);
   EXPECT_EQ(Bounded(10, 25).size(), 15u);
 }
 

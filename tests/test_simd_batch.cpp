@@ -60,23 +60,6 @@ std::vector<double> assemble_residual(const StokesFOConfig& cfg) {
   return F;
 }
 
-/// Σ_e |F_e,dof| over the element residuals the engine left from the last
-/// residual() call (one workset, so every cell is staged).
-std::vector<double> element_abs_sum(const StokesFOProblem& p) {
-  const auto& ws = p.workset();
-  const auto& R = p.engine().element_residual();
-  std::vector<double> sum(p.n_dofs(), 0.0);
-  for (std::size_t c = 0; c < ws.n_cells; ++c) {
-    for (int k = 0; k < ws.num_nodes; ++k) {
-      for (int comp = 0; comp < 2; ++comp) {
-        sum[2 * ws.cell_nodes(c, k) + static_cast<std::size_t>(comp)] +=
-            std::abs(R(c, k, comp));
-      }
-    }
-  }
-  return sum;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -259,26 +242,14 @@ TEST_P(SimdResidualEquivalence, MatchesScalarPath) {
   std::vector<double> ref, got;
   ref_problem.residual(U, ref);
   got_problem.residual(U, got);
-  if (scatter != ScatterMode::kAtomic) {
-    expect_dof_match(ref, got, "residual");
-    return;
-  }
-  // The atomic scatter adds element residuals in thread-arrival order, so a
-  // dof's rounding follows Σ_e|F_e,dof|, not |F|: where the element
-  // contributions cancel, two runs differ by far more than 1e-14·|F|.
-  const auto scale = element_abs_sum(ref_problem);
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], kDofTol * std::max(1.0, scale[i]))
-        << "residual dof " << i;
-  }
+  expect_dof_match(ref, got, "residual");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     WidthsByScatter, SimdResidualEquivalence,
     ::testing::Combine(::testing::Values(2, 4, 8, 0 /* auto */),
                        ::testing::Values(ScatterMode::kSerial,
-                                         ScatterMode::kColored,
-                                         ScatterMode::kAtomic)));
+                                         ScatterMode::kColored)));
 
 TEST(SimdProblemEquivalence, RaggedWorksetsMatchScalar) {
   // workset_size = 37 leaves every workset with n % W != 0 remainders.

@@ -159,9 +159,12 @@ physics::StokesFOConfig problem_config(const Args& args) {
       {"local-accum", physics::KernelVariant::kLocalAccumOnly},
   };
   const auto it = variants.find(variant);
-  MALI_CHECK_MSG(it != variants.end(), "unknown --variant: " + variant);
+  if (it == variants.end()) {
+    throw Error("unknown kernel variant: " + variant +
+                " (expected baseline|optimized|loop-opt|fused|local-accum)");
+  }
   cfg.variant = it->second;
-  // Element→global scatter strategy (serial | colored | atomic).
+  // Element→global scatter strategy (serial | colored).
   cfg.scatter =
       physics::scatter_mode_from_string(args.str("scatter", "colored"));
   // Jacobian representation (assembled | matrix-free).
@@ -897,7 +900,7 @@ void usage() {
       "  solve            velocity solve on the synthetic Antarctica\n"
       "                   [--dx-km F] [--layers N] [--steps N]\n"
       "                   [--variant baseline|optimized|loop-opt|fused|local-accum]\n"
-      "                   [--scatter serial|colored|atomic] [--phases]\n"
+      "                   [--scatter serial|colored] [--phases]\n"
       "                   [--jacobian assembled|matrix-free]\n"
       "                   [--simd auto|off|1|2|4|8]\n"
       "                     SIMD element batching of the fused kernels;\n"
