@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
   // ---- byte model: what the probe costs, what each V-cycle streams ----
   perf::JacobianApplyModel jm;
   jm.n_rows = n;
-  jm.nnz = problem.dof_map().graph()->cols.size();
+  jm.nnz = problem.dof_map().graph()->nnz();
   jm.n_cells = problem.mesh().n_cells();
   jm.n_nodes = problem.mesh().n_nodes();
   jm.num_nodes = problem.workset().num_nodes;

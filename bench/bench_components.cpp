@@ -14,6 +14,7 @@
 #include "gpusim/cache_sim.hpp"
 #include "linalg/gmres.hpp"
 #include "linalg/semicoarsening_amg.hpp"
+#include "perf/data_movement.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "physics/thermal_model.hpp"
 
@@ -73,8 +74,11 @@ static void BM_SpMV(benchmark::State& state) {
     benchmark::DoNotOptimize(f.x.data());
   }
   state.counters["nnz"] = static_cast<double>(f.J.nnz());
+  perf::JacobianApplyModel m;
+  m.n_rows = f.J.n_rows();
+  m.nnz = f.J.nnz();
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.J.nnz() * 16));
+                          static_cast<int64_t>(m.assembled_stream_bytes()));
 }
 BENCHMARK(BM_SpMV)
     ->ArgNames({"dx_km", "layers"})

@@ -177,14 +177,13 @@ void DistStokesOperator::apply(const std::vector<double>& x,
     // CrsMatrix::apply is pool-parallel and must not run inside a rank
     // thread.  Couplings to non-local dofs have zero VALUES in the partial
     // matrix and meet zero x_ entries there.
-    const std::vector<std::size_t>& rp = J_->row_ptr();
-    const std::vector<std::size_t>& cols = J_->cols();
+    const linalg::CrsGraph& g = *J_->graph();
     const std::vector<double>& vals = J_->values();
     for (const std::size_t row : sub_->local_dofs()) {
       double acc = 0.0;
-      for (std::size_t k = rp[row]; k < rp[row + 1]; ++k) {
-        acc += vals[k] * x_[cols[k]];
-      }
+      g.for_row(row, [&](std::size_t k, std::size_t c) {
+        acc += vals[k] * x_[c];
+      });
       y_[row] = acc;
     }
   } else {

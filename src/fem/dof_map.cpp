@@ -1,6 +1,7 @@
 #include "fem/dof_map.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "portability/common.hpp"
 
@@ -36,28 +37,23 @@ DofMap::DofMap(const mesh::ExtrudedMesh& mesh, bool all_boundaries)
     v.erase(std::unique(v.begin(), v.end()), v.end());
   }
 
-  // Expand node adjacency into the 2x2 dof blocks.
-  std::vector<std::size_t> row_ptr(n_dofs() + 1, 0);
+  // The node-paired graph: one block per node neighbour (dofs_per_node is
+  // its block size).
+  linalg::CrsGraph g;
+  g.block = dofs_per_node;
+  g.brp.assign(n_nodes_ + 1, 0);
+  std::size_t n_blocks = 0;
+  for (const auto& v : nbrs) n_blocks += v.size();
+  MALI_CHECK_MSG(n_blocks <= UINT32_MAX && n_nodes_ <= UINT32_MAX,
+                 "DofMap: the graph exceeds 32-bit node columns");
+  g.bcols.reserve(n_blocks);
   for (std::size_t n = 0; n < n_nodes_; ++n) {
-    const std::size_t nnz = nbrs[n].size() * dofs_per_node;
-    row_ptr[dof(n, 0) + 1] = nnz;
-    row_ptr[dof(n, 1) + 1] = nnz;
-  }
-  for (std::size_t r = 0; r < n_dofs(); ++r) row_ptr[r + 1] += row_ptr[r];
-
-  std::vector<std::size_t> cols(row_ptr.back());
-  for (std::size_t n = 0; n < n_nodes_; ++n) {
-    for (int c = 0; c < dofs_per_node; ++c) {
-      std::size_t p = row_ptr[dof(n, c)];
-      for (std::size_t m : nbrs[n]) {
-        cols[p++] = dof(m, 0);
-        cols[p++] = dof(m, 1);
-      }
-      MALI_ASSERT(p == row_ptr[dof(n, c) + 1]);
+    for (const std::size_t m : nbrs[n]) {
+      g.bcols.push_back(static_cast<std::uint32_t>(m));
     }
+    g.brp[n + 1] = static_cast<std::uint32_t>(g.bcols.size());
   }
-  graph_ = std::make_shared<const linalg::CrsGraph>(
-      linalg::CrsGraph{std::move(row_ptr), std::move(cols)});
+  graph_ = std::make_shared<const linalg::CrsGraph>(std::move(g));
 }
 
 }  // namespace mali::fem

@@ -1,8 +1,8 @@
 #pragma once
 // DOF management for the 2-component velocity solve: node n carries global
 // dofs (2n, 2n+1) for (u, v); lateral-margin nodes are homogeneous
-// Dirichlet.  Also builds the Jacobian's CRS sparsity graph from node
-// adjacency, once: every velocity matrix of the problem shares it.
+// Dirichlet.  Also builds the Jacobian's node-paired sparsity graph from
+// node adjacency, once: every velocity matrix of the problem shares it.
 
 #include <cstddef>
 #include <memory>
@@ -40,8 +40,8 @@ class DofMap {
     return dirichlet_list_;
   }
 
-  /// CRS sparsity graph of the velocity Jacobian over dofs, built from
-  /// node-to-node adjacency through shared cells.
+  /// Node-paired sparsity graph of the velocity Jacobian (one 2x2 block per
+  /// pair of nodes that share a cell; see linalg/crs_matrix.hpp).
   [[nodiscard]] const std::shared_ptr<const linalg::CrsGraph>& graph()
       const noexcept {
     return graph_;

@@ -8,23 +8,22 @@ namespace mali::linalg {
 
 void BandedLu::factor(const CrsMatrix& A) {
   const std::size_t n = A.n_rows();
-  const auto& rp = A.row_ptr();
-  const auto& cs = A.cols();
+  const CrsGraph& g = *A.graph();
   const auto& vs = A.values();
   n_ = 0;  // not factored until the last pivot is in
   kl_ = 0;
   ku_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      MALI_CHECK_MSG(cs[k] < n, "banded LU requires a square matrix");
-      kl_ = std::max(kl_, i > cs[k] ? i - cs[k] : 0);
-      ku_ = std::max(ku_, cs[k] > i ? cs[k] - i : 0);
-    }
+    g.for_row(i, [&](std::size_t, std::size_t c) {
+      MALI_CHECK_MSG(c < n, "banded LU requires a square matrix");
+      kl_ = std::max(kl_, i > c ? i - c : 0);
+      ku_ = std::max(ku_, c > i ? c - i : 0);
+    });
   }
   ld_ = 2 * kl_ + ku_ + 1;
   ab_.assign(ld_ * n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) ab_[at(i, cs[k])] = vs[k];
+    g.for_row(i, [&](std::size_t k, std::size_t c) { ab_[at(i, c)] = vs[k]; });
   }
   piv_.assign(n, 0);
 

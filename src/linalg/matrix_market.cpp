@@ -28,13 +28,11 @@ void write_matrix_market(const std::string& path, const CrsMatrix& A) {
   os << "% written by MiniMALI\n";
   os << A.n_rows() << ' ' << A.n_rows() << ' ' << A.nnz() << '\n';
   os.precision(17);
-  const auto& rp = A.row_ptr();
-  const auto& cols = A.cols();
   const auto& vals = A.values();
   for (std::size_t r = 0; r < A.n_rows(); ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      os << r + 1 << ' ' << cols[k] + 1 << ' ' << vals[k] << '\n';
-    }
+    A.graph()->for_row(r, [&](std::size_t k, std::size_t c) {
+      os << r + 1 << ' ' << c + 1 << ' ' << vals[k] << '\n';
+    });
   }
   MALI_CHECK_MSG(os.good(), "write failed: " + path);
 }

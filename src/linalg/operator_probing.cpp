@@ -25,7 +25,11 @@ StructuredProbing::StructuredProbing(const ExtrusionInfo& info) {
   const std::size_t n_cols = info.n_nodes / info.levels;
   MALI_CHECK(info.column_x.size() == n_cols &&
              info.column_y.size() == n_cols);
-  MALI_CHECK(info.dofs_per_node >= 1);
+  MALI_CHECK_MSG(info.dofs_per_node == 1 || info.dofs_per_node == 2,
+                 "StructuredProbing: the lattice graph's blocks are 1 or 2 "
+                 "dofs per node");
+  MALI_CHECK_MSG(27 * info.n_nodes <= UINT32_MAX,
+                 "StructuredProbing: the graph exceeds 32-bit node columns");
   const auto dpn = static_cast<std::size_t>(info.dofs_per_node);
   const std::size_t levels = info.levels;
   const std::size_t n_dofs = info.n_nodes * dpn;
@@ -78,57 +82,42 @@ StructuredProbing::StructuredProbing(const ExtrusionInfo& info) {
   n_probes_ = 0;
   for (const auto& m : members_) n_probes_ += m.empty() ? 0 : 1;
 
-  // ---- structural graph: 3x3x3 lattice stencil expanded to dof blocks ----
-  std::vector<std::size_t> row_ptr(n_dofs + 1, 0), cols;
+  // ---- structural graph: the 3x3x3 lattice stencil over nodes, one
+  // dofs_per_node block per neighbour ----
+  CrsGraph g;
+  g.block = static_cast<int>(dpn);
+  g.brp.assign(info.n_nodes + 1, 0);
+  g.bcols.reserve(27 * info.n_nodes);
   std::vector<std::size_t> nbr_nodes;  // per-node scratch
-  // First pass counts, second pass fills (identical enumeration order).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      for (std::size_t lev = 0; lev < levels; ++lev) {
-        const std::size_t node = c * levels + lev;
-        nbr_nodes.clear();
-        for (int dj = -1; dj <= 1; ++dj) {
-          for (int di = -1; di <= 1; ++di) {
-            const std::int64_t ni = ci[c] + di;
-            const std::int64_t nj = cj[c] + dj;
-            if (ni < 0 || nj < 0) continue;
-            const auto it = col_at.find(
-                lattice_key(static_cast<std::uint64_t>(ni),
-                            static_cast<std::uint64_t>(nj)));
-            if (it == col_at.end()) continue;
-            for (int dl = -1; dl <= 1; ++dl) {
-              const std::int64_t nl = static_cast<std::int64_t>(lev) + dl;
-              if (nl < 0 || nl >= static_cast<std::int64_t>(levels)) continue;
-              nbr_nodes.push_back(it->second * levels +
-                                  static_cast<std::size_t>(nl));
-            }
-          }
-        }
-        std::sort(nbr_nodes.begin(), nbr_nodes.end());
-        const std::size_t row_nnz = nbr_nodes.size() * dpn;
-        for (std::size_t comp = 0; comp < dpn; ++comp) {
-          const std::size_t row = node * dpn + comp;
-          if (pass == 0) {
-            row_ptr[row + 1] = row_nnz;
-          } else {
-            std::size_t p = row_ptr[row];
-            for (const std::size_t m : nbr_nodes) {
-              for (std::size_t cc = 0; cc < dpn; ++cc) {
-                cols[p++] = m * dpn + cc;
-              }
-            }
-            MALI_ASSERT(p == row_ptr[row + 1]);
+  for (std::size_t c = 0; c < n_cols; ++c) {
+    for (std::size_t lev = 0; lev < levels; ++lev) {
+      const std::size_t node = c * levels + lev;
+      nbr_nodes.clear();
+      for (int dj = -1; dj <= 1; ++dj) {
+        for (int di = -1; di <= 1; ++di) {
+          const std::int64_t ni = ci[c] + di;
+          const std::int64_t nj = cj[c] + dj;
+          if (ni < 0 || nj < 0) continue;
+          const auto it = col_at.find(
+              lattice_key(static_cast<std::uint64_t>(ni),
+                          static_cast<std::uint64_t>(nj)));
+          if (it == col_at.end()) continue;
+          for (int dl = -1; dl <= 1; ++dl) {
+            const std::int64_t nl = static_cast<std::int64_t>(lev) + dl;
+            if (nl < 0 || nl >= static_cast<std::int64_t>(levels)) continue;
+            nbr_nodes.push_back(it->second * levels +
+                                static_cast<std::size_t>(nl));
           }
         }
       }
-    }
-    if (pass == 0) {
-      for (std::size_t r = 0; r < n_dofs; ++r) row_ptr[r + 1] += row_ptr[r];
-      cols.resize(row_ptr.back());
+      std::sort(nbr_nodes.begin(), nbr_nodes.end());
+      for (const std::size_t m : nbr_nodes) {
+        g.bcols.push_back(static_cast<std::uint32_t>(m));
+      }
+      g.brp[node + 1] = static_cast<std::uint32_t>(g.bcols.size());
     }
   }
-  graph_ = std::make_shared<const CrsGraph>(
-      CrsGraph{std::move(row_ptr), std::move(cols)});
+  graph_ = std::make_shared<const CrsGraph>(std::move(g));
 }
 
 void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
@@ -151,9 +140,9 @@ void StructuredProbing::probe(const LinearOperator& A, CrsMatrix& P) const {
     // y[r] = sum over in-color columns j of A(r, j); the coloring admits at
     // most one such j per row, so y[r] is that entry verbatim.
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t k = g.row_ptr[r]; k < g.row_ptr[r + 1]; ++k) {
-        if (color_of_[g.cols[k]] == color) vals[k] = y[r];
-      }
+      g.for_row(r, [&](std::size_t k, std::size_t col) {
+        if (color_of_[col] == color) vals[k] = y[r];
+      });
     }
   }
 }

@@ -32,10 +32,11 @@ namespace mali::linalg {
 
 class StructuredProbing {
  public:
-  /// Builds the structural superset graph (the full 3x3x3 lattice stencil
-  /// expanded to dofs_per_node blocks) and the probe coloring from the
-  /// extrusion structure.  Requires the ExtrusionInfo layout contract:
-  /// node = column * levels + level, columns on a dx-spaced lattice.
+  /// Builds the structural superset graph (the full 3x3x3 lattice stencil,
+  /// one block per neighbour node: node-paired at 2 dofs per node, block 1
+  /// at 1) and the probe coloring from the extrusion structure.  Requires
+  /// the ExtrusionInfo layout contract: node = column * levels + level,
+  /// columns on a dx-spaced lattice, and 1 or 2 dofs per node.
   explicit StructuredProbing(const ExtrusionInfo& info);
 
   /// Number of operator applies probe() performs (non-empty colors only);
@@ -62,7 +63,7 @@ class StructuredProbing {
  private:
   std::vector<std::size_t> color_of_;             ///< dof -> color
   std::vector<std::vector<std::size_t>> members_; ///< color -> dofs
-  std::shared_ptr<const CrsGraph> graph_;         ///< structural dof graph
+  std::shared_ptr<const CrsGraph> graph_;         ///< structural node graph
   std::size_t n_probes_ = 0;
 };
 

@@ -52,26 +52,22 @@ void SymGaussSeidelPreconditioner::compute(const CrsMatrix& A) {
 void SymGaussSeidelPreconditioner::apply(const std::vector<double>& r,
                                          std::vector<double>& z) const {
   MALI_CHECK(A_ != nullptr);
-  const auto& rp = A_->row_ptr();
-  const auto& cs = A_->cols();
+  const CrsGraph& g = *A_->graph();
   const auto& vs = A_->values();
   const std::size_t n = A_->n_rows();
   z.assign(n, 0.0);
+  // Row i in place: each row reads the rows relaxed before it, so the
+  // rows of a node row relax one after the other.
+  const auto relax = [&](std::size_t i) {
+    double acc = r[i];
+    g.for_row(i, [&](std::size_t k, std::size_t c) {
+      if (c != i) acc -= vs[k] * z[c];
+    });
+    z[i] = acc * inv_diag_[i];
+  };
   for (int s = 0; s < sweeps_; ++s) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = r[i];
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-        if (cs[k] != i) acc -= vs[k] * z[cs[k]];
-      }
-      z[i] = acc * inv_diag_[i];
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-      double acc = r[ii];
-      for (std::size_t k = rp[ii]; k < rp[ii + 1]; ++k) {
-        if (cs[k] != ii) acc -= vs[k] * z[cs[k]];
-      }
-      z[ii] = acc * inv_diag_[ii];
-    }
+    for (std::size_t i = 0; i < n; ++i) relax(i);
+    for (std::size_t i = n; i-- > 0;) relax(i);
   }
 }
 

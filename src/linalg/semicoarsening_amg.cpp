@@ -65,22 +65,30 @@ ColumnLineSmoother::ColumnLineSmoother(std::size_t column_dofs,
 void ColumnLineSmoother::compute(const CrsMatrix& A) {
   MALI_CHECK_MSG(A.n_rows() == color_.size() * m_,
                  "column-line smoother: matrix rows != columns x column dofs");
-  const auto& rp = A.row_ptr();
-  const auto& cs = A.cols();
+  const CrsGraph& g = *A.graph();
+  const auto B = static_cast<std::size_t>(g.block);
+  MALI_CHECK_MSG(m_ % B == 0,
+                 "column-line smoother: a column splits a graph block");
   // Planned into locals: a throw leaves the last plan whole.
   std::size_t band = 0;
-  std::vector<Run> runs(A.n_rows());
-  for (std::size_t i = 0; i < A.n_rows(); ++i) {
-    const std::size_t c = i / m_;
-    // [lo, hi) spans the row's in-column entries, in_column counts them.
-    std::size_t lo = rp[i + 1], hi = rp[i], in_column = 0;
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      const std::size_t j = cs[k];
-      const std::size_t cj = j / m_;
+  std::vector<Run> runs(g.n_node_rows());
+  for (std::size_t I = 0; I < g.n_node_rows(); ++I) {
+    const std::size_t c = B * I / m_;
+    const std::size_t b0 = g.brp[I], b1 = g.brp[I + 1];
+    // [lo, hi) spans the node row's in-column blocks, in_column counts them.
+    std::size_t lo = b1, hi = b0, in_column = 0;
+    for (std::size_t p = b0; p < b1; ++p) {
+      const std::size_t J = g.bcols[p];
+      const std::size_t cj = B * J / m_;
       if (cj == c) {
-        band = std::max(band, i > j ? i - j : j - i);
-        lo = std::min(lo, k);
-        hi = k + 1;
+        for (std::size_t e = 0; e < B; ++e) {
+          for (std::size_t d = 0; d < B; ++d) {
+            const std::size_t i = B * I + e, j = B * J + d;
+            band = std::max(band, i > j ? i - j : j - i);
+          }
+        }
+        lo = std::min(lo, p);
+        hi = p + 1;
         ++in_column;
       } else if (color_[cj] == color_[c]) {
         throw Error("AMG level " + std::to_string(level_) +
@@ -90,15 +98,15 @@ void ColumnLineSmoother::compute(const CrsMatrix& A) {
                     "needs a 27-point extruded stencil");
       }
     }
-    if (in_column == 0) lo = hi = rp[i];
+    if (in_column == 0) lo = hi = b0;
     if (hi - lo != in_column) {
       throw Error("AMG level " + std::to_string(level_) +
-                  ": the in-column entries of row " + std::to_string(i) +
+                  ": the in-column entries of row " + std::to_string(B * I) +
                   " do not form one run; the column-line sweep needs "
                   "sorted rows");
     }
-    runs[i] = {static_cast<std::uint32_t>(lo - rp[i]),
-               static_cast<std::uint32_t>(hi - rp[i])};
+    runs[I] = {static_cast<std::uint32_t>(lo - b0),
+               static_cast<std::uint32_t>(hi - b0)};
   }
   band_ = band;
   runs_ = std::move(runs);
@@ -111,10 +119,17 @@ void ColumnLineSmoother::refactor(const CrsMatrix& A) {
                  "column-line smoother: refactor() on a graph compute() did "
                  "not plan");
   A_ = &A;
+  with_block(*graph_, [&](auto B) { factor<decltype(B)::value>(); });
+}
+
+template <int B>
+void ColumnLineSmoother::factor() {
+  const CrsMatrix& A = *A_;
   const std::size_t m = m_, b = band_, w = 2 * band_ + 1;
   lu_.assign(color_.size() * m * w, 0.0);
-  const auto* rp = A.row_ptr().data();
-  const auto* cs = A.cols().data();
+  const CrsGraph& g = *graph_;
+  const auto* brp = g.brp.data();
+  const auto* bcols = g.bcols.data();
   const auto* vs = A.values().data();
   const Run* runs = runs_.data();
   // The lowest level row at a singular pivot, so the error names the same
@@ -125,10 +140,17 @@ void ColumnLineSmoother::refactor(const CrsMatrix& A) {
            [&](std::size_t c) {
     const std::size_t base = c * m;
     double* band = lu_.data() + c * m * w;  // (t, s) at band[t*w + s-t+b]
-    for (std::size_t t = 0; t < m; ++t) {
-      const std::size_t i = base + t;
-      for (std::size_t k = rp[i] + runs[i].lo; k < rp[i] + runs[i].hi; ++k) {
-        band[t * w + cs[k] - base + b - t] = vs[k];
+    for (std::size_t I = base / B; I < (base + m) / B; ++I) {
+      const std::size_t b0 = brp[I], nb = brp[I + 1] - b0;
+      for (std::size_t e = 0; e < B; ++e) {
+        const std::size_t t = B * I + e - base;
+        const double* v = vs + B * B * b0 + e * B * nb;  // row B I + e
+        for (std::size_t j = runs[I].lo; j < runs[I].hi; ++j) {
+          for (std::size_t d = 0; d < B; ++d) {
+            const std::size_t col = B * std::size_t{bcols[b0 + j]} + d;
+            band[t * w + col - base + b - t] = v[B * j + d];
+          }
+        }
       }
     }
     // Doolittle LU without pivoting, confined to the band.
@@ -158,11 +180,13 @@ void ColumnLineSmoother::refactor(const CrsMatrix& A) {
   }
 }
 
+template <int B>
 void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
                                      std::vector<double>& z) const {
   const std::size_t m = m_, b = band_, w = 2 * band_ + 1;
-  const auto* rp = A_->row_ptr().data();
-  const auto* cs = A_->cols().data();
+  const CrsGraph& g = *graph_;
+  const auto* brp = g.brp.data();
+  const auto* bcols = g.bcols.data();
   const auto* vs = A_->values().data();
   const Run* runs = runs_.data();
   const auto& columns = by_color_[color];
@@ -173,18 +197,24 @@ void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
     const std::size_t base = c * m;
     double* x = z.data() + base;
     // Right-hand side: r minus the couplings to other (other-color)
-    // columns, the entries before and after the row's in-column run, in
-    // row order.  The run is skipped, so x can take the sum in place.
-    for (std::size_t t = 0; t < m; ++t) {
-      const std::size_t i = base + t;
-      double acc = r[i];
-      for (std::size_t k = rp[i]; k < rp[i] + runs[i].lo; ++k) {
-        acc -= vs[k] * z[cs[k]];
-      }
-      for (std::size_t k = rp[i] + runs[i].hi; k < rp[i + 1]; ++k) {
-        acc -= vs[k] * z[cs[k]];
-      }
-      x[t] = acc;
+    // columns, the blocks before and after the node row's in-column run,
+    // in row order.  The run is skipped, so x can take the sum in place.
+    for (std::size_t I = base / B; I < (base + m) / B; ++I) {
+      const std::size_t b0 = brp[I], nb = brp[I + 1] - b0;
+      const std::uint32_t* bc = bcols + b0;
+      const double* v = vs + B * B * b0;  // row B I + e at v + e B nb
+      double acc[B];
+      for (int e = 0; e < B; ++e) acc[e] = r[B * I + e];
+      const auto subtract = [&](std::size_t j) {
+        const double* zj = z.data() + B * static_cast<std::size_t>(bc[j]);
+        for (int e = 0; e < B; ++e) {
+          const double* row = v + e * B * nb;
+          for (int d = 0; d < B; ++d) acc[e] -= row[B * j + d] * zj[d];
+        }
+      };
+      for (std::size_t j = 0; j < runs[I].lo; ++j) subtract(j);
+      for (std::size_t j = runs[I].hi; j < nb; ++j) subtract(j);
+      for (int e = 0; e < B; ++e) x[B * I + e - base] = acc[e];
     }
     // Banded solve: L y = rhs, then U x = y.
     const double* band = lu_.data() + c * m * w;
@@ -210,12 +240,15 @@ void ColumnLineSmoother::apply(const std::vector<double>& r,
                                std::vector<double>& z) const {
   MALI_CHECK_MSG(A_ != nullptr, "column-line smoother: compute() not called");
   z.assign(A_->n_rows(), 0.0);
-  for (int sweep = 0; sweep < sweeps_; ++sweep) {
-    for (int color = 0; color < 4; ++color) relax_color(color, r, z);
-    // Back from color 2: relaxing color 3 again right away would reproduce
-    // the same values, since its neighbours have not moved.
-    for (int color = 2; color >= 0; --color) relax_color(color, r, z);
-  }
+  with_block(*graph_, [&](auto B) {
+    constexpr int kB = decltype(B)::value;
+    for (int sweep = 0; sweep < sweeps_; ++sweep) {
+      for (int color = 0; color < 4; ++color) relax_color<kB>(color, r, z);
+      // Back from color 2: relaxing color 3 again right away would
+      // reproduce the same values, since its neighbours have not moved.
+      for (int color = 2; color >= 0; --color) relax_color<kB>(color, r, z);
+    }
+  });
 }
 
 // ---- semicoarsening AMG ----
@@ -355,51 +388,57 @@ void SemicoarseningAmg::build_hierarchy(const CrsMatrix& A_fine) {
       cur_dx *= 2.0;
     }
 
-    // Expand node aggregation to dofs (components stay separate).
-    fine.agg.resize(n_dofs);
-    for (std::size_t nd = 0; nd < n_nodes_now; ++nd) {
-      for (int c = 0; c < dpn; ++c) {
-        fine.agg[nd * static_cast<std::size_t>(dpn) +
-                 static_cast<std::size_t>(c)] =
-            node_agg[nd] * static_cast<std::size_t>(dpn) +
-            static_cast<std::size_t>(c);
-      }
+    // The plan runs over graph nodes of B dofs: mesh nodes on a paired
+    // graph, dofs on a block-1 one (components stay separate either way).
+    const auto B = static_cast<std::size_t>(fine.A.graph()->block);
+    MALI_CHECK_MSG(static_cast<std::size_t>(dpn) % B == 0,
+                   "AMG: a node-paired graph needs an even dofs_per_node");
+    const std::size_t per_node = static_cast<std::size_t>(dpn) / B;
+    const std::size_t n_fine = n_nodes_now * per_node;
+    const std::size_t n_coarse = n_coarse_nodes * per_node;
+    fine.n_coarse = n_coarse * B;
+    fine.agg.resize(n_fine);
+    for (std::size_t i = 0; i < n_fine; ++i) {
+      fine.agg[i] = static_cast<std::uint32_t>(
+          node_agg[i / per_node] * per_node + i % per_node);
     }
-    const std::size_t n_coarse =
-        n_coarse_nodes * static_cast<std::size_t>(dpn);
-    fine.n_coarse = n_coarse;
 
     // Inverse of agg by counting sort: members stay in ascending fine order.
     fine.member_ptr.assign(n_coarse + 1, 0);
-    for (std::size_t i = 0; i < n_dofs; ++i) ++fine.member_ptr[fine.agg[i] + 1];
+    for (std::size_t i = 0; i < n_fine; ++i) ++fine.member_ptr[fine.agg[i] + 1];
     for (std::size_t I = 0; I < n_coarse; ++I) {
       fine.member_ptr[I + 1] += fine.member_ptr[I];
     }
-    fine.members.resize(n_dofs);
+    fine.members.resize(n_fine);
     {
-      std::vector<std::size_t> fill(fine.member_ptr.begin(),
-                                    fine.member_ptr.end() - 1);
-      for (std::size_t i = 0; i < n_dofs; ++i) {
-        fine.members[fill[fine.agg[i]]++] = i;
+      std::vector<std::uint32_t> fill(fine.member_ptr.begin(),
+                                      fine.member_ptr.end() - 1);
+      for (std::size_t i = 0; i < n_fine; ++i) {
+        fine.members[fill[fine.agg[i]]++] = static_cast<std::uint32_t>(i);
       }
     }
 
-    // Symbolic Galerkin product P^T A P: each coarse row's pattern is the
-    // set of aggregates its members' nonzeros hit (a marker array dedups),
-    // sorted; every fine nonzero then records the coarse slot it feeds.
-    const auto& rp = fine.A.row_ptr();
-    const auto& cs = fine.A.cols();
-    std::vector<std::size_t> crp(n_coarse + 1, 0), ccols;
+    // Symbolic Galerkin product P^T A P over graph nodes: each coarse node
+    // row's pattern is the set of aggregates its members' blocks hit (a
+    // marker array dedups), sorted; every fine block then records its
+    // position in that coarse node row.  A block of B x B fine entries
+    // feeds one block of the coarse row, so the coarse graph has the fine
+    // graph's block size: pairing carries down the hierarchy.
+    const CrsGraph& g = *fine.A.graph();
+    CrsGraph coarse_graph;
+    coarse_graph.block = g.block;
+    coarse_graph.brp.assign(n_coarse + 1, 0);
+    auto& ccols = coarse_graph.bcols;
     std::vector<std::size_t> marker(n_coarse, CrsMatrix::npos);
     std::vector<std::size_t> pos(n_coarse);
-    fine.slot.resize(fine.A.nnz());
+    fine.slot.resize(g.bcols.size());
     for (std::size_t I = 0; I < n_coarse; ++I) {
       const std::size_t row_begin = ccols.size();
       for (std::size_t m = fine.member_ptr[I]; m < fine.member_ptr[I + 1];
            ++m) {
         const std::size_t i = fine.members[m];
-        for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-          const std::size_t J = fine.agg[cs[k]];
+        for (std::size_t p = g.brp[i]; p < g.brp[i + 1]; ++p) {
+          const std::uint32_t J = fine.agg[g.bcols[p]];
           if (marker[J] != I) {
             marker[J] = I;
             ccols.push_back(J);
@@ -409,54 +448,74 @@ void SemicoarseningAmg::build_hierarchy(const CrsMatrix& A_fine) {
       std::sort(ccols.begin() + static_cast<std::ptrdiff_t>(row_begin),
                 ccols.end());
       for (std::size_t p = row_begin; p < ccols.size(); ++p) {
-        pos[ccols[p]] = p;
+        pos[ccols[p]] = p - row_begin;
       }
       for (std::size_t m = fine.member_ptr[I]; m < fine.member_ptr[I + 1];
            ++m) {
         const std::size_t i = fine.members[m];
-        for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-          fine.slot[k] = static_cast<std::uint32_t>(pos[fine.agg[cs[k]]]);
+        for (std::size_t p = g.brp[i]; p < g.brp[i + 1]; ++p) {
+          fine.slot[p] =
+              static_cast<std::uint32_t>(pos[fine.agg[g.bcols[p]]]);
         }
       }
-      crp[I + 1] = ccols.size();
+      MALI_CHECK_MSG(ccols.size() <= UINT32_MAX,
+                     "AMG: coarse level too large for 32-bit node columns");
+      coarse_graph.brp[I + 1] = static_cast<std::uint32_t>(ccols.size());
     }
-    MALI_CHECK_MSG(ccols.size() <= UINT32_MAX,
-                   "AMG: coarse level too large for 32-bit Galerkin slots");
 
     Level coarse;
-    coarse.A = CrsMatrix(std::move(crp), std::move(ccols));
+    coarse.A = CrsMatrix(
+        std::make_shared<const CrsGraph>(std::move(coarse_graph)));
     levels_.push_back(std::move(coarse));  // may reallocate: `fine` dangles
 
     cur_levels = next_levels;
     col_x = std::move(next_x);
     col_y = std::move(next_y);
-    if (levels_.back().A.n_rows() == n_coarse && n_coarse == n_dofs) {
+    if (levels_.back().A.n_rows() == n_dofs) {
       break;  // no coarsening progress — stop
     }
   }
 }
 
 void SemicoarseningAmg::galerkin_values(std::size_t l) {
+  with_block(*levels_[l].A.graph(),
+             [&](auto B) { galerkin_values<decltype(B)::value>(l); });
+}
+
+template <int B>
+void SemicoarseningAmg::galerkin_values(std::size_t l) {
   // A_c = P^T A P for the piecewise-constant P.  Each coarse entry starts
-  // at +0.0 and sums its fine nonzeros member by member (ascending), each
-  // row's nonzeros in order: the order a per-row accumulation over the
+  // at +0.0 and sums its fine entries member by member (ascending), each
+  // row's entries in order: the order a per-row accumulation over the
   // fine rows produces, so the values are independent of the thread count.
   const Level& fine = levels_[l];
-  const auto* rp = fine.A.row_ptr().data();
+  const CrsGraph& g = *fine.A.graph();
+  const auto* brp = g.brp.data();
   const auto* vs = fine.A.values().data();
   const auto* slot = fine.slot.data();
   const auto* mp = fine.member_ptr.data();
   const auto* members = fine.members.data();
   CrsMatrix& Ac = levels_[l + 1].A;
-  const auto* crp = Ac.row_ptr().data();
+  const auto* cbrp = Ac.graph()->brp.data();
   double* cv = Ac.values().data();
-  for_rows("amg_galerkin", fine.n_coarse,
-           per_item(fine.A.nnz(), fine.n_coarse),
+  const std::size_t n_coarse = fine.member_ptr.size() - 1;
+  for_rows("amg_galerkin", n_coarse, per_item(fine.A.nnz(), n_coarse),
            [&](std::size_t I) {
-    for (std::size_t p = crp[I]; p < crp[I + 1]; ++p) cv[p] = 0.0;
+    const std::size_t cb0 = cbrp[I], cnb = cbrp[I + 1] - cb0;
+    double* ci = cv + B * B * cb0;  // coarse row B I + e at ci + e B cnb
+    std::fill(ci, ci + B * B * cnb, 0.0);
     for (std::size_t m = mp[I]; m < mp[I + 1]; ++m) {
       const std::size_t i = members[m];
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) cv[slot[k]] += vs[k];
+      const std::size_t b0 = brp[i], nb = brp[i + 1] - b0;
+      const double* v = vs + B * B * b0;
+      for (int e = 0; e < B; ++e) {
+        double* crow = ci + e * B * cnb;
+        const double* row = v + e * B * nb;
+        for (std::size_t j = 0; j < nb; ++j) {
+          const std::size_t q = B * static_cast<std::size_t>(slot[b0 + j]);
+          for (int d = 0; d < B; ++d) crow[q + d] += row[B * j + d];
+        }
+      }
     }
   });
 }
@@ -490,22 +549,34 @@ void SemicoarseningAmg::setup_smoothers() {
   }
 }
 
+template <int B>
 void SemicoarseningAmg::level_residual(std::size_t l,
                                        const std::vector<double>& b,
                                        const std::vector<double>& z,
                                        std::vector<double>& r) const {
   const Level& lvl = levels_[l];
+  const CrsGraph& g = *lvl.A.graph();
   const std::size_t n = lvl.A.n_rows();
   r.resize(n);
-  // Fused SpMV + subtraction: the row sum in CrsMatrix::apply's order.
-  const auto* rp = lvl.A.row_ptr().data();
-  const auto* cs = lvl.A.cols().data();
-  const auto* vs = lvl.A.values().data();
-  for_rows("amg_residual", n, per_item(lvl.A.nnz(), n), [&](std::size_t i) {
-    double acc = 0.0;
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) acc += vs[k] * z[cs[k]];
-    r[i] = b[i] - acc;
+  // Fused SpMV + subtraction: the row sums in CrsMatrix::apply's order.
+  const double* vs = lvl.A.values().data();
+  for_rows("amg_residual", g.n_node_rows(), per_item(lvl.A.nnz(), n) * B,
+           [&](std::size_t I) {
+    double acc[B];
+    node_row_dot<B>(g, vs, I, z.data(), acc);
+    for (int e = 0; e < B; ++e) r[B * I + e] = b[B * I + e] - acc[e];
   });
+}
+
+std::vector<std::size_t> SemicoarseningAmg::level_aggregation(
+    std::size_t l) const {
+  const Level& lvl = levels_[l];
+  const auto B = static_cast<std::size_t>(lvl.A.graph()->block);
+  std::vector<std::size_t> agg(B * lvl.agg.size());
+  for (std::size_t i = 0; i < agg.size(); ++i) {
+    agg[i] = B * lvl.agg[i / B] + i % B;
+  }
+  return agg;
 }
 
 void SemicoarseningAmg::vcycle(std::size_t l, const std::vector<double>& r,
@@ -526,25 +597,35 @@ void SemicoarseningAmg::vcycle(std::size_t l, const std::vector<double>& r,
   // Pre-smooth.
   lvl.smoother->apply(r, z);
 
-  // Residual and restriction (P^T = sum over aggregate members, ascending).
-  level_residual(l, r, z, lvl.r);
-  lvl.rc.resize(lvl.n_coarse);
-  for_rows("amg_restrict", lvl.n_coarse, per_item(n, lvl.n_coarse),
-           [&](std::size_t I) {
-    double acc = 0.0;
-    for (std::size_t m = lvl.member_ptr[I]; m < lvl.member_ptr[I + 1]; ++m) {
-      acc += lvl.r[lvl.members[m]];
-    }
-    lvl.rc[I] = acc;
+  with_block(*lvl.A.graph(), [&](auto B) {
+    constexpr int kB = decltype(B)::value;
+    // Residual and restriction (P^T = sum over aggregate members,
+    // ascending).
+    level_residual<kB>(l, r, z, lvl.r);
+    lvl.rc.resize(lvl.n_coarse);
+    const std::size_t n_agg = lvl.member_ptr.size() - 1;
+    for_rows("amg_restrict", n_agg, per_item(n, lvl.n_coarse) * kB,
+             [&](std::size_t I) {
+      double acc[kB] = {};
+      for (std::size_t m = lvl.member_ptr[I]; m < lvl.member_ptr[I + 1];
+           ++m) {
+        const std::size_t i = lvl.members[m];
+        for (int e = 0; e < kB; ++e) acc[e] += lvl.r[kB * i + e];
+      }
+      for (int e = 0; e < kB; ++e) lvl.rc[kB * I + e] = acc[e];
+    });
+
+    // Coarse correction (the next level writes all of zc) and
+    // prolongation.
+    vcycle(l + 1, lvl.rc, lvl.zc);
+    for_rows("amg_prolong", lvl.agg.size(), kB, [&](std::size_t i) {
+      const std::size_t I = lvl.agg[i];
+      for (int e = 0; e < kB; ++e) z[kB * i + e] += lvl.zc[kB * I + e];
+    });
+
+    // Post-smooth: one more smoother pass on the residual equation.
+    level_residual<kB>(l, r, z, lvl.r);
   });
-
-  // Coarse correction (the next level writes all of zc) and prolongation.
-  vcycle(l + 1, lvl.rc, lvl.zc);
-  for_rows("amg_prolong", n, 1,
-           [&](std::size_t i) { z[i] += lvl.zc[lvl.agg[i]]; });
-
-  // Post-smooth: one more smoother pass on the residual equation.
-  level_residual(l, r, z, lvl.r);
   lvl.z.resize(n);
   lvl.smoother->apply(lvl.r, lvl.z);
   for_rows("amg_correct", n, 1, [&](std::size_t i) { z[i] += lvl.z[i]; });

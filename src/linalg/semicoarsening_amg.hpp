@@ -15,12 +15,15 @@
 // V-cycle.
 //
 // Setup splits into a symbolic and a numeric half.  The aggregation, each
-// level's Galerkin plan (coarse pattern, inverse aggregation map, one
-// coarse slot per fine nonzero) and the smoother coloring depend only on
-// the ExtrusionInfo and the fine graph, so they are built on the first
-// compute() and replayed by every later one whose matrix shares that graph
-// object (CrsMatrix::graph); any other graph rebuilds them.  Each compute() then runs the numeric Galerkin pass
-// (parallel over coarse rows) and refactors the smoothers.
+// level's Galerkin plan over graph nodes (coarse pattern, inverse
+// aggregation map, one coarse block position per fine block) and the
+// smoother coloring depend only on the ExtrusionInfo and the fine graph, so
+// they are built on the first compute() and replayed by every later one
+// whose matrix shares that graph object (CrsMatrix::graph); any other graph
+// rebuilds them.  Every level keeps the fine graph's block size, so a
+// node-paired fine matrix gives node-paired coarse levels.  Each compute()
+// then runs the numeric Galerkin pass (parallel over coarse node rows) and
+// refactors the smoothers.
 //
 // The smoother is column-line relaxation (ColumnLineSmoother): each
 // column's in-column block is solved exactly, columns colored by their 2x2
@@ -100,9 +103,9 @@ struct ExtrusionInfo {
 /// stencil two columns of one color never couple, so one color's columns
 /// relax concurrently and the result does not depend on the thread count.
 /// compute() checks the coloring against the matrix graph, records where
-/// each row's in-column entries start and end (sorted rows make them one
-/// run; a row whose in-column entries are split throws mali::Error naming
-/// the level and row), and factors each column's in-column block: banded
+/// each node row's in-column blocks start and end (sorted node rows make
+/// them one run; a row whose in-column entries are split throws mali::Error
+/// naming the level and row), and factors each column's in-column block: banded
 /// (block-tridiagonal in 2x2 node blocks on an extruded mesh), LU without
 /// pivoting.  One sweep relaxes the colors forward (0 -> 3), then back
 /// (3 -> 0), from z = 0; a row's relaxation subtracts the entries before
@@ -131,7 +134,11 @@ class ColumnLineSmoother final : public Preconditioner {
   [[nodiscard]] std::size_t bandwidth() const noexcept { return band_; }
 
  private:
+  /// Fills and factors the in-column bands, on a graph of block B.
+  template <int B>
+  void factor();
   /// Relaxes every column of one color (they are mutually independent).
+  template <int B>
   void relax_color(int color, const std::vector<double>& r,
                    std::vector<double>& z) const;
 
@@ -141,9 +148,9 @@ class ColumnLineSmoother final : public Preconditioner {
   int sweeps_;
   std::vector<std::size_t> by_color_[4];  ///< column ids per color
   std::size_t band_ = 0;
-  /// Per row i, its in-column entries [rp[i] + lo, rp[i] + hi): one run,
-  /// since rows are sorted and a column's dofs are contiguous.  The sweep
-  /// reads the entries on either side of it.
+  /// Per node row I of the graph, its in-column blocks [brp[I] + lo,
+  /// brp[I] + hi): one run, since node rows are sorted and a column's dofs
+  /// are contiguous.  The sweep reads the blocks on either side of it.
   struct Run {
     std::uint32_t lo, hi;
   };
@@ -193,11 +200,10 @@ class SemicoarseningAmg final : public Preconditioner {
     MALI_CHECK_MSG(l < levels_.size(), "AMG: no such level");
     return levels_[l].A;
   }
-  /// Level l's fine dof -> level l+1 dof map (empty on the coarsest).
-  [[nodiscard]] const std::vector<std::size_t>& level_aggregation(
-      std::size_t l) const {
-    return levels_[l].agg;
-  }
+  /// Level l's fine dof -> level l+1 dof map (empty on the coarsest),
+  /// expanded from the plan's node map on each call.
+  [[nodiscard]] std::vector<std::size_t> level_aggregation(
+      std::size_t l) const;
 
   /// Operator applies the last compute() spent probing the fine matrix:
   /// 0 on the assembled path and for operators that assemble themselves.
@@ -230,13 +236,16 @@ class SemicoarseningAmg final : public Preconditioner {
     CrsMatrix A;
     // Galerkin plan to the next level (empty on the coarsest), a pure
     // function of the fine graph: built once per hierarchy, replayed by
-    // every numeric pass and every restriction.
-    std::vector<std::size_t> agg;  ///< fine dof -> coarse dof (next level)
-    std::size_t n_coarse = 0;
-    /// Inverse of agg: coarse dof I aggregates the fine dofs
+    // every numeric pass and every restriction.  It maps graph nodes (B =
+    // A.graph()->block dofs each, whose components stay separate): dof
+    // B i + e aggregates into dof B agg[i] + e of the next level.
+    std::vector<std::uint32_t> agg;  ///< fine node -> coarse node
+    std::size_t n_coarse = 0;        ///< dofs of the next level
+    /// Inverse of agg: coarse node I aggregates the fine nodes
     /// members[member_ptr[I] .. member_ptr[I+1]), in ascending order.
-    std::vector<std::size_t> member_ptr, members;
-    /// Fine nonzero k -> its slot in the next level's value array.
+    std::vector<std::uint32_t> member_ptr, members;
+    /// Fine block p -> its position in its coarse node row of the next
+    /// level's graph (the block its B x B entries add into).
     std::vector<std::uint32_t> slot;
     // Column structure for the column-line smoother.
     std::size_t column_dofs = 0;
@@ -253,10 +262,13 @@ class SemicoarseningAmg final : public Preconditioner {
   void build_hierarchy(const CrsMatrix& A_fine);
   /// Coarse values of level l+1 from level l's values and plan.
   void galerkin_values(std::size_t l);
+  template <int B>
+  void galerkin_values(std::size_t l);
   /// Banded LU (or the SGS fallback) for the coarsest level.
   void factor_coarse();
   void setup_smoothers();
-  /// r = b - A_l z.
+  /// r = b - A_l z, on level l's graph of block B.
+  template <int B>
   void level_residual(std::size_t l, const std::vector<double>& b,
                       const std::vector<double>& z,
                       std::vector<double>& r) const;

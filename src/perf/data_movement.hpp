@@ -7,6 +7,7 @@
 // from the recorded trace); the two are cross-checked in the tests.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -93,17 +94,28 @@ struct ArrayAccessSpec {
 // Jacobian-apply data movement: assembled SpMV vs matrix-free tangent.
 //
 // In the assembled path the steady-state GMRES traffic is the CRS matrix
-// stream — nnz values + nnz column indices + the row pointer — plus the in
-// and out vectors, *every* iteration.  The matrix-free apply replaces that
-// with per-cell reads of connectivity, the direction, and the quadrature-
-// point tangent cache built once per linearization (17 doubles per qp:
-// the map inverse, qp_weight·det, five velocity-gradient terms, μ and the
-// Glen's-law derivative factor; 18 with a per-qp A(T)), scattering the
-// per-cell tangent back.  The cache costs ~1.1 KB per cell against the
-// CRS stream's ~54 nnz/row * 16 bytes per row, so the modeled
-// bytes/GMRES-iteration stay (narrowly) below the assembled path while the
-// apply no longer inverts the map or calls pow per quadrature point.
+// stream — nnz values + the node-paired graph (a 32-bit node column per
+// 2x2 block and a 32-bit pointer per node row) — plus the in and out
+// vectors, *every* iteration.  The matrix-free apply replaces that with
+// per-cell reads of connectivity, the direction, and the quadrature-point
+// tangent cache built once per linearization (17 doubles per qp: the map
+// inverse, qp_weight·det, five velocity-gradient terms, μ and the Glen's-law
+// derivative factor; 18 with a per-qp A(T)), scattering the per-cell
+// tangent back.  The cache costs ~1.1 KB per cell (about one cell per node,
+// so ~550 B per row) against the CRS stream's ~54 nnz/row * 9 bytes, so the
+// modeled bytes/GMRES-iteration of the matrix-free apply sit above the
+// assembled path's; it still skips the assembly and never stores a matrix.
 // ---------------------------------------------------------------------------
+
+/// Bytes of the node-paired sparsity graph (linalg/crs_matrix.hpp) of an
+/// n_rows-row velocity matrix with nnz scalar entries: one 32-bit node
+/// column per 2x2 block and one 32-bit pointer per node row.  The values
+/// add 8 B per entry, so a matrix stores ~9 B per entry.
+[[nodiscard]] inline std::size_t paired_graph_bytes(std::size_t n_rows,
+                                                    std::size_t nnz) {
+  constexpr std::size_t kIdx = sizeof(std::uint32_t);
+  return nnz / 4 * kIdx + (n_rows / 2 + 1) * kIdx;
+}
 
 /// Byte model for one operator apply y = J x on the FO Stokes mesh.
 struct JacobianApplyModel {
@@ -120,9 +132,9 @@ struct JacobianApplyModel {
   static constexpr std::size_t kVal = sizeof(double);
 
   /// Streamed bytes of the assembled CRS SpMV: the full matrix (values +
-  /// column indices + row pointer) plus x read once and y written once.
+  /// node-paired graph) plus x read once and y written once.
   [[nodiscard]] std::size_t assembled_stream_bytes() const {
-    return nnz * (kVal + kIdx) + (n_rows + 1) * kIdx + 2 * n_rows * kVal;
+    return nnz * kVal + paired_graph_bytes(n_rows, nnz) + 2 * n_rows * kVal;
   }
 
   /// Theoretical minimum for the assembled SpMV — identical to the stream:
@@ -225,13 +237,13 @@ struct AmgCycleModel {
   int post_sweeps = 1;
   /// Read by nothing; kept because the bench/e2e harness still sets it.
   bool fine_matrix_free = false;
-  static constexpr std::size_t kIdx = sizeof(std::size_t);
   static constexpr std::size_t kVal = sizeof(double);
 
-  /// One CRS stream of level l (values + columns + row pointer + in/out
+  /// One CRS stream of level l (values + node-paired graph + in/out
   /// vectors) — the SpMV traffic a smoother sweep or residual pays.
   [[nodiscard]] std::size_t level_stream_bytes(std::size_t l) const {
-    return level_nnz[l] * (kVal + kIdx) + (level_rows[l] + 1) * kIdx +
+    return level_nnz[l] * kVal +
+           paired_graph_bytes(level_rows[l], level_nnz[l]) +
            2 * level_rows[l] * kVal;
   }
 
@@ -253,8 +265,8 @@ struct AmgCycleModel {
   /// the scatter).
   [[nodiscard]] std::size_t tangent_assembly_bytes() const {
     if (!tangent_assembled || level_nnz.empty()) return 0;
-    return kTangentDirections * tangent_cache_bytes +
-           level_nnz[0] * (kVal + kIdx) + (level_rows[0] + 1) * kIdx;
+    return kTangentDirections * tangent_cache_bytes + level_nnz[0] * kVal +
+           paired_graph_bytes(level_rows[0], level_nnz[0]);
   }
 
   /// Setup traffic: building the fine matrix (probe applies or tangent

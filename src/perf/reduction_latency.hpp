@@ -14,8 +14,6 @@
 //   classic GMRES, Arnoldi step j:  1 (pre-orth norm) + j+1 (MGS dots)
 //                                   + 1 (post-orth norm)        = j + 3
 //   pipelined GMRES, any step:      1 fused batch (j+2 values)  = 1
-//   classic CG:                     p^T A p + ||r|| + z^T r     = 3
-//   pipelined CG:                   1 fused batch (3 values)    = 1
 // (Cycle-constant setup reductions — ||b||, the restart residual norm, the
 // true-residual confirm — are excluded: they do not scale with iterations.)
 
@@ -31,17 +29,11 @@ struct ReductionLatencyModel {
   double message_latency_s = 2.0e-6;   ///< per hop (gpusim::NetworkModel)
   double nic_bw_bytes_per_s = 25.0e9;  ///< Slingshot-11 per direction
 
-  /// Reductions classic GMRES issues at Arnoldi step j (0-based).
-  [[nodiscard]] static std::size_t classic_gmres_reductions(std::size_t j) {
-    return j + 3;
-  }
   /// Average over a full restart cycle: sum_{j=0}^{m-1} (j+3) / m.
   [[nodiscard]] double classic_gmres_avg_reductions() const {
     const double m = static_cast<double>(restart);
     return (m + 5.0) / 2.0;
   }
-  [[nodiscard]] static constexpr double pipelined_reductions() { return 1.0; }
-  [[nodiscard]] static constexpr double classic_cg_reductions() { return 3.0; }
 
   /// Modeled wall-clock of one allreduce of `values` doubles: a
   /// reduce+broadcast tree is 2*ceil(log2(ranks)) hops, each paying the
@@ -69,12 +61,6 @@ struct ReductionLatencyModel {
     const double avg_values = (m + 3.0) / 2.0;
     return allreduce_latency_s(
         static_cast<std::size_t>(std::ceil(avg_values)));
-  }
-  [[nodiscard]] double classic_cg_sync_per_iter_s() const {
-    return classic_cg_reductions() * allreduce_latency_s(1);
-  }
-  [[nodiscard]] double pipelined_cg_sync_per_iter_s() const {
-    return allreduce_latency_s(3);
   }
 
   /// Classic-over-pipelined modeled sync ratio (GMRES) — the headroom

@@ -36,13 +36,6 @@ void parallel_for(const char* /*label*/,
   }
 }
 
-/// Unlabeled overload, for terseness in tests and examples.
-template <class ExecSpace, class WorkTag, class Bounds, class Functor>
-void parallel_for(const RangePolicy<ExecSpace, WorkTag, Bounds>& policy,
-                  const Functor& f) {
-  parallel_for("mali::pk::parallel_for", policy, f);
-}
-
 /// Simple flat-range parallel_for over [0, n).
 template <class Functor>
 void parallel_for(const char* label, std::size_t n, const Functor& f) {

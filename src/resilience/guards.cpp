@@ -30,7 +30,7 @@ void check_matrix_finite(const linalg::CrsMatrix& A, FaultSite site,
   // Report the row owning the offending entry, not the nnz index.
   const auto nz = static_cast<std::size_t>(bad);
   std::size_t row = 0;
-  while (row + 1 < A.n_rows() && A.row_ptr()[row + 1] <= nz) ++row;
+  while (row + 1 < A.n_rows() && A.graph()->row_begin(row + 1) <= nz) ++row;
   throw_non_finite(FaultType::kNonFiniteJacobian, site, row, A.values()[nz],
                    newton_step, evaluation, what);
 }

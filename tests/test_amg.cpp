@@ -3,7 +3,8 @@
 // anisotropic model problem (the regime MDSC-AMG targets); the cached
 // Galerkin plan against a hash-map product on the FO Stokes Jacobians; the
 // colored column-line smoother against a serial reference sweep, on every
-// smoothed level; and one V-cycle at forecast size, pinned bitwise.
+// smoothed level; the hierarchy on node-paired graphs against block-1 graphs
+// of the same patterns; and one V-cycle at forecast size, pinned bitwise.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "linalg/banded_lu.hpp"
 #include "linalg/gmres.hpp"
+#include "linalg/operator_probing.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "util/hash.hpp"
@@ -118,8 +121,8 @@ std::uint64_t digest(const std::vector<double>& v) {
 CrsMatrix hash_map_galerkin(const CrsMatrix& A,
                             const std::vector<std::size_t>& agg,
                             std::size_t n_coarse) {
-  const auto& rp = A.row_ptr();
-  const auto& cs = A.cols();
+  const auto rp = A.graph()->scalar_row_ptr();
+  const auto cs = A.graph()->scalar_cols();
   const auto& vs = A.values();
   std::vector<std::unordered_map<std::size_t, double>> rows(n_coarse);
   for (std::size_t i = 0; i < A.n_rows(); ++i) {
@@ -152,8 +155,10 @@ void expect_plan_matches_hash_map(const SemicoarseningAmg& amg) {
         hash_map_galerkin(amg.level_matrix(l), amg.level_aggregation(l),
                           amg.level_dofs(l + 1));
     const CrsMatrix& got = amg.level_matrix(l + 1);
-    EXPECT_EQ(got.row_ptr(), ref.row_ptr()) << "level " << l + 1;
-    EXPECT_EQ(got.cols(), ref.cols()) << "level " << l + 1;
+    EXPECT_EQ(got.graph()->scalar_row_ptr(), ref.graph()->scalar_row_ptr())
+        << "level " << l + 1;
+    EXPECT_EQ(got.graph()->scalar_cols(), ref.graph()->scalar_cols())
+        << "level " << l + 1;
     EXPECT_TRUE(bitwise_equal(got.values(), ref.values()))
         << "level " << l + 1;
   }
@@ -221,8 +226,8 @@ std::vector<double> serial_column_line_sweep(
     const CrsMatrix& A, std::size_t m,
     const std::vector<std::uint8_t>& color, const std::vector<double>& r) {
   const std::size_t n_cols = color.size();
-  const auto& rp = A.row_ptr();
-  const auto& cs = A.cols();
+  const auto rp = A.graph()->scalar_row_ptr();
+  const auto cs = A.graph()->scalar_cols();
   const auto& vs = A.values();
   std::vector<std::vector<double>> lu(n_cols, std::vector<double>(m * m));
   for (std::size_t c = 0; c < n_cols; ++c) {
@@ -283,9 +288,9 @@ CrsMatrix with_couplings(
   std::vector<double> vals;
   for (std::size_t r = 0; r < A.n_rows(); ++r) {
     std::vector<std::pair<std::size_t, double>> row;
-    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
-      row.emplace_back(A.cols()[k], A.values()[k]);
-    }
+    A.graph()->for_row(r, [&](std::size_t k, std::size_t c) {
+      row.emplace_back(c, A.values()[k]);
+    });
     for (const auto& [i, j, v] : extra) {
       if (i == r) row.emplace_back(j, v);
     }
@@ -425,8 +430,8 @@ TEST(SemicoarseningAmg, TwoDofPerNodeBlocksStaySeparate) {
   const std::size_t n = scalar.A.n_rows();
   // Expand to 2 dofs/node with component-diagonal coupling.
   std::vector<std::size_t> rp{0}, cols;
-  const auto& srp = scalar.A.row_ptr();
-  const auto& scols = scalar.A.cols();
+  const auto srp = scalar.A.graph()->scalar_row_ptr();
+  const auto scols = scalar.A.graph()->scalar_cols();
   const auto& svals = scalar.A.values();
   for (std::size_t r = 0; r < n; ++r) {
     for (int c = 0; c < 2; ++c) {
@@ -620,7 +625,8 @@ TEST(AmgGalerkinPlan, SharedGraphReplaysAndEqualArraysRebuild) {
   std::vector<double> z_replayed, z_rebuilt;
   amg.apply(r, z_replayed);
 
-  CrsMatrix rebuilt(base.A.row_ptr(), base.A.cols());
+  CrsMatrix rebuilt(base.A.graph()->scalar_row_ptr(),
+                    base.A.graph()->scalar_cols());
   rebuilt.values() = base.A.values();
   ASSERT_NE(rebuilt.graph(), base.A.graph());
   amg.compute(rebuilt);
@@ -745,7 +751,8 @@ TEST(ColumnLineSmoother, InColumnEntriesOutsideOneRunThrowNamingTheLevel) {
   // in-column coupling to dof 2, against the sorted-row contract: its
   // in-column entries no longer form one run.
   const auto prob = make_extruded_laplacian(4, 4, 4, 50.0);
-  std::vector<std::size_t> rp = prob.A.row_ptr(), cols = prob.A.cols();
+  std::vector<std::size_t> rp = prob.A.graph()->scalar_row_ptr();
+  std::vector<std::size_t> cols = prob.A.graph()->scalar_cols();
   const auto row1 = cols.begin() + static_cast<std::ptrdiff_t>(rp[1]);
   const auto row1_end = cols.begin() + static_cast<std::ptrdiff_t>(rp[2]);
   ASSERT_EQ(std::vector<std::size_t>(row1, row1_end),
@@ -772,9 +779,126 @@ TEST(ColumnLineSmoother, RefactorOnAnotherGraphThrows) {
   CrsMatrix same_graph(prob.A.graph());
   same_graph.values() = prob.A.values();
   EXPECT_NO_THROW(line.refactor(same_graph));
-  CrsMatrix rebuilt(prob.A.row_ptr(), prob.A.cols());
+  CrsMatrix rebuilt(prob.A.graph()->scalar_row_ptr(),
+                    prob.A.graph()->scalar_cols());
   rebuilt.values() = prob.A.values();
   EXPECT_THROW(line.refactor(rebuilt), mali::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Node-paired graphs: the hierarchy built on a paired fine graph is the one
+// built on a block-1 graph of the same pattern and values, bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A's values on a new block-1 graph of the same scalar pattern.
+CrsMatrix on_scalar_graph(const CrsMatrix& A) {
+  CrsMatrix B(A.graph()->scalar_row_ptr(), A.graph()->scalar_cols());
+  B.values() = A.values();
+  return B;
+}
+
+/// Builds both hierarchies and checks every level, one V-cycle and the
+/// coarsest level's banded solve bitwise.
+void expect_paired_hierarchy_matches_scalar(const CrsMatrix& paired,
+                                            const ExtrusionInfo& info) {
+  ASSERT_EQ(paired.graph()->block, 2);
+  const CrsMatrix scalar = on_scalar_graph(paired);
+  SemicoarseningAmg amg_p(info), amg_s(info);
+  amg_p.compute(paired);
+  amg_s.compute(scalar);
+  ASSERT_EQ(amg_p.n_levels(), amg_s.n_levels());
+  ASSERT_GT(amg_p.n_levels(), 2u);
+  for (std::size_t l = 0; l < amg_p.n_levels(); ++l) {
+    const CrsMatrix& P = amg_p.level_matrix(l);
+    const CrsMatrix& S = amg_s.level_matrix(l);
+    EXPECT_EQ(P.graph()->block, 2) << "level " << l;
+    EXPECT_EQ(S.graph()->block, 1) << "level " << l;
+    EXPECT_EQ(P.graph()->scalar_row_ptr(), S.graph()->scalar_row_ptr())
+        << "level " << l;
+    EXPECT_EQ(P.graph()->scalar_cols(), S.graph()->scalar_cols())
+        << "level " << l;
+    EXPECT_TRUE(bitwise_equal(P.values(), S.values())) << "level " << l;
+    if (l + 1 < amg_p.n_levels()) {
+      EXPECT_EQ(amg_p.level_aggregation(l), amg_s.level_aggregation(l));
+    }
+  }
+  const auto r = random_vec(paired.n_rows(), 41);
+  std::vector<double> zp, zs;
+  amg_p.apply(r, zp);
+  amg_s.apply(r, zs);
+  EXPECT_TRUE(bitwise_equal(zp, zs));
+
+  const std::size_t last = amg_p.n_levels() - 1;
+  BandedLu lu_p, lu_s;
+  lu_p.factor(amg_p.level_matrix(last));
+  lu_s.factor(amg_s.level_matrix(last));
+  EXPECT_EQ(lu_p.lower_bandwidth(), lu_s.lower_bandwidth());
+  auto xp = random_vec(amg_p.level_dofs(last), 43), xs = xp;
+  lu_p.solve(xp);
+  lu_s.solve(xs);
+  EXPECT_TRUE(bitwise_equal(xp, xs));
+}
+
+}  // namespace
+
+TEST(PairedGraph, AmgOn48kmJacobianMatchesTheScalarGraph) {
+  StokesFOConfig pcfg;
+  pcfg.dx_m = 48.0e3;
+  pcfg.n_layers = 10;
+  StokesFOProblem problem(pcfg);
+  std::vector<double> F;
+  auto A = problem.create_matrix();
+  problem.residual_and_jacobian(problem.analytic_initial_guess(), F, A);
+  expect_paired_hierarchy_matches_scalar(A, problem.extrusion_info());
+
+  // The same values on the structural lattice graph (zeros where the FE
+  // graph has no entry), the graph the JFNK path's AMG builds on.
+  CrsMatrix lattice = StructuredProbing(problem.extrusion_info()).structure();
+  for (std::size_t r = 0; r < A.n_rows(); ++r) {
+    A.graph()->for_row(r, [&](std::size_t k, std::size_t c) {
+      lattice.set(r, c, A.values()[k]);
+    });
+  }
+  expect_paired_hierarchy_matches_scalar(lattice, problem.extrusion_info());
+}
+
+TEST(PairedGraph, PatternThatDoesNotPairBuildsAtBlockOneAndSolves) {
+  // A lone in-column coupling (row 0 to dof 4, two levels up its column)
+  // gives row 0 a column its partner row 1 lacks: the pattern does not
+  // pair, so it stays a block-1 graph down the whole hierarchy.
+  const auto prob = forecast_size_jacobian();
+  const double d = prob.A.get(0, 0);
+  const CrsMatrix A = with_couplings(prob.A, {{0, 4, 1e-3 * d}});
+  ASSERT_EQ(A.nnz(), prob.A.nnz() + 1);
+  SemicoarseningAmg amg(prob.info, AmgConfig{});
+  amg.compute(A);
+  ASSERT_EQ(amg.n_levels(), 4u);
+  for (std::size_t l = 0; l < amg.n_levels(); ++l) {
+    EXPECT_EQ(amg.level_matrix(l).graph()->block, 1) << "level " << l;
+  }
+  const auto b = random_vec(A.n_rows(), 29);
+  std::vector<double> x;
+  GmresConfig cfg;
+  cfg.rel_tol = 1e-8;
+  cfg.max_iters = 200;
+  const auto res = Gmres(cfg).solve(A, amg, b, x);
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(rel_residual(A, x, b), 1e-7);
+
+  // An odd row count (one dof per node, 5 x 5 x 3 nodes) builds and solves.
+  const auto odd = make_extruded_laplacian(5, 5, 3, 20.0);
+  ASSERT_EQ(odd.A.n_rows() % 2, 1u);
+  AmgConfig small;
+  small.coarse_max_dofs = 10;
+  SemicoarseningAmg amg_odd(odd.info, small);
+  amg_odd.compute(odd.A);
+  EXPECT_GT(amg_odd.n_levels(), 2u);
+  const auto b_odd = random_vec(odd.A.n_rows(), 30);
+  const auto res_odd = Gmres(cfg).solve(odd.A, amg_odd, b_odd, x);
+  EXPECT_TRUE(res_odd.converged);
+  EXPECT_LT(rel_residual(odd.A, x, b_odd), 1e-7);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,9 +73,9 @@ SolveOutcome run_mms_newton(JacobianMode mode, Preconditioner& M) {
 std::vector<double> row_scales(const CrsMatrix& A) {
   std::vector<double> s(A.n_rows(), 0.0);
   for (std::size_t r = 0; r < A.n_rows(); ++r) {
-    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
+    A.graph()->for_row(r, [&](std::size_t k, std::size_t) {
       s[r] = std::max(s[r], std::abs(A.values()[k]));
-    }
+    });
     if (s[r] == 0.0) s[r] = 1.0;
   }
   return s;
@@ -133,18 +133,21 @@ TEST(OperatorProbing, ProbedMatrixMatchesAssembledOnMms) {
   // the entrywise match inherits that budget.
   constexpr double kRelTol = 1e-9;
   // (a) every assembled entry is recovered;
+  const auto jrp = J.graph()->scalar_row_ptr();
+  const auto jcols = J.graph()->scalar_cols();
   for (std::size_t r = 0; r < J.n_rows(); ++r) {
-    for (std::size_t k = J.row_ptr()[r]; k < J.row_ptr()[r + 1]; ++k) {
-      const std::size_t c = J.cols()[k];
+    for (std::size_t k = jrp[r]; k < jrp[r + 1]; ++k) {
+      const std::size_t c = jcols[k];
       ASSERT_NEAR(probed.get(r, c), J.values()[k], kRelTol * scale[r])
           << "entry (" << r << ", " << c << ")";
     }
   }
   // (b) structural-graph entries outside the assembled sparsity probe to ~0.
+  const auto prp = probed.graph()->scalar_row_ptr();
+  const auto pcols = probed.graph()->scalar_cols();
   for (std::size_t r = 0; r < probed.n_rows(); ++r) {
-    for (std::size_t k = probed.row_ptr()[r]; k < probed.row_ptr()[r + 1];
-         ++k) {
-      const std::size_t c = probed.cols()[k];
+    for (std::size_t k = prp[r]; k < prp[r + 1]; ++k) {
+      const std::size_t c = pcols[k];
       if (J.get(r, c) == 0.0) {
         ASSERT_LE(std::abs(probed.values()[k]), kRelTol * scale[r])
             << "spurious entry (" << r << ", " << c << ")";
@@ -254,8 +257,12 @@ TEST(AmgOperator, TangentAssembledFineMatrixEqualsProbed) {
         const std::string what = std::string(name(c)) + ", width " +
                                  std::to_string(width) + ", " +
                                  physics::to_string(mode);
-        ASSERT_EQ(assembled.row_ptr(), probed.row_ptr()) << what;
-        ASSERT_EQ(assembled.cols(), probed.cols()) << what;
+        ASSERT_EQ(assembled.graph()->scalar_row_ptr(),
+                  probed.graph()->scalar_row_ptr())
+            << what;
+        ASSERT_EQ(assembled.graph()->scalar_cols(),
+                  probed.graph()->scalar_cols())
+            << what;
         EXPECT_EQ(value_hash(assembled), value_hash(probed)) << what;
         for (std::size_t k = 0; k < probed.nnz(); ++k) {
           ASSERT_EQ(assembled.values()[k], probed.values()[k])
@@ -386,8 +393,8 @@ TEST(AmgOperator, TangentAssemblyRejectsAGraphMissingACoupling) {
   // Drop one off-diagonal coupling of an interior (non-Dirichlet) row.
   std::size_t row = 0;
   while (p.dof_map().is_dirichlet_dof(row)) ++row;
-  std::vector<std::size_t> rp = fe.row_ptr();
-  std::vector<std::size_t> cols = fe.cols();
+  std::vector<std::size_t> rp = fe.graph()->scalar_row_ptr();
+  std::vector<std::size_t> cols = fe.graph()->scalar_cols();
   std::size_t drop = rp[row];
   if (cols[drop] == row) ++drop;
   cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(drop));
@@ -429,7 +436,8 @@ class PoisonedAssembly final : public LinearOperator {
 };
 
 bool bitwise_equal(const CrsMatrix& a, const CrsMatrix& b) {
-  return a.row_ptr() == b.row_ptr() && a.cols() == b.cols() &&
+  return a.graph()->scalar_row_ptr() == b.graph()->scalar_row_ptr() &&
+         a.graph()->scalar_cols() == b.graph()->scalar_cols() &&
          std::memcmp(a.values().data(), b.values().data(),
                      a.nnz() * sizeof(double)) == 0;
 }
@@ -474,8 +482,8 @@ TEST(GuardedOperator, WithoutAssembleTheAmgProbesThroughTheGuard) {
   EXPECT_FALSE(amg.fine_operator_assembled());
   EXPECT_EQ(amg.probe_applies(), probing.n_probes());
   EXPECT_EQ(guarded.applies(), probing.n_probes());
-  ASSERT_EQ(amg.level_matrix(0).row_ptr(),
-            assembling.level_matrix(0).row_ptr());
+  ASSERT_EQ(amg.level_matrix(0).graph()->scalar_row_ptr(),
+            assembling.level_matrix(0).graph()->scalar_row_ptr());
   for (std::size_t k = 0; k < amg.level_nnz(0); ++k) {
     ASSERT_EQ(amg.level_matrix(0).values()[k],
               assembling.level_matrix(0).values()[k])
@@ -511,7 +519,7 @@ TEST_P(GuardedAssembly, NonFiniteValueThrowsATypedFaultNamingTheRow) {
   const ExtrusionInfo info = p.extrusion_info();
   const CrsMatrix graph = StructuredProbing(info).structure();
   const std::size_t row = graph.n_rows() / 2;
-  const std::size_t slot = graph.row_ptr()[row] + 1;
+  const std::size_t slot = graph.graph()->row_begin(row) + 1;
 
   const resilience::GuardedOperator guarded(
       std::make_unique<PoisonedAssembly>(*op, slot, GetParam()), {},
@@ -594,8 +602,9 @@ TEST(AmgCycleModel, ProbeSetupAndVcycleBytesAreConsistent) {
   perf::AmgCycleModel tangent = assembled;
   tangent.tangent_assembled = true;
   tangent.tangent_cache_bytes = 500'000;
-  const std::size_t fine_crs = 270000 * (sizeof(double) + sizeof(std::size_t)) +
-                               10001 * sizeof(std::size_t);
+  // Values plus the node-paired graph: a 4 B column per 2x2 block and a
+  // 4 B pointer per node row.
+  const std::size_t fine_crs = 270000 * 8 + 67500 * 4 + 5001 * 4;
   EXPECT_EQ(tangent.tangent_assembly_bytes(), 16 * 500'000 + fine_crs);
   EXPECT_EQ(tangent.setup_bytes(),
             tangent.tangent_assembly_bytes() + assembled.setup_bytes());

@@ -1,13 +1,16 @@
 // Banded LU tests: solves against known systems, a pivot that swaps rows
 // inside the band, singularity and misuse errors, and random nonsymmetric
 // banded matrices whose band-confined solves are bitwise those of the same
-// matrix stored on a full graph (kl = ku = n - 1, the unconfined dense LU).
+// matrix stored on a full graph (kl = ku = n - 1, the unconfined dense LU),
+// and a node-paired graph against a block-1 graph of the same pattern.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -167,3 +170,46 @@ TEST_P(BandedLuFuzz, BandSolvesAreTheFullGraphSolves) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BandedLuFuzz, ::testing::Values(1u, 2u, 3u));
+
+TEST(BandedLu, PairedGraphFactorsAndSolvesAsTheScalarGraph) {
+  // A node-paired graph (2x2 blocks, node columns within 2 nodes of the
+  // diagonal) and a block-1 graph of the same pattern and values: the
+  // band scan, the fill and so every solve are bit for bit the same.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  const std::size_t nodes = 20, reach = 2;
+  auto g = std::make_shared<CrsGraph>();
+  g->block = 2;
+  g->brp.push_back(0);
+  for (std::size_t I = 0; I < nodes; ++I) {
+    for (std::size_t J = I > reach ? I - reach : 0;
+         J <= std::min(nodes - 1, I + reach); ++J) {
+      g->bcols.push_back(static_cast<std::uint32_t>(J));
+    }
+    g->brp.push_back(static_cast<std::uint32_t>(g->bcols.size()));
+  }
+  CrsMatrix paired(std::shared_ptr<const CrsGraph>(std::move(g)));
+  for (auto& v : paired.values()) v = uni(rng);
+  CrsMatrix scalar(paired.graph()->scalar_row_ptr(),
+                   paired.graph()->scalar_cols());
+  scalar.values() = paired.values();
+  ASSERT_EQ(scalar.graph()->block, 1);
+
+  BandedLu lp, ls;
+  lp.factor(paired);
+  ls.factor(scalar);
+  EXPECT_EQ(lp.lower_bandwidth(), 2 * reach + 1);
+  EXPECT_EQ(lp.upper_bandwidth(), 2 * reach + 1);
+  EXPECT_EQ(ls.lower_bandwidth(), lp.lower_bandwidth());
+  EXPECT_EQ(ls.upper_bandwidth(), lp.upper_bandwidth());
+  for (int rhs = 0; rhs < 3; ++rhs) {
+    std::vector<double> xp(2 * nodes);
+    for (auto& v : xp) v = uni(rng);
+    std::vector<double> xs = xp;
+    lp.solve(xp);
+    ls.solve(xs);
+    EXPECT_EQ(std::memcmp(xp.data(), xs.data(), xp.size() * sizeof(double)),
+              0)
+        << "rhs " << rhs;
+  }
+}

@@ -419,8 +419,8 @@ TEST_F(DofMapTest, DirichletFlagsConsistent) {
 }
 
 TEST_F(DofMapTest, SparsityContainsDiagonalAndIsSymmetricPattern) {
-  const auto& rp = dofs.graph()->row_ptr;
-  const auto& cols = dofs.graph()->cols;
+  const auto rp = dofs.graph()->scalar_row_ptr();
+  const auto cols = dofs.graph()->scalar_cols();
   ASSERT_EQ(rp.size(), dofs.n_dofs() + 1);
   auto has = [&](std::size_t r, std::size_t c) {
     for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
@@ -437,8 +437,8 @@ TEST_F(DofMapTest, SparsityContainsDiagonalAndIsSymmetricPattern) {
 }
 
 TEST_F(DofMapTest, ColumnsSortedWithinRows) {
-  const auto& rp = dofs.graph()->row_ptr;
-  const auto& cols = dofs.graph()->cols;
+  const auto rp = dofs.graph()->scalar_row_ptr();
+  const auto cols = dofs.graph()->scalar_cols();
   for (std::size_t r = 0; r < dofs.n_dofs(); ++r) {
     for (std::size_t k = rp[r] + 1; k < rp[r + 1]; ++k) {
       EXPECT_LT(cols[k - 1], cols[k]);
@@ -448,8 +448,8 @@ TEST_F(DofMapTest, ColumnsSortedWithinRows) {
 
 TEST_F(DofMapTest, RowsCoupleBothComponents) {
   // Each node's two dofs have identical column sets.
-  const auto& rp = dofs.graph()->row_ptr;
-  const auto& cols = dofs.graph()->cols;
+  const auto rp = dofs.graph()->scalar_row_ptr();
+  const auto cols = dofs.graph()->scalar_cols();
   for (std::size_t n = 0; n < dofs.n_nodes(); n += 11) {
     const std::size_t r0 = fem::DofMap::dof(n, 0);
     const std::size_t r1 = fem::DofMap::dof(n, 1);

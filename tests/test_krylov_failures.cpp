@@ -362,7 +362,8 @@ class LaplaceProblem final : public nonlinear::NonlinearProblem {
   }
 
   [[nodiscard]] CrsMatrix create_matrix() const override {
-    return CrsMatrix(A_.row_ptr(), A_.cols());
+    return CrsMatrix(A_.graph()->scalar_row_ptr(),
+                     A_.graph()->scalar_cols());
   }
 
  private:

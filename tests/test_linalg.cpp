@@ -1,15 +1,24 @@
 // Linear-algebra substrate tests: CRS matrix ops, vector helpers, GMRES on
-// manufactured systems, and the pointwise preconditioners.
+// manufactured systems, and the pointwise preconditioners; the node-paired
+// graph against a block-1 graph of the same pattern and values.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
+#include <type_traits>
 
 #include "linalg/crs_matrix.hpp"
 #include "linalg/gmres.hpp"
+#include "linalg/matrix_market.hpp"
+#include "linalg/operator_probing.hpp"
 #include "linalg/preconditioner.hpp"
+#include "physics/stokes_fo_problem.hpp"
 
 using namespace mali::linalg;
 
@@ -62,6 +71,54 @@ std::vector<double> random_vec(std::size_t n, unsigned seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = dist(rng);
   return v;
+}
+
+bool bitwise_equal(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A's values on a new block-1 graph of the same scalar pattern.
+CrsMatrix on_scalar_graph(const CrsMatrix& A) {
+  CrsMatrix B(A.graph()->scalar_row_ptr(), A.graph()->scalar_cols());
+  B.values() = A.values();
+  return B;
+}
+
+/// The 48 km / 10-layer assembled Jacobian at the analytic initial guess
+/// (on the FE graph) and the same values on the structural lattice graph,
+/// zero where the FE graph has no entry: both graphs are node-paired.
+struct PairedMatrices {
+  CrsMatrix fe, lattice;
+};
+
+const PairedMatrices& paired_48km() {
+  static const PairedMatrices m = [] {
+    mali::physics::StokesFOConfig cfg;
+    cfg.dx_m = 48.0e3;
+    cfg.n_layers = 10;
+    mali::physics::StokesFOProblem problem(cfg);
+    std::vector<double> F;
+    PairedMatrices out{problem.create_matrix(), {}};
+    problem.residual_and_jacobian(problem.analytic_initial_guess(), F,
+                                  out.fe);
+    out.lattice = StructuredProbing(problem.extrusion_info()).structure();
+    for (std::size_t r = 0; r < out.fe.n_rows(); ++r) {
+      out.fe.graph()->for_row(r, [&](std::size_t k, std::size_t c) {
+        out.lattice.set(r, c, out.fe.values()[k]);
+      });
+    }
+    return out;
+  }();
+  return m;
+}
+
+std::string file_text(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
 }
 
 double residual_norm(const CrsMatrix& A, const std::vector<double>& x,
@@ -151,9 +208,11 @@ TEST(CrsMatrix, SlotIndexesTheEntryAddWrites) {
   // add(r, c, v); both must reach the same entry, and slot() must throw
   // where add() does.
   CrsMatrix A = laplacian_1d(5);
+  const auto rp = A.graph()->scalar_row_ptr();
+  const auto cols = A.graph()->scalar_cols();
   for (std::size_t r = 0; r < A.n_rows(); ++r) {
-    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
-      const std::size_t c = A.cols()[k];
+    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
+      const std::size_t c = cols[k];
       EXPECT_EQ(A.slot(r, c), k) << r << ", " << c;
       const double before = A.values()[k];
       A.add(r, c, 0.5);
@@ -182,7 +241,9 @@ TEST(CrsMatrix, CopySharesTheGraphAndCopiesTheValues) {
   EXPECT_EQ(A.get(1, 2), -1.0);
   EXPECT_EQ(B.get(1, 2), 2.0);
   // Equal arrays make a new graph.
-  EXPECT_NE(CrsMatrix(A.row_ptr(), A.cols()).graph(), A.graph());
+  EXPECT_NE(CrsMatrix(A.graph()->scalar_row_ptr(), A.graph()->scalar_cols())
+                .graph(),
+            A.graph());
 }
 
 TEST(VectorOps, DotNormAxpyScale) {
@@ -326,4 +387,122 @@ TEST(SymGaussSeidel, ImprovesOverJacobiOnLaplacian) {
   jac.apply(b, zj);
   sgs.apply(b, zs);
   EXPECT_LT(residual_norm(A, zs, b), residual_norm(A, zj, b));
+}
+
+// ---------------------------------------------------------------------------
+// Node-paired graph: the same values on a paired graph and on a block-1
+// graph of the same pattern index and multiply identically.
+// ---------------------------------------------------------------------------
+
+TEST(PairedGraph, LibraryGraphsArePairedWith32BitColumns) {
+  static_assert(std::is_same_v<decltype(CrsGraph::bcols),
+                               std::vector<std::uint32_t>>);
+  static_assert(std::is_same_v<decltype(CrsGraph::brp),
+                               std::vector<std::uint32_t>>);
+  const auto& m = paired_48km();
+  EXPECT_EQ(m.fe.graph()->block, 2);
+  EXPECT_EQ(m.lattice.graph()->block, 2);
+  EXPECT_EQ(m.fe.nnz(), 4 * m.fe.graph()->bcols.size());
+  EXPECT_EQ(m.fe.n_rows(), 2 * m.fe.graph()->n_node_rows());
+  EXPECT_EQ(on_scalar_graph(m.fe).graph()->block, 1);
+}
+
+TEST(PairedGraph, FeGraphStoresAtMost9Point1BytesPerEntry) {
+  // 8 B per value plus 4 B per 2x2 block and 4 B per node row.
+  const CrsMatrix& J = paired_48km().fe;
+  const CrsGraph& g = *J.graph();
+  const double bytes =
+      static_cast<double>(J.values().size() * sizeof(double) +
+                          g.bcols.size() * sizeof(std::uint32_t) +
+                          g.brp.size() * sizeof(std::uint32_t));
+  EXPECT_LE(bytes / static_cast<double>(J.nnz()), 9.1);
+}
+
+TEST(PairedGraph, SlotsAndWritesAddressTheScalarGraphsValueIndices) {
+  const CrsMatrix& J = paired_48km().fe;
+  const CrsMatrix S = on_scalar_graph(J);
+  const auto rp = S.graph()->scalar_row_ptr();
+  const auto cols = S.graph()->scalar_cols();
+  EXPECT_EQ(rp, J.graph()->scalar_row_ptr());
+  EXPECT_EQ(cols, J.graph()->scalar_cols());
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < J.n_rows(); ++r) {
+    EXPECT_EQ(J.graph()->row_begin(r), rp[r]);
+    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
+      mismatches += J.slot(r, cols[k]) != k || S.slot(r, cols[k]) != k;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // The same writes leave the same value arrays.
+  CrsMatrix Jw = J, Sw = S;
+  for (CrsMatrix* A : {&Jw, &Sw}) {
+    for (std::size_t r = 1; r < A->n_rows(); r += 97) {
+      A->add(r, r, 0.25 * static_cast<double>(r));
+      A->set(r, r ^ 1, -1.5);  // the node's other component
+      EXPECT_EQ(A->get(r, r ^ 1), -1.5);
+    }
+    A->set_identity_row(2);
+    A->set_identity_row(A->n_rows() - 1);
+  }
+  EXPECT_TRUE(bitwise_equal(Jw.values(), Sw.values()));
+
+  // Outside the graph: writes throw, reads give 0, nothing is written.
+  const std::size_t far = J.n_rows() - 1;
+  ASSERT_EQ(J.graph()->find(0, far), CrsMatrix::npos);
+  EXPECT_THROW(Jw.add(0, far, 1.0), mali::Error);
+  EXPECT_THROW(Jw.set(1, far, 1.0), mali::Error);
+  EXPECT_THROW((void)Jw.slot(0, far), mali::Error);
+  EXPECT_THROW(Jw.add(J.n_rows(), 0, 1.0), mali::Error);
+  EXPECT_EQ(Jw.get(0, far), 0.0);
+  EXPECT_TRUE(bitwise_equal(Jw.values(), Sw.values()));
+}
+
+TEST(PairedGraph, ApplySmoothersAndMatrixMarketMatchTheScalarGraph) {
+  const auto& m = paired_48km();
+  for (const CrsMatrix* P : {&m.fe, &m.lattice}) {
+    const CrsMatrix S = on_scalar_graph(*P);
+    const auto x = random_vec(P->n_rows(), 7);
+    std::vector<double> yp, ys;
+    P->apply(x, yp);
+    S.apply(x, ys);
+    EXPECT_TRUE(bitwise_equal(yp, ys));
+
+    SymGaussSeidelPreconditioner sgs_p(2), sgs_s(2);
+    sgs_p.compute(*P);
+    sgs_s.compute(S);
+    sgs_p.apply(x, yp);
+    sgs_s.apply(x, ys);
+    EXPECT_TRUE(bitwise_equal(yp, ys));
+
+    JacobiPreconditioner jac_p, jac_s;
+    jac_p.compute(*P);
+    jac_s.compute(S);
+    jac_p.apply(x, yp);
+    jac_s.apply(x, ys);
+    EXPECT_TRUE(bitwise_equal(yp, ys));
+
+    const std::string dir = ::testing::TempDir();
+    write_matrix_market(dir + "paired.mtx", *P);
+    write_matrix_market(dir + "scalar.mtx", S);
+    const std::string text = file_text(dir + "paired.mtx");
+    EXPECT_GT(text.size(), P->nnz());
+    EXPECT_EQ(text, file_text(dir + "scalar.mtx"));
+  }
+}
+
+TEST(PairedGraph, ScalarPatternsOfOddSizeBuildAtBlockOneAndSolve) {
+  const CrsMatrix A = laplacian_1d(7);
+  EXPECT_EQ(A.graph()->block, 1);
+  EXPECT_EQ(A.n_rows(), 7u);
+  EXPECT_EQ(A.nnz(), 19u);
+  const auto b = random_vec(7, 3);
+  SymGaussSeidelPreconditioner sgs(1);
+  sgs.compute(A);
+  std::vector<double> x;
+  GmresConfig cfg;
+  cfg.rel_tol = 1e-12;
+  const auto res = Gmres(cfg).solve(A, sgs, b, x);
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(residual_norm(A, x, b), 1e-10);
 }

@@ -115,8 +115,8 @@ TEST(StokesFOProblem, DirichletRowsAreScaledIdentity) {
   // Dirichlet rows share the same scale and have no off-diagonal coupling.
   const double s = J.get(dirs[0], dirs[0]);
   EXPECT_GT(s, 0.0);
-  const auto& rp = J.row_ptr();
-  const auto& cols = J.cols();
+  const auto rp = J.graph()->scalar_row_ptr();
+  const auto cols = J.graph()->scalar_cols();
   const auto& vals = J.values();
   for (std::size_t d : dirs) {
     EXPECT_DOUBLE_EQ(F[d], s * U[d]);

@@ -331,7 +331,7 @@ TEST(CrsSlotTable, ChunkedAssemblyMatchesStagedAddScatter) {
 
       const std::string what = std::string(to_string(mode)) + ", workset " +
                                std::to_string(ws_size);
-      const auto& rp = J.row_ptr();
+      const auto rp = J.graph()->scalar_row_ptr();
       for (std::size_t r = 0; r < p.n_dofs(); ++r) {
         if (p.dof_map().is_dirichlet_dof(r)) continue;
         ASSERT_EQ(F[r], F_ref[r]) << what << ", row " << r;
@@ -368,8 +368,8 @@ TEST(CrsSlotTable, GraphMissingACouplingThrows) {
   const auto full = p.create_matrix();
 
   // The FE graph minus one off-diagonal coupling of row 0's node.
-  std::vector<std::size_t> rp = full.row_ptr();
-  std::vector<std::size_t> cols = full.cols();
+  std::vector<std::size_t> rp = full.graph()->scalar_row_ptr();
+  std::vector<std::size_t> cols = full.graph()->scalar_cols();
   const std::size_t drop = cols[rp[0]] == 0 ? rp[0] + 1 : rp[0];
   cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(drop));
   for (std::size_t r = 1; r < rp.size(); ++r) --rp[r];
@@ -384,7 +384,9 @@ TEST(CrsSlotTable, GraphMissingACouplingThrows) {
   auto copy = full;
   EXPECT_TRUE(table.serves(copy));
   EXPECT_FALSE(table.serves(missing));
-  EXPECT_FALSE(table.serves(linalg::CrsMatrix(full.row_ptr(), full.cols())));
+  const auto rp_full = full.graph()->scalar_row_ptr();
+  const auto cols_full = full.graph()->scalar_cols();
+  EXPECT_FALSE(table.serves(linalg::CrsMatrix(rp_full, cols_full)));
   for (const auto mode : {ScatterMode::kSerial, ScatterMode::kColored}) {
     std::vector<double> F(p.n_dofs(), 0.0);
     EXPECT_NO_THROW(physics::scatter_add(mode, coloring, ws.cell_nodes, R, C,
