@@ -5,7 +5,9 @@
 // StokesFOTangentApply<W> over its StokesFOTangentLinearize<W> cache (built
 // once per arm, outside the timed loop, as the solver builds it once per
 // linearization) at W = 1 (the scalar reference the solver runs at
-// `--simd off`) vs W = 2, 4 and 8.  Reports per-element time
+// `--simd off`) vs W = 2, 4 and 8, and the optimized Jacobian's SFad chain,
+// FusedStokesChain<SFad<16>> vs FusedStokesChainSfadBatched<W> at W = 1, 2,
+// 4 and 8 (which must match it bitwise).  Reports per-element time
 // and the achieved bandwidth against the perf:: byte models, and GATES on
 // the fused-residual speedup: the native-width batched kernel must be
 // >= 1.5x the scalar chain (the tentpole claim of the SIMD PR).
@@ -26,8 +28,10 @@
 #include <vector>
 
 #include "perf/data_movement.hpp"
+#include "physics/eval_types.hpp"
 #include "physics/fused_chain.hpp"
 #include "physics/fused_chain_batched.hpp"
+#include "physics/fused_chain_sfad_batched.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "physics/stokes_jacobian_apply.hpp"
 #include "portability/simd.hpp"
@@ -268,6 +272,83 @@ int main(int argc, char** argv) {
   run_tan.template operator()<2>();
   run_tan.template operator()<4>();
   run_tan.template operator()<8>();
+
+  // ---- SFad Jacobian chain: the scalar chain vs W cells per pack ----
+  // Both arms gather U, read the stored gradBF/wGradBF/wBF and write the
+  // 16 x 17-double element Residual: one shared byte model.
+  using Fad = physics::JacobianEval::ScalarT;
+  const std::vector<perf::ArrayAccessSpec> sfad_arrays = {
+      {"U", static_cast<std::size_t>(N) * 2, sizeof(double), false},
+      {"cell_nodes", static_cast<std::size_t>(N), sizeof(std::size_t), false},
+      {"gradBF", static_cast<std::size_t>(N * Q * 3), sizeof(double), false},
+      {"wGradBF", static_cast<std::size_t>(N * Q * 3), sizeof(double), false},
+      {"wBF", static_cast<std::size_t>(N * Q), sizeof(double), false},
+      {"force", static_cast<std::size_t>(Q) * 2, sizeof(double), false},
+      {"Residual", static_cast<std::size_t>(N) * 2, sizeof(Fad), true},
+  };
+  const double sfad_bytes =
+      static_cast<double>(C * perf::min_bytes_per_cell(sfad_arrays));
+  pk::View<Fad, 3> sfad_ref("sfad_ref", ws.n_cells_padded,
+                            static_cast<std::size_t>(N), 2);
+  pk::View<Fad, 3> sfad_out("sfad_out", ws.n_cells_padded,
+                            static_cast<std::size_t>(N), 2);
+  const auto sfad_setup = [&](auto& k, const pk::View<Fad, 3>& R) {
+    const auto& a = problem.element_arrays();
+    k.U = Uview;
+    k.cell_nodes = a.cell_nodes;
+    k.gradBF = a.gradBF;
+    k.wGradBF = a.wGradBF;
+    k.wBF = a.wBF;
+    k.force_passive = a.force_passive;
+    k.Residual = R;
+    k.glen_A = cfg.constants.glen_A;
+    k.glen_n = cfg.constants.glen_n;
+    k.eps_reg2 = cfg.constants.eps_reg2;
+    k.numNodes = static_cast<unsigned>(N);
+    k.numQPs = static_cast<unsigned>(Q);
+    k.prepare();
+  };
+  physics::FusedStokesChain<Fad> sfad_scalar;
+  sfad_setup(sfad_scalar, sfad_ref);
+  const double t_sfad_scalar = time_best([&] {
+    pk::parallel_for("FusedStokesChain", pk::RangePolicy<pk::Serial>(C),
+                     sfad_scalar);
+  });
+  arms.push_back({"sfad jacobian (scalar)", 1, t_sfad_scalar / C * 1e9,
+                  sfad_bytes / t_sfad_scalar / 1e9, 1.0, 0.0});
+  auto run_sfad = [&]<int W>() {
+    physics::FusedStokesChainSfadBatched<W> chain;
+    sfad_setup(chain, sfad_out);
+    const double t = time_best([&] {
+      pk::parallel_for("FusedStokesChainSfadBatched",
+                       pk::SimdRangePolicy<W, pk::Serial>(C), chain);
+    });
+    // The batched chain is bitwise the scalar one: any differing byte of a
+    // value or derivative counts as a relative difference of 1.
+    double max_rel = 0.0;
+    for (std::size_t c = 0; c < C; ++c) {
+      for (int k = 0; k < N; ++k) {
+        for (int comp = 0; comp < 2; ++comp) {
+          if (std::memcmp(&sfad_ref(c, k, comp), &sfad_out(c, k, comp),
+                          sizeof(Fad)) != 0) {
+            max_rel = 1.0;
+          }
+        }
+      }
+    }
+    Arm a;
+    a.kernel = "sfad jacobian (batched)";
+    a.width = W;
+    a.ns_per_cell = t / C * 1e9;
+    a.gbps = sfad_bytes / t / 1e9;
+    a.speedup = t_sfad_scalar / t;
+    a.max_rel = max_rel;
+    arms.push_back(a);
+  };
+  run_sfad.template operator()<1>();
+  run_sfad.template operator()<2>();
+  run_sfad.template operator()<4>();
+  run_sfad.template operator()<8>();
 
   std::printf("%-26s %5s %12s %10s %9s %10s\n", "kernel", "W", "ns/cell",
               "GB/s", "speedup", "max rel");

@@ -1,9 +1,11 @@
 #include "linalg/matrix_market.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "portability/common.hpp"
 
@@ -19,6 +21,29 @@ std::string next_content_line(std::istream& is) {
   return {};
 }
 
+/// The writers format into a buffer and hand it to the stream in chunks of
+/// about this many bytes.
+constexpr std::size_t kWriteChunk = std::size_t{1} << 16;
+
+void append(std::string& out, std::size_t i) {
+  char s[24];
+  out.append(s, std::to_chars(s, s + sizeof s, i).ptr);
+}
+
+/// Appends v as printf's %.17g: the bytes an ostream at precision(17)
+/// writes, without the stream's per-value locale work.
+void append(std::string& out, double v) {
+  char s[32];
+  out.append(s, std::to_chars(s, s + sizeof s, v, std::chars_format::general,
+                              17)
+                    .ptr);
+}
+
+void drain(std::ofstream& os, std::string& out) {
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+  out.clear();
+}
+
 }  // namespace
 
 void write_matrix_market(const std::string& path, const CrsMatrix& A) {
@@ -27,13 +52,20 @@ void write_matrix_market(const std::string& path, const CrsMatrix& A) {
   os << "%%MatrixMarket matrix coordinate real general\n";
   os << "% written by MiniMALI\n";
   os << A.n_rows() << ' ' << A.n_rows() << ' ' << A.nnz() << '\n';
-  os.precision(17);
   const auto& vals = A.values();
+  std::string out;
   for (std::size_t r = 0; r < A.n_rows(); ++r) {
     A.graph()->for_row(r, [&](std::size_t k, std::size_t c) {
-      os << r + 1 << ' ' << c + 1 << ' ' << vals[k] << '\n';
+      append(out, r + 1);
+      out += ' ';
+      append(out, c + 1);
+      out += ' ';
+      append(out, vals[k]);
+      out += '\n';
     });
+    if (out.size() >= kWriteChunk) drain(os, out);
   }
+  drain(os, out);
   MALI_CHECK_MSG(os.good(), "write failed: " + path);
 }
 
@@ -83,8 +115,13 @@ void write_matrix_market(const std::string& path,
   MALI_CHECK_MSG(os.good(), "cannot open " + path);
   os << "%%MatrixMarket matrix array real general\n";
   os << v.size() << " 1\n";
-  os.precision(17);
-  for (double x : v) os << x << '\n';
+  std::string out;
+  for (double x : v) {
+    append(out, x);
+    out += '\n';
+    if (out.size() >= kWriteChunk) drain(os, out);
+  }
+  drain(os, out);
   MALI_CHECK_MSG(os.good(), "write failed: " + path);
 }
 

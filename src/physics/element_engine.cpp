@@ -8,6 +8,7 @@
 #include "physics/evaluators.hpp"
 #include "physics/fused_chain.hpp"
 #include "physics/fused_chain_batched.hpp"
+#include "physics/fused_chain_sfad_batched.hpp"
 #include "physics/scatter.hpp"
 #include "physics/stokes_fo_problem.hpp"
 #include "physics/stokes_fo_resid.hpp"
@@ -231,17 +232,31 @@ void ElementEngine::run_fused_sfad(const CellBlock& b,
                                   const pk::View<double, 1>& U) {
   const ElementArrays& a = *arrays_;
   const std::size_t cnt = b.count;
-  FusedStokesChain<JacobianEval::ScalarT> chain;
-  chain.U = U;
-  chain.cell_nodes = a.cell_nodes.window(b.offset, cnt);
-  chain.gradBF = a.gradBF.window(b.offset, cnt);
-  chain.wGradBF = a.wGradBF.window(b.offset, cnt);
-  chain.wBF = a.wBF.window(b.offset, cnt);
-  chain.force_passive = a.force_passive.window(b.offset, cnt);
-  chain.flow_factor = flow_factor_window(a.flow_factor, b.offset, cnt);
-  chain.Residual = jac_fields_.Residual;
-  set_flow_law(chain, *cfg_, a);
-  pk::parallel_for("FusedStokesChain", pk::RangePolicy<Exec>(cnt), chain);
+  // Both chains run over exactly the block's cells (the batched one masks
+  // its ragged tail).
+  const auto setup = [&](auto& chain) {
+    chain.U = U;
+    chain.cell_nodes = a.cell_nodes.window(b.offset, cnt);
+    chain.gradBF = a.gradBF.window(b.offset, cnt);
+    chain.wGradBF = a.wGradBF.window(b.offset, cnt);
+    chain.wBF = a.wBF.window(b.offset, cnt);
+    chain.force_passive = a.force_passive.window(b.offset, cnt);
+    chain.flow_factor = flow_factor_window(a.flow_factor, b.offset, cnt);
+    chain.Residual = jac_fields_.Residual;
+    set_flow_law(chain, *cfg_, a);
+  };
+  dispatch_simd_width(simd_width(), [&]<int W>() {
+    if constexpr (W == 1) {
+      FusedStokesChain<JacobianEval::ScalarT> chain;
+      setup(chain);
+      pk::parallel_for("FusedStokesChain", pk::RangePolicy<Exec>(cnt), chain);
+    } else {
+      FusedStokesChainSfadBatched<W> chain;
+      setup(chain);
+      pk::parallel_for("FusedStokesChainSfadBatched",
+                       pk::SimdRangePolicy<W, Exec>(cnt), chain);
+    }
+  });
 }
 
 template <class EvalT, class Exec>
@@ -250,8 +265,9 @@ FieldSet<typename EvalT::ScalarT>& ElementEngine::evaluate(
   using ScalarT = typename EvalT::ScalarT;
   const ElementArrays& a = *arrays_;
   const StokesFOConfig& cfg = *cfg_;
-  // The SFad Jacobian always runs scalar: fused per cell for the optimized
-  // variant, staged for the ablations Table III measures.
+  // The SFad Jacobian of the optimized variant runs the fused chain, W cells
+  // per pack (W = 1: the scalar chain); the ablations Table III measures run
+  // the staged chain scalar.
   const bool fused_sfad =
       ad::is_fad_v<ScalarT> && cfg.variant == KernelVariant::kOptimized;
   const bool batched = std::is_same_v<ScalarT, double> && simd_width() > 1;
@@ -369,9 +385,8 @@ void ElementEngine::linearize_tangent(const CellBlock& b,
 template <class Exec>
 void ElementEngine::element_tangents(const CellBlock& b,
                                      const TangentLinearization& lin,
-                                     const pk::View<std::size_t, 2>& nodes,
-                                     std::size_t node_offset,
-                                     const pk::View<double, 1>& U,
+                                     const pk::View<std::size_t, 2>& x_nodes,
+                                     std::size_t x_offset,
                                      const pk::View<double, 1>& X) {
   const ElementArrays& a = *arrays_;
   const StokesFOConfig& cfg = *cfg_;
@@ -390,7 +405,7 @@ void ElementEngine::element_tangents(const CellBlock& b,
                                                           lin.fields),
                    "tangent linearization does not match the block");
     StokesFOTangentApply<W> tangent;
-    tangent.cell_nodes = nodes.window(node_offset, cnt_pad);
+    tangent.cell_nodes = x_nodes.window(x_offset, cnt_pad);
     tangent.X = X;
     tangent.ref_grad = a.ref_grad;
     tangent.qp_data = lin.qp_data;
@@ -405,11 +420,17 @@ void ElementEngine::element_tangents(const CellBlock& b,
   });
 
   if (!cfg.mms.enabled) {
-    BasalFrictionTangent friction{
-        b.face_cell_local, b.face_wBF, b.face_beta,
-        a.face_BF,         nodes.window(node_offset, cnt), U,
-        X,                 tangent_,   static_cast<unsigned>(a.face_qps),
-        cfg.sliding};
+    BasalFrictionTangent friction{b.face_cell_local,
+                                  b.face_wBF,
+                                  b.face_beta,
+                                  a.face_BF,
+                                  a.cell_nodes.window(b.offset, cnt),
+                                  x_nodes.window(x_offset, cnt),
+                                  lin.U,
+                                  X,
+                                  tangent_,
+                                  static_cast<unsigned>(a.face_qps),
+                                  cfg.sliding};
     // One face per cell (attach_basal_faces): disjoint rows, any order.
     pk::parallel_for("basal_friction_tangent",
                      pk::RangePolicy<Exec>(b.face_cell_local.size()),
@@ -424,7 +445,7 @@ void ElementEngine::apply_tangent(const CellBlock& b,
                                   std::vector<double>& y) {
   if (b.count == 0) return;
   const ElementArrays& a = *arrays_;
-  element_tangents<Exec>(b, lin, a.cell_nodes, b.offset, lin.U, X);
+  element_tangents<Exec>(b, lin, a.cell_nodes, b.offset, X);
   scatter_add<Exec>(cfg_->scatter, b.coloring,
                     a.cell_nodes.window(b.offset, b.count), tangent_, b.count,
                     a.num_nodes, y, nullptr);
@@ -444,52 +465,28 @@ void ElementEngine::assemble_tangent(const CellBlock& b,
   const auto uN = static_cast<std::size_t>(N);
   const auto cell_nodes = a.cell_nodes.window(b.offset, cnt);
 
-  // Cell-local node space: (c, k) -> c N + k, with the state gathered into
-  // it, so one direction vector carries an independent e_l for every cell.
-  // The views are the engine's, grown on demand and reused by later calls;
-  // every entry a call reads is rewritten here first (padded cells get a
-  // zero state, every cell a zero direction).
+  // Every cell reads the direction through the node map (c, k) -> k, so a
+  // 16-entry X = e_l is the unit direction l of every cell at once; the
+  // state is read through the block's own cell_nodes.  The map is the
+  // engine's, grown on demand and reused by later calls.
   if (!tangent_local_.allocated() || tangent_local_.extent(0) < cnt_pad) {
     tangent_local_ =
         pk::View<std::size_t, 2>("tangent_local_nodes", cnt_pad, N);
-    tangent_U_ = pk::View<double, 1>("tangent_local_U", 2 * uN * cnt_pad);
-    tangent_X_ = pk::View<double, 1>("tangent_local_X", 2 * uN * cnt_pad);
+    const auto& local = tangent_local_;
+    pk::parallel_for("tangent_local_map", pk::RangePolicy<Exec>(cnt_pad),
+                     [&](int c) {
+                       for (std::size_t k = 0; k < uN; ++k) local(c, k) = k;
+                     });
   }
-  const auto& local = tangent_local_;
-  const auto& U = tangent_U_;
-  const auto& X = tangent_X_;
-  pk::parallel_for("tangent_local_map", pk::RangePolicy<Exec>(cnt_pad),
-                   [&](int ci) {
-                     const auto c = static_cast<std::size_t>(ci);
-                     for (std::size_t k = 0; k < uN; ++k) {
-                       const std::size_t lk = c * uN + k;
-                       local(c, k) = lk;
-                       X(2 * lk) = 0.0;
-                       X(2 * lk + 1) = 0.0;
-                       if (c >= cnt) {
-                         U(2 * lk) = 0.0;
-                         U(2 * lk + 1) = 0.0;
-                         continue;
-                       }
-                       const std::size_t g = cell_nodes(c, k);
-                       U(2 * lk) = lin.U(2 * g);
-                       U(2 * lk + 1) = lin.U(2 * g + 1);
-                     }
-                   });
+  pk::View<double, 1> X("tangent_unit_direction", 2 * uN);
 
   auto& f = jac_fields_;
   f.allocate(cnt, N, a.num_qps, FieldStage::kResidual);
   for (int l = 0; l < kNumLocalDofs; ++l) {
-    // X = e_l in every cell: local dof l of cell c is X(2 N c + l).
     const auto ul = static_cast<std::size_t>(l);
-    pk::parallel_for("tangent_unit_direction", pk::RangePolicy<Exec>(cnt_pad),
-                     [&](int ci) {
-                       const std::size_t base =
-                           2 * uN * static_cast<std::size_t>(ci);
-                       if (ul > 0) X(base + ul - 1) = 0.0;
-                       X(base + ul) = 1.0;
-                     });
-    element_tangents<Exec>(b, lin, local, 0, U, X);
+    if (ul > 0) X(ul - 1) = 0.0;
+    X(ul) = 1.0;
+    element_tangents<Exec>(b, lin, tangent_local_, 0, X);
     pk::parallel_for("tangent_column", pk::RangePolicy<Exec>(cnt),
                      [&](int c) {
                        for (int k = 0; k < N; ++k) {

@@ -9,12 +9,15 @@
 //             gather -> VelocityGradient -> ViscosityFO -> BodyForceFO ->
 //             StokesFOResid<variant> chain (width 1, the bitwise reference)
 //             -> basal friction -> scatter
-//   Jacobian  kOptimized (the default): FusedStokesChain<SFad<16>> per
-//             cell, gathering and seeding its velocities from U, straight
-//             into the element Residual -- the only whole-mesh SFad field;
-//             the four ablation variants: the staged chain on SFad<16>
-//             (Table III reproduces them).  Always scalar.  -> basal
-//             friction -> scatter through the block's CRS slot table
+//   Jacobian  kOptimized (the default): the fused SFad<16> chain,
+//             gathering and seeding its velocities from U, straight into
+//             the element Residual -- the only whole-mesh SFad field --
+//             W cells per pack (FusedStokesChainSfadBatched<W>, bitwise
+//             the scalar chain) or per cell at width 1
+//             (FusedStokesChain<SFad<16>>); the four ablation variants: the
+//             staged chain on SFad<16>, scalar (Table III reproduces
+//             them) -> basal friction -> scatter through the block's CRS
+//             slot table
 //   tangent   linearize: StokesFOTangentLinearize<W> (W = 1 included)
 //             fills the block's quadrature-point cache, once per state U;
 //             apply: StokesFOTangentApply<W> over that cache -> basal
@@ -248,21 +251,22 @@ class ElementEngine {
                                               const pk::View<double, 1>& U);
 
   /// tangent_ = the block's per-cell tangents (viscous and basal friction)
-  /// in direction X.  `nodes` rows [node_offset, node_offset + count) map
-  /// each cell's nodes into the index space of U and X (and stay readable
-  /// up to the block's padded cell count).
+  /// in direction X at the state lin.U.  `x_nodes` rows [x_offset,
+  /// x_offset + count) map each cell's nodes into the index space of X (and
+  /// stay readable up to the block's padded cell count); U is read through
+  /// the block's cell_nodes.
   template <class Exec>
   void element_tangents(const CellBlock& b, const TangentLinearization& lin,
-                        const pk::View<std::size_t, 2>& nodes,
-                        std::size_t node_offset, const pk::View<double, 1>& U,
-                        const pk::View<double, 1>& X);
+                        const pk::View<std::size_t, 2>& x_nodes,
+                        std::size_t x_offset, const pk::View<double, 1>& X);
 
   /// FusedStokesChainBatched over the block's gathered velocities.
   template <class Exec>
   void run_fused_batched(const CellBlock& b);
 
-  /// FusedStokesChain<SFad<16>> over the block, gathering from U, into the
-  /// SFad Residual.
+  /// The fused SFad<16> chain over the block, gathering from U, into the
+  /// SFad Residual: FusedStokesChainSfadBatched<W> at the engine's width,
+  /// FusedStokesChain<SFad<16>> at width 1.
   template <class Exec>
   void run_fused_sfad(const CellBlock& b, const pk::View<double, 1>& U);
 
@@ -289,12 +293,10 @@ class ElementEngine {
   FieldSet<JacobianEval::ScalarT> jac_fields_;
   pk::View<double, 3> tangent_;  ///< (C, N, 2) per-cell J_e x_e scratch
 
-  /// assemble_tangent's scratch, kept for later calls: the cell-local node
-  /// map, the state gathered into it and the unit direction (grown to the
-  /// largest padded block), and the scatter's discarded residual vector.
+  /// assemble_tangent's scratch, kept for later calls: the node map
+  /// (c, k) -> k (grown to the largest padded block) and the scatter's
+  /// discarded residual vector.
   pk::View<std::size_t, 2> tangent_local_;
-  pk::View<double, 1> tangent_U_;
-  pk::View<double, 1> tangent_X_;
   std::vector<double> tangent_F_;
 
   /// One slot table per block the engine has scattered into a matrix,

@@ -84,12 +84,13 @@ struct StokesFOConfig {
   /// Jacobian representation for the Newton solve: assembled CRS (default)
   /// or the matrix-free per-element tangent apply (no global matrix).
   linalg::JacobianMode jacobian = linalg::JacobianMode::kAssembled;
-  /// SIMD element-batch width for the double-valued fused kernels (residual
-  /// chain and matrix-free tangent), on the serial and the distributed
-  /// paths alike: 1 = scalar reference path (default, so stored references
-  /// and bit-pinned tests are undisturbed), 2/4/8 = batch that many cells
-  /// per pack, 0 = auto (pk::kSimdNativeWidth).  The SFad assembled-Jacobian
-  /// chain always runs scalar.
+  /// SIMD element-batch width for the fused kernels (residual chain,
+  /// matrix-free tangent, and the optimized variant's SFad Jacobian chain),
+  /// on the serial and the distributed paths alike: 1 = scalar reference
+  /// path (default, so stored references and bit-pinned tests are
+  /// undisturbed), 2/4/8 = batch that many cells per pack, 0 = auto
+  /// (pk::kSimdNativeWidth).  The SFad chain is bitwise the same at every
+  /// width; the ablation variants' staged SFad chains always run scalar.
   int simd_width = 1;
 };
 

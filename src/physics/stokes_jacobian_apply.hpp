@@ -384,9 +384,10 @@ struct BasalFrictionTangent {
   pk::View<double, 3> face_wBF;              ///< (F, 4, Qf)
   pk::View<double, 1> face_beta;             ///< (F)
   pk::View<double, 2> face_BF;               ///< (4, Qf) reference values
-  pk::View<std::size_t, 2> cell_nodes;       ///< (C, N) windowed
+  pk::View<std::size_t, 2> cell_nodes;       ///< (C, N) windowed, into U
+  pk::View<std::size_t, 2> x_nodes;          ///< (C, N) windowed, into X
   pk::View<double, 1> U;                     ///< global state
-  pk::View<double, 1> X;                     ///< global direction
+  pk::View<double, 1> X;                     ///< direction
   pk::View<double, 3> Tangent;               ///< (C, N, 2), accumulated
   unsigned int faceQPs = 4;
   SlidingConfig sliding{};
@@ -396,10 +397,11 @@ struct BasalFrictionTangent {
     Fad Ul[4][2];
     for (int k = 0; k < 4; ++k) {
       const std::size_t gnode = cell_nodes(cell, k);
+      const std::size_t xnode = x_nodes(cell, k);
       for (int comp = 0; comp < 2; ++comp) {
-        const std::size_t dof = 2 * gnode + static_cast<std::size_t>(comp);
-        Ul[k][comp] = Fad(U(dof));
-        Ul[k][comp].fastAccessDx(0) = X(dof);
+        const auto uc = static_cast<std::size_t>(comp);
+        Ul[k][comp] = Fad(U(2 * gnode + uc));
+        Ul[k][comp].fastAccessDx(0) = X(2 * xnode + uc);
       }
     }
     for (unsigned int qp = 0; qp < faceQPs; ++qp) {

@@ -186,40 +186,6 @@ template <class T, int W>
   return simd<T, W>(a) / b;
 }
 
-/// Fused multiply-add a*b + c (per lane; the compiler contracts to hardware
-/// FMA when available, otherwise mul+add — either way lanes are independent).
-template <class T, int W>
-[[nodiscard]] MALI_INLINE simd<T, W> fma(const simd<T, W>& a,
-                                         const simd<T, W>& b,
-                                         const simd<T, W>& c) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.v[l] = a.v[l] * b.v[l] + c.v[l];
-  return r;
-}
-
-/// Lane mask for blend(); a plain bool array so scalar fallback is trivial.
-template <int W>
-struct simd_mask {
-  bool m[W];
-
-  [[nodiscard]] MALI_INLINE static simd_mask first_n(int n) {
-    simd_mask r;
-    for (int l = 0; l < W; ++l) r.m[l] = l < n;
-    return r;
-  }
-  [[nodiscard]] MALI_INLINE bool operator[](int l) const { return m[l]; }
-};
-
-/// blend: lane l takes a where mask is set, b otherwise.
-template <class T, int W>
-[[nodiscard]] MALI_INLINE simd<T, W> blend(const simd_mask<W>& mask,
-                                           const simd<T, W>& a,
-                                           const simd<T, W>& b) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.v[l] = mask.m[l] ? a.v[l] : b.v[l];
-  return r;
-}
-
 /// Per-lane pow with a shared scalar exponent (Glen's-law viscosity).  libm
 /// pow does not vectorize, so lanes are sequential scalar calls — this is
 /// the measured-but-acceptable serial fraction of the batched chain.
@@ -227,13 +193,6 @@ template <class T, int W>
 [[nodiscard]] MALI_INLINE simd<T, W> lane_pow(const simd<T, W>& a, T e) {
   simd<T, W> r;
   for (int l = 0; l < W; ++l) r.v[l] = std::pow(a.v[l], e);
-  return r;
-}
-
-template <class T, int W>
-[[nodiscard]] MALI_INLINE simd<T, W> lane_sqrt(const simd<T, W>& a) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.v[l] = std::sqrt(a.v[l]);
   return r;
 }
 

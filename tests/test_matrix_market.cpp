@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "linalg/matrix_market.hpp"
 #include "physics/stokes_fo_problem.hpp"
@@ -28,7 +32,57 @@ CrsMatrix small_matrix() {
   return A;
 }
 
+std::string file_text(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// Values whose %.17g rendering takes every branch of the formatter: signed
+/// zeros, denormals, extreme exponents, an inexact fraction, integers.
+std::vector<double> awkward_values() {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  return {-0.0,    0.0,     denorm,  -denorm, 3.0 * denorm, 2.2250738585072e-309,
+          1e300,   -1e300,  1e-300,  -1e-300, 0.1,          -0.1,
+          1.0,     -7.0,    123456789.0,      1e16,         1.0 / 3.0};
+}
+
 }  // namespace
+
+// The writers format through std::to_chars; their bytes must be what the
+// ostream at precision(17) they replaced wrote.
+TEST(MatrixMarket, WritersMatchStreamFormatting) {
+  const auto vals = awkward_values();
+  const std::size_t n = vals.size();
+  std::vector<std::size_t> rp(n + 1), cols(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rp[i + 1] = i + 1;
+    cols[i] = n - 1 - i;
+  }
+  CrsMatrix A(rp, cols);
+  for (std::size_t i = 0; i < n; ++i) A.set(i, n - 1 - i, vals[i]);
+
+  std::ostringstream want;
+  want << "%%MatrixMarket matrix coordinate real general\n"
+       << "% written by MiniMALI\n"
+       << n << ' ' << n << ' ' << n << '\n';
+  want.precision(17);
+  for (std::size_t i = 0; i < n; ++i) {
+    want << i + 1 << ' ' << n - i << ' ' << vals[i] << '\n';
+  }
+  const auto path = tmp("fmt.mtx");
+  write_matrix_market(path, A);
+  EXPECT_EQ(file_text(path), want.str());
+
+  std::ostringstream want_v;
+  want_v << "%%MatrixMarket matrix array real general\n" << n << " 1\n";
+  want_v.precision(17);
+  for (double v : vals) want_v << v << '\n';
+  write_matrix_market(path, vals);
+  EXPECT_EQ(file_text(path), want_v.str());
+  std::remove(path.c_str());
+}
 
 TEST(MatrixMarket, MatrixRoundTrip) {
   const auto A = small_matrix();

@@ -358,10 +358,12 @@ std::uint64_t hash_of(const std::vector<double>& v) {
 // Every variant gives the same J bits and the same block-diagonal bits; the
 // residual values fall into two bit-groups: kOptimized and kFusedOnly sum
 // the stress and force terms in one fused quadrature loop, kBaseline,
-// kLoopOptOnly and kLocalAccumOnly in separate loops.  The SFad chain
-// always runs scalar, so the configured SIMD width must not move a bit:
-// widths 4 and 8 run explicitly, because auto (0) picks 8 on an AVX-512
-// build and 4 on a baseline one, and each build pins both.
+// kLoopOptOnly and kLocalAccumOnly in separate loops.  The optimized
+// variant's SFad chain runs W cells per pack and each lane does the scalar
+// chain's arithmetic, and the ablations run scalar, so the configured SIMD
+// width must not move a bit: widths 4 and 8 run explicitly, because auto
+// (0) picks 8 on an AVX-512 build and 4 on a baseline one, and each build
+// pins both.
 TEST(JacobianPin, AssembledSfadBytesEveryVariant) {
   struct Pin {
     bool thermal;
