@@ -73,7 +73,8 @@ std::size_t nearest_donor(
 EnsembleEngine::EnsembleEngine(EnsembleManifest manifest, EnsembleConfig cfg)
     : manifest_(std::move(manifest)),
       cfg_(std::move(cfg)),
-      cache_(cfg_.cache_dir) {
+      // --no-cache touches no disk: not even the cache directory.
+      cache_(cfg_.use_cache ? cfg_.cache_dir : "") {
   MALI_CHECK_MSG(cfg_.ranks_per_group >= 1,
                  "ensemble: ranks_per_group must be >= 1");
 }

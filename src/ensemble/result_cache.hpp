@@ -11,10 +11,13 @@
 // test_ensemble); the cached record is whatever was computed first.
 //
 // The cache is two-level: an in-memory map for this process plus an
-// optional on-disk store (one "MALIENSR" binary file per key under the
+// optional on-disk store (one "MALIENSR" io::Record file per key under the
 // cache dir) so later runs of `mali ensemble` are served across processes.
-// Disk hits verify the full canonical string, not just the 64-bit hash, so
-// a hash collision degrades to a miss, never a wrong result.
+// Records are written to a temp file, fsynced and renamed into place, so
+// processes sharing the dir never see a half-written record.  A disk hit
+// must pass the record's checksum and match the full canonical string,
+// not just the 64-bit hash: a corrupt, truncated or older-version record
+// or a hash collision degrades to a miss, never a wrong result.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,18 +53,20 @@ struct MemberRecord {
 
 class ResultCache {
  public:
-  /// `dir` empty = memory-only; otherwise disk records live under it (the
-  /// directory is created on first store).
+  /// `dir` empty = memory-only; otherwise disk records live under it.  The
+  /// directory (and its parents) is created here; throws mali::Error naming
+  /// it when that fails.
   explicit ResultCache(std::string dir = "");
 
   /// Lookup by canonical key: memory first, then disk (a disk hit is
   /// promoted into memory).  Returns nullptr on a miss.  A disk record
-  /// whose stored canonical string mismatches (hash collision, corrupt
-  /// file) is treated as a miss.
+  /// that fails any io::Record check, or whose stored canonical string
+  /// mismatches (hash collision), is treated as a miss.
   [[nodiscard]] const MemberRecord* find(const std::string& canonical);
 
   /// Stores a record under its canonical key (in memory, and on disk when
-  /// a cache dir is configured).  Overwrites any previous record.
+  /// a cache dir is configured).  Overwrites any previous record.  Throws
+  /// mali::Error when the disk record cannot be written.
   void store(const MemberRecord& rec);
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
@@ -75,7 +80,6 @@ class ResultCache {
   [[nodiscard]] std::string path_for(const std::string& canonical) const;
 
   std::string dir_;
-  bool dir_ready_ = false;
   std::unordered_map<std::string, MemberRecord> mem_;
 };
 

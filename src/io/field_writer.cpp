@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <fstream>
 
 #include "portability/common.hpp"
@@ -125,134 +124,6 @@ void write_node_csv(const std::string& path, const mesh::QuadGrid& grid,
     os << '\n';
   }
   MALI_CHECK_MSG(os.good(), "write failed: " + path);
-}
-
-// ---- solver checkpoint files -----------------------------------------
-
-namespace {
-constexpr char kCkptMagic[8] = {'M', 'A', 'L', 'I', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kCkptVersion = 1;
-
-template <class T>
-void put(std::ofstream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <class T>
-void get(std::ifstream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-}
-}  // namespace
-
-void write_solver_checkpoint(const std::string& path,
-                             const std::vector<double>& U,
-                             double residual_norm, double parameter,
-                             int newton_step) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  MALI_CHECK_MSG(os.good(), "cannot open checkpoint file: " + path);
-  os.write(kCkptMagic, sizeof(kCkptMagic));
-  put(os, kCkptVersion);
-  put(os, static_cast<std::int32_t>(newton_step));
-  put(os, residual_norm);
-  put(os, parameter);
-  put(os, static_cast<std::uint64_t>(U.size()));
-  os.write(reinterpret_cast<const char*>(U.data()),
-           static_cast<std::streamsize>(U.size() * sizeof(double)));
-  MALI_CHECK_MSG(os.good(), "checkpoint write failed: " + path);
-}
-
-void read_solver_checkpoint(const std::string& path, std::vector<double>& U,
-                            double& residual_norm, double& parameter,
-                            int& newton_step) {
-  std::ifstream is(path, std::ios::binary);
-  MALI_CHECK_MSG(is.good(), "cannot open checkpoint file: " + path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  MALI_CHECK_MSG(is.good() && std::equal(magic, magic + 8, kCkptMagic),
-                 "not a MALI checkpoint file: " + path);
-  std::uint32_t version = 0;
-  get(is, version);
-  MALI_CHECK_MSG(version == kCkptVersion,
-                 "unsupported checkpoint version in " + path);
-  std::int32_t step = 0;
-  get(is, step);
-  get(is, residual_norm);
-  get(is, parameter);
-  std::uint64_t n = 0;
-  get(is, n);
-  MALI_CHECK_MSG(is.good(), "truncated checkpoint header: " + path);
-  U.resize(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(U.data()),
-          static_cast<std::streamsize>(U.size() * sizeof(double)));
-  MALI_CHECK_MSG(is.good(), "truncated checkpoint payload: " + path);
-  newton_step = static_cast<int>(step);
-}
-
-// ---- transient checkpoint files --------------------------------------
-
-namespace {
-constexpr char kTCkptMagic[8] = {'M', 'A', 'L', 'I', 'T', 'C', 'K', 'P'};
-constexpr std::uint32_t kTCkptVersion = 1;
-
-void put_vector(std::ofstream& os, const std::vector<double>& v) {
-  put(os, static_cast<std::uint64_t>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-
-void get_vector(std::ifstream& is, std::vector<double>& v,
-                const std::string& path) {
-  std::uint64_t n = 0;
-  get(is, n);
-  MALI_CHECK_MSG(is.good(), "truncated checkpoint header: " + path);
-  v.resize(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(double)));
-  MALI_CHECK_MSG(is.good(), "truncated checkpoint payload: " + path);
-}
-}  // namespace
-
-void write_transient_checkpoint(const std::string& path,
-                                const std::vector<double>& H,
-                                const std::vector<double>& T,
-                                const std::vector<double>& U, double t,
-                                double dt, int step) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  MALI_CHECK_MSG(os.good(), "cannot open checkpoint file: " + path);
-  os.write(kTCkptMagic, sizeof(kTCkptMagic));
-  put(os, kTCkptVersion);
-  put(os, static_cast<std::int32_t>(step));
-  put(os, t);
-  put(os, dt);
-  put_vector(os, H);
-  put_vector(os, T);
-  put_vector(os, U);
-  MALI_CHECK_MSG(os.good(), "checkpoint write failed: " + path);
-}
-
-void read_transient_checkpoint(const std::string& path,
-                               std::vector<double>& H, std::vector<double>& T,
-                               std::vector<double>& U, double& t, double& dt,
-                               int& step) {
-  std::ifstream is(path, std::ios::binary);
-  MALI_CHECK_MSG(is.good(), "cannot open checkpoint file: " + path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  MALI_CHECK_MSG(is.good() && std::equal(magic, magic + 8, kTCkptMagic),
-                 "not a MALI transient checkpoint file: " + path);
-  std::uint32_t version = 0;
-  get(is, version);
-  MALI_CHECK_MSG(version == kTCkptVersion,
-                 "unsupported transient checkpoint version in " + path);
-  std::int32_t s = 0;
-  get(is, s);
-  get(is, t);
-  get(is, dt);
-  MALI_CHECK_MSG(is.good(), "truncated checkpoint header: " + path);
-  get_vector(is, H, path);
-  get_vector(is, T, path);
-  get_vector(is, U, path);
-  step = static_cast<int>(s);
 }
 
 }  // namespace mali::io

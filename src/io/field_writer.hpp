@@ -39,58 +39,4 @@ void write_node_csv(const std::string& path, const mesh::QuadGrid& grid,
                     const std::vector<std::string>& column_names,
                     const std::vector<const std::vector<double>*>& columns);
 
-// ---- solver checkpoint files -----------------------------------------
-//
-// The binary format behind resilience::SolverCheckpoint (DESIGN.md §11):
-//   bytes  0..7   magic "MALICKPT"
-//   bytes  8..11  uint32 version (currently 1)
-//   bytes 12..15  int32  newton_step
-//   bytes 16..23  double residual_norm
-//   bytes 24..31  double parameter (the Newton solver writes 0)
-//   bytes 32..39  uint64 n (number of solution dofs)
-//   bytes 40..    n raw little-endian doubles (the solution vector U)
-// Doubles are written bit-for-bit (native IEEE-754 layout), so a
-// write/read round-trip is exact — including NaN payloads, -0.0, and
-// denormals.  The format is host-endian; checkpoints are scratch files
-// for in-run restart, not an archival format.
-
-/// Writes one solution checkpoint.  Throws mali::Error on I/O failure.
-void write_solver_checkpoint(const std::string& path,
-                             const std::vector<double>& U,
-                             double residual_norm, double parameter,
-                             int newton_step);
-
-/// Reads a checkpoint written by write_solver_checkpoint, validating the
-/// magic/version/size.  Throws mali::Error on a malformed file.
-void read_solver_checkpoint(const std::string& path, std::vector<double>& U,
-                            double& residual_norm, double& parameter,
-                            int& newton_step);
-
-// ---- transient checkpoint files --------------------------------------
-//
-// The transient (forecast) checkpoint extends the solver format with the
-// full prognostic state of a coupled run (DESIGN.md §14):
-//   bytes  0..7   magic "MALITCKP"
-//   bytes  8..11  uint32 version (currently 1)
-//   bytes 12..15  int32  step index
-//   bytes 16..23  double model time t (years)
-//   bytes 24..31  double current dt (years)
-//   then three length-prefixed vectors, each uint64 n + n raw doubles:
-//     H (cell thickness), T (flattened column temperatures), U (velocity)
-// Same bit-exact host-endian contract as the solver checkpoint.
-
-/// Writes one transient checkpoint.  Throws mali::Error on I/O failure.
-void write_transient_checkpoint(const std::string& path,
-                                const std::vector<double>& H,
-                                const std::vector<double>& T,
-                                const std::vector<double>& U, double t,
-                                double dt, int step);
-
-/// Reads a checkpoint written by write_transient_checkpoint, validating
-/// the magic/version/sizes.  Throws mali::Error on a malformed file.
-void read_transient_checkpoint(const std::string& path,
-                               std::vector<double>& H, std::vector<double>& T,
-                               std::vector<double>& U, double& t, double& dt,
-                               int& step);
-
 }  // namespace mali::io

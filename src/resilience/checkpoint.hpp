@@ -2,9 +2,13 @@
 // SolverCheckpoint — the "last good state" the Newton recovery ladder's
 // final rung restores: the solution vector, its residual norm, and the
 // Newton step it was taken at.  Kept in-memory by the solver; optionally
-// mirrored on disk through io::write_solver_checkpoint (see DESIGN.md §11
-// for the file format) so a crashed run can restart from the last accepted
+// mirrored on disk so a crashed run can restart from the last accepted
 // step.
+//
+// Both checkpoints here are io::Record files (io/record.hpp; DESIGN.md §11
+// and §14): checksummed, written to a temp file, fsynced and renamed into
+// place, so a crash mid-save keeps the previous checkpoint and a corrupt
+// or truncated file loads as a mali::Error, never as state.
 
 #include <cstddef>
 #include <string>
@@ -15,16 +19,15 @@ namespace mali::resilience {
 struct SolverCheckpoint {
   std::vector<double> U;        ///< the accepted solution
   double residual_norm = 0.0;   ///< ||F(U)||
-  double parameter = 0.0;       ///< on-disk slot; the Newton solver leaves 0
   int newton_step = 0;          ///< step the checkpoint was taken after
   bool valid = false;           ///< false until first capture
 
-  /// Writes the checkpoint to `path` (bit-exact round trip).
+  /// Replaces `path` with the checkpoint (bit-exact round trip).
   void save(const std::string& path) const;
 };
 
 /// Reads a checkpoint written by SolverCheckpoint::save.  Throws
-/// mali::Error on a missing or malformed file.
+/// mali::Error on a missing, truncated or corrupt file.
 [[nodiscard]] SolverCheckpoint load_checkpoint(const std::string& path);
 
 /// TransientCheckpoint — the full prognostic state of a coupled forecast
@@ -41,12 +44,12 @@ struct TransientCheckpoint {
   int step = 0;           ///< completed step count
   bool valid = false;     ///< false until first capture
 
-  /// Writes the checkpoint to `path` (bit-exact round trip).
+  /// Replaces `path` with the checkpoint (bit-exact round trip).
   void save(const std::string& path) const;
 };
 
 /// Reads a checkpoint written by TransientCheckpoint::save.  Throws
-/// mali::Error on a missing or malformed file.
+/// mali::Error on a missing, truncated or corrupt file.
 [[nodiscard]] TransientCheckpoint load_transient_checkpoint(
     const std::string& path);
 

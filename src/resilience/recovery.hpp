@@ -66,7 +66,7 @@ struct RecoveryConfig {
   std::vector<std::function<std::unique_ptr<linalg::Preconditioner>()>>
       precond_ladder;
   /// When non-empty, every accepted Newton step also writes the checkpoint
-  /// here (io::write_solver_checkpoint format).
+  /// here (SolverCheckpoint::save).
   std::string checkpoint_path;
   /// Solver-level injection site (forced GMRES stagnation).  The NaN/Inf
   /// poison sites live in the guard decorators instead; see

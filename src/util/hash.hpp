@@ -3,9 +3,9 @@
 //
 //  * splitmix64 — a strong, tiny 64-bit mixer for seeded choices (which dof
 //    a fault injector poisons, which rank a comm fault victimizes).
-//  * fnv1a64 — 64-bit FNV-1a over raw bytes: the comm payload checksums and
-//    the ensemble result-cache content keys.  Byte-exact, so any single-bit
-//    change of the input changes the hash.
+//  * fnv1a64 — 64-bit FNV-1a over raw bytes: the comm payload and
+//    io::Record checksums and the ensemble result-cache content keys.
+//    Byte-exact, so any single-bit change of the input changes the hash.
 
 #include <cstddef>
 #include <cstdint>

@@ -6,7 +6,8 @@
 //   - manifest canonical round trip (field-for-field, doubles bitwise) and
 //     the malformed-manifest typed-error battery
 //   - result cache round trips (memory and disk) bit-exact, with the
-//     canonical-string collision guard demoting hash collisions to misses
+//     canonical-string collision guard demoting hash collisions to misses,
+//     and the cache directory created (or refused) when the cache is built
 //   - engine contracts: cache-served rerun byte-identical members section,
 //     warm vs cold within 1e-10/dof (also on a multilevel shared AMG),
 //     AMG structure reuse bitwise equal to a rebuild, member velocities
@@ -461,6 +462,35 @@ TEST(ResultCache, CorruptDiskRecordsAreMisses) {
   std::fclose(g);
   ensemble::ResultCache reader2(dir);
   EXPECT_EQ(reader2.find(key), nullptr);
+}
+
+TEST(ResultCache, CreatesANestedCacheDirectoryWhenBuilt) {
+  const std::string dir = temp_dir("ensr_cache_nested") + "/a/b";
+  ensemble::ResultCache writer(dir);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  writer.store(sample_record("nested"));
+  ensemble::ResultCache reader(dir);
+  const auto* hit = reader.find("nested");
+  ASSERT_NE(hit, nullptr);
+  expect_record_bitwise(*hit, sample_record("nested"));
+}
+
+TEST(ResultCache, UncreatableCacheDirectoryFailsBeforeAnyMemberRuns) {
+  const std::string root = temp_dir("ensr_cache_blocked");
+  std::filesystem::create_directories(root);
+  const std::string file = root + "/not-a-dir";
+  std::FILE* f = std::fopen(file.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  ensemble::EnsembleConfig cfg;
+  cfg.cache_dir = file + "/cache";
+  try {
+    ensemble::EnsembleEngine engine(small_manifest(), cfg);
+    FAIL() << "built an engine over an uncreatable cache directory";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(cfg.cache_dir), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- AMG structure reuse ---------------------------------------------

@@ -1,15 +1,20 @@
 // Field-output tests: PPM heatmap structure and colormap properties, and
-// CSV writing.
+// CSV writing; and the io::Record checks a valid checksum cannot stand in
+// for (magic, version, length prefixes, leftover bytes) and its failed
+// commit.  test_record runs the corruption battery over the formats.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <cmath>
 #include <sstream>
 
 #include "io/field_writer.hpp"
+#include "io/record.hpp"
 #include "mesh/ice_geometry.hpp"
 
 using namespace mali;
@@ -171,4 +176,105 @@ TEST(FieldWriter, ExplicitColorBounds) {
   const auto lo = io::heat_color(0.0);
   EXPECT_NE(mid.b, lo.b);
   std::remove(path.c_str());
+}
+
+// ---- io::Record ---------------------------------------------------------
+
+namespace {
+
+std::string record_path(const char* name) {
+  return std::string(::testing::TempDir()) + name;
+}
+
+/// The mali::Error message `read` throws, or "" when it throws none.
+template <class Read>
+std::string record_error(Read read) {
+  try {
+    read();
+  } catch (const mali::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+constexpr io::RecordFormat kTestFormat{"MALITEST", 2};
+
+TEST(Record, ChecksMagicAndVersionBehindAValidChecksum) {
+  const std::string path = record_path("version.rec");
+  io::write_record(path, kTestFormat, 1.5);
+  double x = 0.0;
+  const auto read_as = [&](io::RecordFormat format) {
+    return record_error([&] { io::read_record(path, format, x); });
+  };
+  EXPECT_NE(read_as({"MALITEST", 3}).find("unsupported version 2"),
+            std::string::npos);
+  EXPECT_NE(read_as({"MALIOTHR", 2}).find("wrong magic"), std::string::npos);
+  EXPECT_EQ(read_as(kTestFormat), "");
+  EXPECT_EQ(x, 1.5);
+  std::remove(path.c_str());
+}
+
+TEST(Record, LengthPrefixesAreCheckedBeforeAllocating) {
+  const std::string path = record_path("length.rec");
+  // A length far past the 8 payload bytes that follow it.
+  io::write_record(path, kTestFormat, std::uint64_t{1} << 62, 2.0);
+  std::vector<double> v;
+  std::string s;
+  for (const std::string& err :
+       {record_error([&] { io::read_record(path, kTestFormat, v); }),
+        record_error([&] { io::read_record(path, kTestFormat, s); })}) {
+    EXPECT_NE(err.find("length prefix exceeds the payload"),
+              std::string::npos) << err;
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Record, FieldsMustExactlyFillThePayload) {
+  const std::string path = record_path("fields.rec");
+  io::write_record(path, kTestFormat, 7, std::vector<double>{0.5, -0.0});
+  int i = 0;
+  std::vector<double> v;
+  double past = 0.0;
+  EXPECT_NE(record_error([&] { io::read_record(path, kTestFormat, i); })
+                .find("bytes left over"),
+            std::string::npos);
+  EXPECT_NE(record_error([&] {
+              io::read_record(path, kTestFormat, i, v, past);
+            }).find("runs past the payload"),
+            std::string::npos);
+  io::read_record(path, kTestFormat, i, v);
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(v, (std::vector<double>{0.5, -0.0}));
+  EXPECT_TRUE(std::signbit(v[1]));
+  std::remove(path.c_str());
+}
+
+TEST(Record, FailedWriteKeepsTheTargetAndLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const std::string dir = record_path("record_write_fail");
+  fs::remove_all(dir);
+  // The target is a non-empty directory: the temp file is written, the
+  // rename over the target fails.
+  const std::string target = dir + "/target";
+  fs::create_directories(target + "/inside");
+  const std::string err =
+      record_error([&] { io::write_record(target, kTestFormat, 1.0); });
+  EXPECT_NE(err.find("cannot write record '" + target + "'"),
+            std::string::npos) << err;
+  EXPECT_TRUE(fs::is_directory(target + "/inside"));
+  std::size_t entries = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);  // the temp file was unlinked
+  // A missing directory fails at the temp file, naming the target.
+  const std::string missing = dir + "/no/such/dir/x.rec";
+  EXPECT_NE(record_error([&] { io::write_record(missing, kTestFormat, 1.0); })
+                .find(missing),
+            std::string::npos);
+  fs::remove_all(dir);
 }
