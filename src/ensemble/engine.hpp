@@ -100,7 +100,6 @@ class EnsembleEngine {
   [[nodiscard]] const EnsembleManifest& manifest() const noexcept {
     return manifest_;
   }
-  [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
 
   /// Canonical cache-key string for one member: schema version + mesh +
   /// run/solver settings + sweep parameters, doubles shortest-round-trip.

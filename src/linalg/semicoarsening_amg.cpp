@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -16,18 +17,14 @@ namespace mali::linalg {
 
 namespace {
 
-/// Loops that touch fewer than this many matrix entries (a vector loop
-/// counts one per row) run inline.  A pool dispatch costs little more than
-/// the loop it runs (DESIGN.md §8), so the bar sits at a few thousand
-/// entries: one color of a forecast-size level's sweep (12k-48k entries)
-/// threads, a transfer over a 4380-row vector does not.  Picked by a sweep
-/// at 1, 2 and 4 threads, flat from 2048 to 16384
-/// (BENCH_vcycle_threads.json).
+/// Setup loops that touch fewer than this many matrix entries run inline.
+/// A pool dispatch costs little more than the loop it runs (DESIGN.md §8),
+/// so the bar sits at a few thousand entries: the numeric Galerkin pass
+/// and the smoother factorization of a forecast-size level thread.  Picked
+/// by a sweep at 1, 2 and 4 threads when the V-cycle loops used it too,
+/// flat from 2048 to 16384 (BENCH_vcycle_threads.json).
 constexpr std::size_t kParallelWork = 8192;
 
-/// f(i) for i in [0, n), where item i touches `work_each` entries; inline
-/// below kParallelWork in all, on the pool otherwise.  Each item writes its
-/// own outputs in a fixed order, so the result is the same either way.
 template <class F>
 void for_rows(const char* label, std::size_t n, std::size_t work_each,
               const F& f) {
@@ -56,6 +53,8 @@ ColumnLineSmoother::ColumnLineSmoother(std::size_t column_dofs,
       level_(level),
       sweeps_(sweeps) {
   MALI_CHECK(m_ >= 1);
+  // The post-smoother's last relaxations carry the V-cycle's correction.
+  MALI_CHECK_MSG(sweeps_ >= 1, "column-line smoother: needs a sweep");
   for (std::size_t c = 0; c < color_.size(); ++c) {
     MALI_CHECK(color_[c] < 4);
     by_color_[color_[c]].push_back(c);
@@ -181,59 +180,83 @@ void ColumnLineSmoother::factor() {
 }
 
 template <int B>
-void ColumnLineSmoother::relax_color(int color, const std::vector<double>& r,
-                                     std::vector<double>& z) const {
+void ColumnLineSmoother::relax_column(std::size_t c, const double* r,
+                                      double* z, double* correct) const {
   const std::size_t m = m_, b = band_, w = 2 * band_ + 1;
   const CrsGraph& g = *graph_;
   const auto* brp = g.brp.data();
   const auto* bcols = g.bcols.data();
   const auto* vs = A_->values().data();
   const Run* runs = runs_.data();
-  const auto& columns = by_color_[color];
-  for_rows("column_line_relax", columns.size(),
-           per_item(A_->nnz(), A_->n_rows()) * m,
-           [&](std::size_t n) {
-    const std::size_t c = columns[n];
-    const std::size_t base = c * m;
-    double* x = z.data() + base;
-    // Right-hand side: r minus the couplings to other (other-color)
-    // columns, the blocks before and after the node row's in-column run,
-    // in row order.  The run is skipped, so x can take the sum in place.
-    for (std::size_t I = base / B; I < (base + m) / B; ++I) {
-      const std::size_t b0 = brp[I], nb = brp[I + 1] - b0;
-      const std::uint32_t* bc = bcols + b0;
-      const double* v = vs + B * B * b0;  // row B I + e at v + e B nb
-      double acc[B];
-      for (int e = 0; e < B; ++e) acc[e] = r[B * I + e];
-      const auto subtract = [&](std::size_t j) {
-        const double* zj = z.data() + B * static_cast<std::size_t>(bc[j]);
-        for (int e = 0; e < B; ++e) {
-          const double* row = v + e * B * nb;
-          for (int d = 0; d < B; ++d) acc[e] -= row[B * j + d] * zj[d];
-        }
-      };
-      for (std::size_t j = 0; j < runs[I].lo; ++j) subtract(j);
-      for (std::size_t j = runs[I].hi; j < nb; ++j) subtract(j);
-      for (int e = 0; e < B; ++e) x[B * I + e - base] = acc[e];
-    }
-    // Banded solve: L y = rhs, then U x = y.
-    const double* band = lu_.data() + c * m * w;
-    for (std::size_t t = 1; t < m; ++t) {
-      const double* row_t = band + t * w + b - t;
-      double acc = x[t];
-      for (std::size_t s = t > b ? t - b : 0; s < t; ++s) {
-        acc -= row_t[s] * x[s];
+  const std::size_t base = c * m;
+  double* x = z + base;
+  // Right-hand side: r minus the couplings to other (other-color) columns,
+  // the blocks before and after the node row's in-column run, in row
+  // order.  The run is skipped, so x can take the sum in place.
+  for (std::size_t I = base / B; I < (base + m) / B; ++I) {
+    const std::size_t b0 = brp[I], nb = brp[I + 1] - b0;
+    const std::uint32_t* bc = bcols + b0;
+    const double* v = vs + B * B * b0;  // row B I + e at v + e B nb
+    double acc[B];
+    for (int e = 0; e < B; ++e) acc[e] = r[B * I + e];
+    const auto subtract = [&](std::size_t j) {
+      const double* zj = z + B * static_cast<std::size_t>(bc[j]);
+      for (int e = 0; e < B; ++e) {
+        const double* row = v + e * B * nb;
+        for (int d = 0; d < B; ++d) acc[e] -= row[B * j + d] * zj[d];
       }
-      x[t] = acc;
+    };
+    for (std::size_t j = 0; j < runs[I].lo; ++j) subtract(j);
+    for (std::size_t j = runs[I].hi; j < nb; ++j) subtract(j);
+    for (int e = 0; e < B; ++e) x[B * I + e - base] = acc[e];
+  }
+  // Banded solve: L y = rhs, then U x = y.
+  const double* band = lu_.data() + c * m * w;
+  for (std::size_t t = 1; t < m; ++t) {
+    const double* row_t = band + t * w + b - t;
+    double acc = x[t];
+    for (std::size_t s = t > b ? t - b : 0; s < t; ++s) {
+      acc -= row_t[s] * x[s];
     }
-    for (std::size_t t = m; t-- > 0;) {
-      const double* row_t = band + t * w + b - t;
-      double acc = x[t];
-      const std::size_t last = std::min(t + b, m - 1);
-      for (std::size_t s = t + 1; s <= last; ++s) acc -= row_t[s] * x[s];
-      x[t] = acc / row_t[t];
+    x[t] = acc;
+  }
+  for (std::size_t t = m; t-- > 0;) {
+    const double* row_t = band + t * w + b - t;
+    double acc = x[t];
+    const std::size_t last = std::min(t + b, m - 1);
+    for (std::size_t s = t + 1; s <= last; ++s) acc -= row_t[s] * x[s];
+    x[t] = acc / row_t[t];
+  }
+  if (correct != nullptr) {
+    for (std::size_t t = 0; t < m; ++t) correct[base + t] += x[t];
+  }
+}
+
+template <int B>
+void ColumnLineSmoother::smooth(const pk::ThreadPool::Team& team,
+                                const double* r, double* z,
+                                double* correct) const {
+  // Each member relaxes its fixed slice of the color's columns, and the
+  // barrier publishes them before the next color reads them.
+  const auto relax = [&](int color, bool last) {
+    const auto& columns = by_color_[color];
+    const auto [begin, end] = team.slice(columns.size());
+    for (std::size_t n = begin; n < end; ++n) {
+      relax_column<B>(columns[n], r, z, last ? correct : nullptr);
     }
-  });
+    team.barrier();
+  };
+  for (int sweep = 0; sweep < sweeps_; ++sweep) {
+    // A column's last relaxation is in the last sweep: color 3's forward,
+    // the others' backward.
+    const bool last_sweep = sweep + 1 == sweeps_;
+    for (int color = 0; color < 4; ++color) {
+      relax(color, last_sweep && color == 3);
+    }
+    // Back from color 2: relaxing color 3 again right away would
+    // reproduce the same values, since its neighbours have not moved.
+    for (int color = 2; color >= 0; --color) relax(color, last_sweep);
+  }
 }
 
 void ColumnLineSmoother::apply(const std::vector<double>& r,
@@ -241,13 +264,9 @@ void ColumnLineSmoother::apply(const std::vector<double>& r,
   MALI_CHECK_MSG(A_ != nullptr, "column-line smoother: compute() not called");
   z.assign(A_->n_rows(), 0.0);
   with_block(*graph_, [&](auto B) {
-    constexpr int kB = decltype(B)::value;
-    for (int sweep = 0; sweep < sweeps_; ++sweep) {
-      for (int color = 0; color < 4; ++color) relax_color<kB>(color, r, z);
-      // Back from color 2: relaxing color 3 again right away would
-      // reproduce the same values, since its neighbours have not moved.
-      for (int color = 2; color >= 0; --color) relax_color<kB>(color, r, z);
-    }
+    pk::ThreadPool::instance().team([&](const pk::ThreadPool::Team& team) {
+      smooth<decltype(B)::value>(team, r.data(), z.data(), nullptr);
+    });
   });
 }
 
@@ -306,6 +325,7 @@ void SemicoarseningAmg::load_fine(const CrsMatrix& A) {
   } else {
     build_hierarchy(A);
     ++hierarchy_builds_;
+    times_.assign(levels_.size(), {});
   }
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) galerkin_values(l);
   factor_coarse();
@@ -549,25 +569,6 @@ void SemicoarseningAmg::setup_smoothers() {
   }
 }
 
-template <int B>
-void SemicoarseningAmg::level_residual(std::size_t l,
-                                       const std::vector<double>& b,
-                                       const std::vector<double>& z,
-                                       std::vector<double>& r) const {
-  const Level& lvl = levels_[l];
-  const CrsGraph& g = *lvl.A.graph();
-  const std::size_t n = lvl.A.n_rows();
-  r.resize(n);
-  // Fused SpMV + subtraction: the row sums in CrsMatrix::apply's order.
-  const double* vs = lvl.A.values().data();
-  for_rows("amg_residual", g.n_node_rows(), per_item(lvl.A.nnz(), n) * B,
-           [&](std::size_t I) {
-    double acc[B];
-    node_row_dot<B>(g, vs, I, z.data(), acc);
-    for (int e = 0; e < B; ++e) r[B * I + e] = b[B * I + e] - acc[e];
-  });
-}
-
 std::vector<std::size_t> SemicoarseningAmg::level_aggregation(
     std::size_t l) const {
   const Level& lvl = levels_[l];
@@ -579,63 +580,117 @@ std::vector<std::size_t> SemicoarseningAmg::level_aggregation(
   return agg;
 }
 
-void SemicoarseningAmg::vcycle(std::size_t l, const std::vector<double>& r,
-                               std::vector<double>& z) const {
-  const Level& lvl = levels_[l];
-  const std::size_t n = lvl.A.n_rows();
+/// Rank 0's stopwatch over the V-cycle phases: each lap, read after a
+/// barrier, adds the time since the last one to a level's phase.
+struct SemicoarseningAmg::PhaseClock {
+  bool on;
+  std::chrono::steady_clock::time_point last;
+  void lap(double& seconds) {
+    if (!on) return;
+    const auto now = std::chrono::steady_clock::now();
+    seconds += std::chrono::duration<double>(now - last).count();
+    last = now;
+  }
+};
 
+template <int B>
+void SemicoarseningAmg::vcycle(const pk::ThreadPool::Team& team,
+                               PhaseClock& clock, std::size_t l,
+                               const std::vector<double>& b,
+                               std::vector<double>& z) const {
+  // z holds zeros on entry.  Every phase ends with a barrier, so the next
+  // one reads what all members wrote.
+  LevelTimes& times = times_[l];
   if (l + 1 == levels_.size()) {
-    if (use_direct_coarse_) {
-      z = r;
-      coarse_lu_.solve(z);
-    } else {
-      coarse_sgs_->apply(r, z);
+    if (team.rank() == 0) {
+      if (use_direct_coarse_) {
+        z = b;
+        coarse_lu_.solve(z);
+      } else {
+        coarse_sgs_->apply(b, z);
+      }
     }
+    team.barrier();
+    clock.lap(times.coarse_s);
     return;
   }
 
-  // Pre-smooth.
-  lvl.smoother->apply(r, z);
+  const Level& lvl = levels_[l];
+  const CrsGraph& g = *lvl.A.graph();
+  const double* vs = lvl.A.values().data();
 
-  with_block(*lvl.A.graph(), [&](auto B) {
-    constexpr int kB = decltype(B)::value;
-    // Residual and restriction (P^T = sum over aggregate members,
-    // ascending).
-    level_residual<kB>(l, r, z, lvl.r);
-    lvl.rc.resize(lvl.n_coarse);
-    const std::size_t n_agg = lvl.member_ptr.size() - 1;
-    for_rows("amg_restrict", n_agg, per_item(n, lvl.n_coarse) * kB,
-             [&](std::size_t I) {
-      double acc[kB] = {};
+  lvl.smoother->smooth<B>(team, b.data(), z.data(), nullptr);
+  clock.lap(times.pre_smooth_s);
+
+  // Residual fused into restriction (P^T sums each aggregate's members,
+  // ascending), so it is never stored; the coarse level's z starts at 0.
+  {
+    const auto [begin, end] = team.slice(lvl.member_ptr.size() - 1);
+    for (std::size_t I = begin; I < end; ++I) {
+      double acc[B] = {};
       for (std::size_t m = lvl.member_ptr[I]; m < lvl.member_ptr[I + 1];
            ++m) {
         const std::size_t i = lvl.members[m];
-        for (int e = 0; e < kB; ++e) acc[e] += lvl.r[kB * i + e];
+        double Az[B];
+        node_row_dot<B>(g, vs, i, z.data(), Az);
+        for (int e = 0; e < B; ++e) acc[e] += b[B * i + e] - Az[e];
       }
-      for (int e = 0; e < kB; ++e) lvl.rc[kB * I + e] = acc[e];
-    });
+      for (int e = 0; e < B; ++e) {
+        lvl.rc[B * I + e] = acc[e];
+        lvl.zc[B * I + e] = 0.0;
+      }
+    }
+  }
+  team.barrier();
+  clock.lap(times.restrict_s);
 
-    // Coarse correction (the next level writes all of zc) and
-    // prolongation.
-    vcycle(l + 1, lvl.rc, lvl.zc);
-    for_rows("amg_prolong", lvl.agg.size(), kB, [&](std::size_t i) {
-      const std::size_t I = lvl.agg[i];
-      for (int e = 0; e < kB; ++e) z[kB * i + e] += lvl.zc[kB * I + e];
-    });
+  vcycle<B>(team, clock, l + 1, lvl.rc, lvl.zc);
 
-    // Post-smooth: one more smoother pass on the residual equation.
-    level_residual<kB>(l, r, z, lvl.r);
-  });
-  lvl.z.resize(n);
-  lvl.smoother->apply(lvl.r, lvl.z);
-  for_rows("amg_correct", n, 1, [&](std::size_t i) { z[i] += lvl.z[i]; });
+  // Prolongation (zeroing the post-smoother's z), then the residual over
+  // the same node rows.
+  const auto [begin, end] = team.slice(g.n_node_rows());
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t I = lvl.agg[i];
+    for (int e = 0; e < B; ++e) {
+      z[B * i + e] += lvl.zc[B * I + e];
+      lvl.z[B * i + e] = 0.0;
+    }
+  }
+  team.barrier();
+  for (std::size_t I = begin; I < end; ++I) {
+    double acc[B];
+    node_row_dot<B>(g, vs, I, z.data(), acc);
+    for (int e = 0; e < B; ++e) lvl.r[B * I + e] = b[B * I + e] - acc[e];
+  }
+  team.barrier();
+  clock.lap(times.prolong_s);
+
+  // Post-smooth the residual equation; each column's last relaxation adds
+  // the correction into z.
+  lvl.smoother->smooth<B>(team, lvl.r.data(), lvl.z.data(), z.data());
+  clock.lap(times.post_smooth_s);
 }
 
 void SemicoarseningAmg::apply(const std::vector<double>& r,
                               std::vector<double>& z) const {
   MALI_CHECK_MSG(!levels_.empty(), "AMG: compute() not called");
   z.assign(r.size(), 0.0);
-  vcycle(0, r, z);
+  // The region may not resize a vector: size the scratch first.
+  for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
+    const Level& lvl = levels_[l];
+    lvl.r.resize(lvl.A.n_rows());
+    lvl.z.resize(lvl.A.n_rows());
+    lvl.rc.resize(lvl.n_coarse);
+    lvl.zc.resize(lvl.n_coarse);
+  }
+  // Every level has the fine graph's block size.
+  with_block(*levels_.front().A.graph(), [&](auto B) {
+    pk::ThreadPool::instance().team([&](const pk::ThreadPool::Team& team) {
+      PhaseClock clock{team.rank() == 0, {}};
+      if (clock.on) clock.last = std::chrono::steady_clock::now();
+      vcycle<decltype(B)::value>(team, clock, 0, r, z);
+    });
+  });
 }
 
 }  // namespace mali::linalg

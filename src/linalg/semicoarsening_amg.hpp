@@ -29,16 +29,17 @@
 // column's in-column block is solved exactly, columns colored by their 2x2
 // lattice parity so one color's columns run in parallel.
 //
-// Threading: each color sweep, residual, restriction, prolongation and
-// correction of every smoothed level, the smoother factorization and the
-// numeric Galerkin pass run on the pk thread pool when the loop touches
-// at least a few thousand matrix entries (a vector loop counts one per
-// row), and inline below that.  A pool dispatch costs little more than its
-// loop, so at forecast size (levels of 4380 down to 1460 rows) every level
-// threads; what stays on one thread is a small level's short vector loops
-// and the banded coarse solve.  Each item of a loop writes only its own
-// outputs, in a fixed order, so every result is independent of the thread
-// count.
+// Threading: apply() is one pk team region (ThreadPool::team) for the
+// whole V-cycle.  Each phase of a level gives every member a fixed
+// contiguous slice of its items: each color's columns in the smoother
+// sweeps, the aggregates in the fused residual and restriction, the node
+// rows in the prolongation and the second residual.  So the same thread
+// touches the same rows of A in every pass and every cycle.  Barriers
+// separate the phases, and rank 0 alone runs the coarse solve.  The
+// numeric Galerkin pass and the smoother factorization run on the pool
+// when they touch at least a few thousand matrix entries, inline below
+// that.  Each item of a phase writes only its own outputs, in a fixed
+// order, so every result is independent of the thread count.
 //
 // The preconditioner is consumable from either side of the Jacobian split:
 //  * compute(const CrsMatrix&) — the classic assembled path;
@@ -61,6 +62,7 @@
 #include "linalg/banded_lu.hpp"
 #include "linalg/crs_matrix.hpp"
 #include "linalg/preconditioner.hpp"
+#include "portability/thread_pool.hpp"
 
 namespace mali::linalg {
 
@@ -68,8 +70,8 @@ struct AmgConfig {
   int max_levels = 12;
   /// Coarsest-level size at or below which it is solved by banded LU.
   std::size_t coarse_max_dofs = 1200;
-  /// Column-line sweeps per smoother application; the pre- and the
-  /// post-smoother both use it.
+  /// Column-line sweeps per smoother application, at least 1; the pre-
+  /// and the post-smoother both use it.
   int pre_sweeps = 1;
   int coarse_sgs_sweeps = 40;  ///< fallback if the coarsest level stays large
 };
@@ -109,7 +111,8 @@ struct ExtrusionInfo {
 /// (block-tridiagonal in 2x2 node blocks on an extruded mesh), LU without
 /// pivoting.  One sweep relaxes the colors forward (0 -> 3), then back
 /// (3 -> 0), from z = 0; a row's relaxation subtracts the entries before
-/// its run, then those after it, in row order.
+/// its run, then those after it, in row order.  apply() is one pk team
+/// region, a barrier after each color.
 class ColumnLineSmoother final : public Preconditioner {
  public:
   /// `level` only names the hierarchy level in error messages.
@@ -137,10 +140,18 @@ class ColumnLineSmoother final : public Preconditioner {
   /// Fills and factors the in-column bands, on a graph of block B.
   template <int B>
   void factor();
-  /// Relaxes every column of one color (they are mutually independent).
+  friend class SemicoarseningAmg;
+  /// Relaxes column c; correct, when set, gets the result added.
   template <int B>
-  void relax_color(int color, const std::vector<double>& r,
-                   std::vector<double>& z) const;
+  void relax_column(std::size_t c, const double* r, double* z,
+                    double* correct) const;
+  /// The smoother's sweeps as one member of a team region, from a z that
+  /// holds zeros wherever a column reads it before relaxing it; ends with
+  /// a barrier.  correct, when set, gets every column's final values
+  /// added, at the column's last relaxation.
+  template <int B>
+  void smooth(const pk::ThreadPool::Team& team, const double* r, double* z,
+              double* correct) const;
 
   std::size_t m_;  ///< dofs per column
   std::vector<std::uint8_t> color_;
@@ -231,6 +242,21 @@ class SemicoarseningAmg final : public Preconditioner {
     return structure_reuses_;
   }
 
+  /// Seconds one level's V-cycle phases took, summed over every apply()
+  /// since the hierarchy was built.  Rank 0 of the team reads the clock at
+  /// the barriers that end the phases.
+  struct LevelTimes {
+    double pre_smooth_s = 0.0;
+    double restrict_s = 0.0;     ///< residual + restriction
+    double prolong_s = 0.0;      ///< prolongation + residual
+    double post_smooth_s = 0.0;  ///< the correction folded in
+    double coarse_s = 0.0;       ///< the coarsest level's solve
+  };
+  /// One entry per level.
+  [[nodiscard]] const std::vector<LevelTimes>& level_times() const noexcept {
+    return times_;
+  }
+
  private:
   struct Level {
     CrsMatrix A;
@@ -251,7 +277,7 @@ class SemicoarseningAmg final : public Preconditioner {
     std::size_t column_dofs = 0;
     std::vector<std::uint8_t> column_color;
     std::optional<ColumnLineSmoother> smoother;  ///< none on the coarsest
-    // scratch for the V-cycle
+    // scratch for the V-cycle, sized before its team region
     mutable std::vector<double> r, z, rc, zc;
   };
 
@@ -267,12 +293,12 @@ class SemicoarseningAmg final : public Preconditioner {
   /// Banded LU (or the SGS fallback) for the coarsest level.
   void factor_coarse();
   void setup_smoothers();
-  /// r = b - A_l z, on level l's graph of block B.
+  struct PhaseClock;
+  /// Level l's cycle on b into z as one member of the team region; z holds
+  /// zeros on entry.
   template <int B>
-  void level_residual(std::size_t l, const std::vector<double>& b,
-                      const std::vector<double>& z,
-                      std::vector<double>& r) const;
-  void vcycle(std::size_t l, const std::vector<double>& r,
+  void vcycle(const pk::ThreadPool::Team& team, PhaseClock& clock,
+              std::size_t l, const std::vector<double>& b,
               std::vector<double>& z) const;
 
   ExtrusionInfo info_;
@@ -288,6 +314,7 @@ class SemicoarseningAmg final : public Preconditioner {
 
   std::size_t hierarchy_builds_ = 0;
   std::size_t structure_reuses_ = 0;
+  mutable std::vector<LevelTimes> times_;  ///< written by rank 0 only
 
   // Coarse solve: banded LU factored from levels_.back().A into a buffer
   // every compute() reuses, or SGS sweeps when the coarsest level stays

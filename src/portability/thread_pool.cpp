@@ -15,18 +15,18 @@ using Clock = std::chrono::steady_clock;
 /// others work to claim, few enough that claims stay rare.
 constexpr std::size_t kChunksPerThread = 4;
 /// How long an idle worker keeps spinning before it parks: long enough to
-/// span the serial stretches between loops (an AMG V-cycle's coarse levels,
-/// a GMRES orthogonalization) on the solver workloads, where 0.4 ms still
-/// left a third of the dispatches to find their workers parked.
+/// span the serial stretches between loops (a GMRES orthogonalization) on
+/// the solver workloads, where 0.4 ms still left a third of the dispatches
+/// to find their workers parked.
 constexpr auto kSpinFor = std::chrono::milliseconds(2);
 /// How long the caller works alone before it wakes parked workers.
 constexpr auto kWakeAfter = std::chrono::microseconds(100);
-/// Pause hints the caller spends waiting on running chunks before it starts
-/// yielding its core instead.
+/// Pause hints a thread spends waiting (on running chunks, a barrier or the
+/// rest of a team) before it starts yielding its core instead.
 constexpr unsigned kPausesBeforeYield = 1024;
 
-/// True on pool workers and on a caller running its chunks: a parallel_range
-/// made there runs inline.
+/// True on pool workers and on a caller running its chunks or its team
+/// member: a parallel_range or team made there runs inline.
 thread_local bool tl_in_pool = false;
 
 inline void cpu_relax() noexcept {
@@ -53,6 +53,15 @@ constexpr bool has_unclaimed(std::uint64_t w) noexcept {
   return next_of(w) < count_of(w);
 }
 
+/// Releases the pool when its holder's dispatch or region returns.
+struct HoldPool {
+  std::atomic<bool>& busy;
+  ~HoldPool() {
+    tl_in_pool = false;
+    busy.store(false, std::memory_order_release);
+  }
+};
+
 }  // namespace
 
 ThreadPool& ThreadPool::instance() {
@@ -74,7 +83,7 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
   workers_.reserve(n_workers);
   try {
     for (std::size_t i = 0; i < n_workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, i] { worker_loop(i + 1); });
     }
   } catch (...) {
     stop_workers();  // the destructor does not run for a throwing ctor
@@ -103,6 +112,22 @@ bool ThreadPool::claim(std::size_t& chunk) {
   return true;
 }
 
+template <class Done>
+void ThreadPool::wait_until(const Done& done) {
+  for (unsigned i = 0; !done(); ++i) {
+    if (i < kPausesBeforeYield) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+void ThreadPool::record_error() {
+  std::lock_guard<std::mutex> lk(error_mu_);
+  if (!first_error_) first_error_ = std::current_exception();
+}
+
 void ThreadPool::run_chunk(std::size_t chunk) {
   // Balanced split: the first n % chunks chunks hold one extra index.
   const std::size_t base = n_ / chunks_;
@@ -112,11 +137,46 @@ void ThreadPool::run_chunk(std::size_t chunk) {
   try {
     (*fn_)(b, e);
   } catch (...) {
-    std::lock_guard<std::mutex> lk(error_mu_);
-    if (!first_error_) first_error_ = std::current_exception();
+    record_error();
   }
   // Release: the caller may return (and republish) once this count is full.
   done_.fetch_add(1, std::memory_order_release);
+}
+
+void ThreadPool::run_member(std::size_t rank) {
+  // A member claimed after another threw skips its body: with the barrier
+  // poisoned its phases would not be separated.
+  if (!poisoned_.load(std::memory_order_acquire)) {
+    try {
+      (*team_fn_)(Team(this, rank, size()));
+    } catch (...) {
+      record_error();
+      poisoned_.store(true, std::memory_order_release);
+    }
+  }
+  if (rank == 0) return;  // the caller claims no chunk
+  // The region's word cannot be replaced before this member counts itself
+  // done, so once it shows no unclaimed chunk every worker holds a rank.
+  wait_until([this] {
+    return !has_unclaimed(claim_.load(std::memory_order_relaxed));
+  });
+  done_.fetch_add(1, std::memory_order_release);
+}
+
+void ThreadPool::team_barrier() {
+  if (poisoned_.load(std::memory_order_acquire)) return;
+  const std::size_t gen = generation_.load(std::memory_order_acquire);
+  // The arrivals form one release sequence, so the last one acquires every
+  // member's writes and its generation store publishes them to all.
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == size()) {
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    return;
+  }
+  wait_until([&] {
+    return generation_.load(std::memory_order_acquire) != gen ||
+           poisoned_.load(std::memory_order_acquire);
+  });
 }
 
 void ThreadPool::wake_parked() {
@@ -126,11 +186,17 @@ void ThreadPool::wake_parked() {
   park_cv_.notify_all();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t rank) {
   tl_in_pool = true;
   std::size_t chunk = 0;
   for (;;) {
-    while (claim(chunk)) run_chunk(chunk);
+    while (claim(chunk)) {
+      if (team_fn_ != nullptr) {
+        run_member(rank);
+      } else {
+        run_chunk(chunk);
+      }
+    }
 
     // Spin so the next dispatch finds this worker running.
     const auto idle_since = Clock::now();
@@ -194,17 +260,12 @@ void ThreadPool::parallel_range(std::size_t begin, std::size_t end,
     fn(begin, end);
     return;
   }
-  struct Holder {
-    std::atomic<bool>& busy;
-    ~Holder() {
-      tl_in_pool = false;
-      busy.store(false, std::memory_order_release);
-    }
-  } holder{busy_};
+  HoldPool holder{busy_};
 
   const std::size_t n = end - begin;
   const std::size_t chunks = std::min(n, kChunksPerThread * size());
   fn_ = &fn;
+  team_fn_ = nullptr;
   begin_ = begin;
   n_ = n;
   chunks_ = chunks;
@@ -223,20 +284,42 @@ void ThreadPool::parallel_range(std::size_t begin, std::size_t end,
       woken = true;
     }
   }
-  for (unsigned i = 0; done_.load(std::memory_order_acquire) != chunks; ++i) {
-    if (i < kPausesBeforeYield) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
+  wait_until(
+      [&] { return done_.load(std::memory_order_acquire) == chunks; });
+  rethrow_first_error();
+}
 
+void ThreadPool::rethrow_first_error() {
   std::exception_ptr err;
   {
     std::lock_guard<std::mutex> lk(error_mu_);
     err = std::exchange(first_error_, nullptr);
   }
   if (err) std::rethrow_exception(err);
+}
+
+void ThreadPool::team(const TeamFn& fn) {
+  if (workers_.empty() || tl_in_pool ||
+      busy_.exchange(true, std::memory_order_acquire)) {
+    fn(Team(this, 0, 1));
+    return;
+  }
+  HoldPool holder{busy_};
+
+  const std::size_t workers = workers_.size();
+  team_fn_ = &fn;
+  arrived_.store(0, std::memory_order_relaxed);
+  poisoned_.store(false, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  claim_.store(pack(workers));  // publishes the fields above
+  // Wake parked workers now: the caller will wait for them in a barrier.
+  if (parked_.load() > 0) wake_parked();
+
+  tl_in_pool = true;
+  run_member(0);
+  wait_until(
+      [&] { return done_.load(std::memory_order_acquire) == workers; });
+  rethrow_first_error();
 }
 
 }  // namespace mali::pk

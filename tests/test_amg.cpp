@@ -4,16 +4,19 @@
 // Galerkin plan against a hash-map product on the FO Stokes Jacobians; the
 // colored column-line smoother against a serial reference sweep, on every
 // smoothed level; the hierarchy on node-paired graphs against block-1 graphs
-// of the same patterns; and one V-cycle at forecast size, pinned bitwise.
+// of the same patterns; and one V-cycle at forecast size, pinned bitwise
+// and matched by the same cycle run as an inline team region.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <random>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 
@@ -22,6 +25,7 @@
 #include "linalg/operator_probing.hpp"
 #include "linalg/semicoarsening_amg.hpp"
 #include "physics/stokes_fo_problem.hpp"
+#include "portability/thread_pool.hpp"
 #include "util/hash.hpp"
 
 using namespace mali::linalg;
@@ -916,4 +920,45 @@ TEST(AmgVCyclePin, ForecastSizeHierarchy) {
   std::vector<double> z;
   amg.apply(r, z);
   EXPECT_EQ(digest(z), 0x99ca77f00af23d25ull) << std::hex << digest(z);
+}
+
+TEST(AmgVCycleTeam, InlineTeamMatchesThePooledCycle) {
+  // A V-cycle run from an in-process task while another task holds the pool
+  // runs its team region as one member on that task's thread; its output is
+  // the pooled cycle's, bit for bit, and so are the per-level phases it
+  // times.
+  const auto prob = forecast_size_jacobian();
+  SemicoarseningAmg amg(prob.info, AmgConfig{});
+  amg.compute(prob.A);
+  const auto r = random_vec(prob.A.n_rows(), 47);
+  std::vector<double> pooled, inlined;
+  amg.apply(r, pooled);
+
+  std::atomic<bool> held{false}, finished{false};
+  mali::pk::ThreadPool::parallel_tasks(2, [&](std::size_t task) {
+    if (task == 0) {
+      mali::pk::ThreadPool::instance().team(
+          [&](const mali::pk::ThreadPool::Team& t) {
+            if (t.rank() != 0) return;
+            held.store(true);
+            while (!finished.load()) std::this_thread::yield();
+          });
+      return;
+    }
+    while (!held.load()) std::this_thread::yield();
+    amg.apply(r, inlined);
+    finished.store(true);
+  });
+  EXPECT_TRUE(bitwise_equal(pooled, inlined));
+
+  ASSERT_EQ(amg.level_times().size(), amg.n_levels());
+  for (std::size_t l = 0; l + 1 < amg.n_levels(); ++l) {
+    const auto& t = amg.level_times()[l];
+    EXPECT_GT(t.pre_smooth_s, 0.0) << "level " << l;
+    EXPECT_GT(t.restrict_s, 0.0) << "level " << l;
+    EXPECT_GT(t.prolong_s, 0.0) << "level " << l;
+    EXPECT_GT(t.post_smooth_s, 0.0) << "level " << l;
+    EXPECT_EQ(t.coarse_s, 0.0) << "level " << l;
+  }
+  EXPECT_GT(amg.level_times().back().coarse_s, 0.0);
 }

@@ -1,5 +1,5 @@
 // Tests for the pk execution layer: parallel_for on both backends, tag
-// dispatch, launch-bounds plumbing and the thread pool.
+// dispatch, launch-bounds plumbing, the thread pool and its team regions.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "portability/launch_bounds.hpp"
@@ -180,6 +181,185 @@ TEST(ThreadPool, SingleThreadPoolRunsOnTheCaller) {
     });
     EXPECT_EQ(foreign.load(), 0);
     EXPECT_EQ(visited.load(), 1000u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Team regions: one member per pool thread, phases separated by barriers.
+// ---------------------------------------------------------------------------
+
+TEST(TeamRegion, EveryRankRunsOnceOnItsOwnThread) {
+  pk::ThreadPool pool(kPoolThreads);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> runs(kPoolThreads);
+    std::vector<std::thread::id> ids(kPoolThreads);
+    std::atomic<int> wrong_size{0};
+    pool.team([&](const pk::ThreadPool::Team& t) {
+      if (t.size() != kPoolThreads) wrong_size.fetch_add(1);
+      runs[t.rank()].fetch_add(1);
+      ids[t.rank()] = std::this_thread::get_id();
+    });
+    ASSERT_EQ(wrong_size.load(), 0);
+    for (std::size_t r = 0; r < kPoolThreads; ++r) {
+      ASSERT_EQ(runs[r].load(), 1) << "rank " << r;
+      for (std::size_t q = 0; q < r; ++q) ASSERT_NE(ids[q], ids[r]);
+    }
+    EXPECT_EQ(ids[0], std::this_thread::get_id()) << "the caller is rank 0";
+  }
+}
+
+TEST(TeamRegion, BarrierPublishesEveryRanksWrites) {
+  // Plain ints: each rank writes its own slot, and after a barrier every
+  // rank reads all of them.  A missing happens-before is a TSan report.
+  pk::ThreadPool pool(kPoolThreads);
+  constexpr int kPhases = 500;
+  std::vector<int> slot(kPoolThreads, 0);
+  std::atomic<int> mismatches{0};
+  pool.team([&](const pk::ThreadPool::Team& t) {
+    for (int phase = 1; phase <= kPhases; ++phase) {
+      slot[t.rank()] = phase * static_cast<int>(t.rank() + 1);
+      t.barrier();
+      for (std::size_t q = 0; q < t.size(); ++q) {
+        if (slot[q] != phase * static_cast<int>(q + 1)) mismatches.fetch_add(1);
+      }
+      t.barrier();  // every read done before the next phase writes
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(TeamRegion, SlicesCoverTheRangeInRankOrder) {
+  for (std::size_t size : {std::size_t{1}, std::size_t{3}, kPoolThreads}) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{2}, std::size_t{17}}) {
+      pk::ThreadPool pool(size);
+      std::vector<std::pair<std::size_t, std::size_t>> got(size);
+      pool.team([&](const pk::ThreadPool::Team& t) {
+        got[t.rank()] = t.slice(n);
+      });
+      std::size_t next = 0;
+      for (const auto& [b, e] : got) {
+        ASSERT_EQ(b, next);
+        ASSERT_LE(e - b, n / size + 1);
+        ASSERT_GE(e - b, n / size);
+        next = e;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
+}
+
+TEST(TeamRegion, RunsAsTeamOfOneOnTheCallerInsideAChunk) {
+  pk::ThreadPool pool(kPoolThreads);
+  std::atomic<int> foreign{0}, not_single{0}, members{0};
+  pool.parallel_range(0, 16, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const auto caller = std::this_thread::get_id();
+      pool.team([&](const pk::ThreadPool::Team& t) {
+        if (std::this_thread::get_id() != caller) foreign.fetch_add(1);
+        if (t.rank() != 0 || t.size() != 1) not_single.fetch_add(1);
+        t.barrier();  // does nothing
+        members.fetch_add(1);
+      });
+    }
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(not_single.load(), 0);
+  EXPECT_EQ(members.load(), 16);
+
+  // A region opened by a member of another region runs inline too.
+  std::atomic<int> nested{0};
+  pool.team([&](const pk::ThreadPool::Team& outer) {
+    pool.team([&](const pk::ThreadPool::Team& inner) {
+      if (inner.rank() == 0 && inner.size() == 1) nested.fetch_add(1);
+    });
+    outer.barrier();
+  });
+  EXPECT_EQ(nested.load(), static_cast<int>(kPoolThreads));
+}
+
+TEST(TeamRegion, RunsAsTeamOfOneWhileAnotherTaskHoldsThePool) {
+  // Task 0 holds the pool with a region whose rank 0 waits for task 1;
+  // task 1's region then runs inline on task 1's own thread.
+  pk::ThreadPool pool(kPoolThreads);
+  std::atomic<bool> held{false}, finished{false};
+  std::size_t rank = 99, size = 99;
+  bool on_caller = false;
+  pk::ThreadPool::parallel_tasks(2, [&](std::size_t task) {
+    if (task == 0) {
+      pool.team([&](const pk::ThreadPool::Team& t) {
+        if (t.rank() != 0) return;
+        held.store(true);
+        while (!finished.load()) std::this_thread::yield();
+      });
+      return;
+    }
+    while (!held.load()) std::this_thread::yield();
+    const auto caller = std::this_thread::get_id();
+    pool.team([&](const pk::ThreadPool::Team& t) {
+      rank = t.rank();
+      size = t.size();
+      on_caller = std::this_thread::get_id() == caller;
+    });
+    finished.store(true);
+  });
+  EXPECT_EQ(rank, 0u);
+  EXPECT_EQ(size, 1u);
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(TeamRegion, ThrowingMemberReleasesTheOthersAndRethrows) {
+  pk::ThreadPool pool(kPoolThreads);
+  for (std::size_t thrower : {std::size_t{0}, std::size_t{1},
+                              kPoolThreads - 1}) {
+    std::atomic<int> returned{0};
+    EXPECT_THROW(pool.team([&](const pk::ThreadPool::Team& t) {
+                   if (t.rank() == thrower) throw std::runtime_error("member");
+                   // The thrower never arrives: these barriers must not
+                   // wait for it.
+                   for (int phase = 0; phase < 10; ++phase) t.barrier();
+                   returned.fetch_add(1);
+                 }),
+                 std::runtime_error)
+        << "thrower " << thrower;
+    EXPECT_LE(returned.load(), static_cast<int>(kPoolThreads - 1));
+    // The pool stays usable: a full region and a dispatch still run.
+    std::vector<std::atomic<int>> runs(kPoolThreads);
+    pool.team([&](const pk::ThreadPool::Team& t) {
+      t.barrier();
+      runs[t.rank()].fetch_add(1);
+    });
+    for (const auto& r : runs) ASSERT_EQ(r.load(), 1);
+    expect_exact_cover(pool, 1000);
+  }
+}
+
+TEST(TeamRegion, CompletesAfterTheWorkersParked) {
+  // Past the 2 ms spin the workers sleep on the condition variable; the
+  // region must wake them, since its caller waits for them in a barrier.
+  pk::ThreadPool pool(kPoolThreads);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<std::atomic<int>> runs(kPoolThreads);
+    pool.team([&](const pk::ThreadPool::Team& t) {
+      t.barrier();
+      runs[t.rank()].fetch_add(1);
+      t.barrier();
+    });
+    for (const auto& r : runs) ASSERT_EQ(r.load(), 1);
+  }
+}
+
+TEST(TeamRegion, SingleThreadPoolRunsOneMemberOnTheCaller) {
+  for (std::size_t n_threads : {0, 1}) {
+    pk::ThreadPool pool(n_threads);
+    int members = 0;
+    pool.team([&](const pk::ThreadPool::Team& t) {
+      EXPECT_EQ(t.rank(), 0u);
+      EXPECT_EQ(t.size(), 1u);
+      t.barrier();
+      ++members;
+    });
+    EXPECT_EQ(members, 1);
   }
 }
 

@@ -263,6 +263,24 @@ void print_amg_cycle_model(physics::StokesFOProblem& problem,
       m.vcycle_bytes() / 1e6);
 }
 
+/// The AMG's V-cycle phases per level, in seconds summed over every apply:
+/// what rank 0 of each cycle's team region read at the phase barriers.
+void print_vcycle_phases(const linalg::SemicoarseningAmg& amg) {
+  perf::Table t({"Level", "rows", "pre-smooth", "residual+restrict",
+                 "prolong+residual", "post-smooth", "coarse"});
+  for (std::size_t l = 0; l < amg.level_times().size(); ++l) {
+    const auto& p = amg.level_times()[l];
+    t.add_row({std::to_string(l), std::to_string(amg.level_dofs(l)),
+               perf::fmt(p.pre_smooth_s, 4), perf::fmt(p.restrict_s, 4),
+               perf::fmt(p.prolong_s, 4), perf::fmt(p.post_smooth_s, 4),
+               perf::fmt(p.coarse_s, 4)});
+  }
+  std::printf("AMG V-cycle phases per level (s, all applies):\n");
+  std::ostringstream os;
+  t.print(os);
+  std::fputs(os.str().c_str(), stdout);
+}
+
 /// Distributed fault-tolerance surface shared by `solve --ranks` and
 /// `forecast --ranks` (DESIGN.md §16): comm-guard flags, the "comm:"
 /// fault-spec dispatch, and the --resilience mapping onto the coordinated
@@ -516,15 +534,15 @@ int cmd_solve(const Args& args) {
   }
   std::printf("mean velocity: %.6f m/yr\n", problem.mean_velocity(U));
   print_jacobian_apply_model(problem);
-  if (const auto* amg = dynamic_cast<const linalg::SemicoarseningAmg*>(M.get())) {
-    print_amg_cycle_model(problem, *amg, matrix_free);
-  }
+  const auto* amg = dynamic_cast<const linalg::SemicoarseningAmg*>(M.get());
+  if (amg != nullptr) print_amg_cycle_model(problem, *amg, matrix_free);
   if (args.has("phases")) {
     std::printf("per-phase assembly breakdown (%s scatter):\n",
                 physics::to_string(problem.scatter_mode()));
     std::ostringstream os;
     perf::print_phase_report(os, problem.phase_timers());
     std::fputs(os.str().c_str(), stdout);
+    if (amg != nullptr) print_vcycle_phases(*amg);
   }
 
   const auto& base = problem.mesh().base();
